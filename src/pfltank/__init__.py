@@ -22,22 +22,13 @@ from .iso15066 import (
     v_max,
 )
 from .energy_tank import (
-    PowerFlows,
     TankState,
     commit_step,
     damper_coefficient,
     make_tank,
-    modulation,
     set_lower_bound,
-    tank_energy,
 )
-from .robot_dynamics import (
-    CartesianPlant,
-    PlanarArm,
-    PlantState,
-    WrenchInput,
-    power_balance_residual,
-)
+from .robot_dynamics import CartesianPlant, PlanarArm, PlantState, WrenchInput
 from .safety_controller import (
     ControlTick,
     PdGains,
@@ -79,7 +70,6 @@ __all__ = [
     "PlanarArmConfig",
     "PlantObservation",
     "PlantState",
-    "PowerFlows",
     "RegionSchedule",
     "RobotMassSpec",
     "RunResult",
@@ -96,9 +86,7 @@ __all__ = [
     "endpoint_mobility",
     "make_tank",
     "max_energy",
-    "modulation",
     "pd_force",
-    "power_balance_residual",
     "project_halfspace",
     "read_ticks_csv",
     "reduced_mass",
@@ -107,7 +95,6 @@ __all__ = [
     "set_lower_bound",
     "solve_alpha",
     "summarize",
-    "tank_energy",
     "v_max",
     "write_ticks_csv",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -77,7 +78,10 @@ def _need(mapping: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return value
 
 
 def _vector(value, path: str, length: int | None = None) -> tuple:
@@ -154,7 +158,7 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
     _check_keys(doc, {"name", "plant", "controller", "regions", "schedule",
-                      "tank", "wrench_script", "tau", "duration", "seed",
+                      "tank", "wrench_script", "tau", "duration",
                       "iso_comparison"}, "scenario")
     name = doc.get("name", fallback_name)
     if not isinstance(name, str) or not name:
@@ -166,22 +170,13 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     ctl = _need(doc, "controller", "scenario")
     if not isinstance(ctl, dict):
         raise ConfigError("controller: expected a mapping")
-    _check_keys(ctl, {"kp", "kd", "target", "feasibility_margin", "damper_band",
-                      "v_floor", "epsilon_min"}, "controller")
-    try:
-        gains = PdGains(kp=_vector(_need(ctl, "kp", "controller"), "controller.kp", m),
-                        kd=_vector(_need(ctl, "kd", "controller"), "controller.kd", m),
-                        target=_vector(_need(ctl, "target", "controller"), "controller.target", m))
-    except ConfigError:
-        raise
-    except DomainError as exc:
-        raise ConfigError(f"controller: {exc}") from None
-    knobs = {}
-    for key, dest in (("feasibility_margin", "feasibility_margin"),
-                      ("damper_band", "damper_band"), ("v_floor", "v_floor"),
-                      ("epsilon_min", "epsilon_min")):
-        if key in ctl:
-            knobs[dest] = _number(ctl[key], f"controller.{key}")
+    _check_keys(ctl, {"kp", "kd", "target", "feasibility_margin", "damper_band"},
+                "controller")
+    gains = PdGains(kp=_vector(_need(ctl, "kp", "controller"), "controller.kp", m),
+                    kd=_vector(_need(ctl, "kd", "controller"), "controller.kd", m),
+                    target=_vector(_need(ctl, "target", "controller"), "controller.target", m))
+    knobs = {key: _number(ctl[key], f"controller.{key}")
+             for key in ("feasibility_margin", "damper_band") if key in ctl}
 
     regions_doc = _need(doc, "regions", "scenario")
     if not isinstance(regions_doc, dict) or not regions_doc:
@@ -227,7 +222,10 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     _check_keys(tank_doc, {"t_initial", "epsilon_initial"}, "tank")
     if ("t_initial" in tank_doc) == ("epsilon_initial" in tank_doc):
         raise ConfigError("tank: give exactly one of t_initial or epsilon_initial")
-    h_initial = make_plant(plant_cfg).kinetic_energy
+    try:
+        h_initial = make_plant(plant_cfg).kinetic_energy
+    except DomainError as exc:
+        raise ConfigError(f"plant: {exc}") from None
     if "t_initial" in tank_doc:
         t_initial = _number(tank_doc["t_initial"], "tank.t_initial")
     else:
@@ -251,22 +249,12 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         except DomainError as exc:
             raise ConfigError(f"iso_comparison: {exc}") from None
 
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed: expected an integer")
-
-    try:
-        scenario = Scenario(name=name, plant=plant_cfg, gains=gains,
-                            schedule=schedule, t_initial=t_initial,
-                            wrench_script=tuple(wrench), tau=tau,
-                            duration=duration, iso_mass=iso_mass, seed=seed,
-                            **knobs)
-        # fail early on floors the schedule cannot support
-        initial_epsilons(scenario, h_initial)
-    except ConfigError:
-        raise
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    scenario = Scenario(name=name, plant=plant_cfg, gains=gains,
+                        schedule=schedule, t_initial=t_initial,
+                        wrench_script=tuple(wrench), tau=tau,
+                        duration=duration, iso_mass=iso_mass, **knobs)
+    # fail early on floors the schedule cannot support
+    initial_epsilons(scenario, h_initial)
     return scenario
 
 

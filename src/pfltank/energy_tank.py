@@ -20,10 +20,7 @@ from .errors import ConfigError, EmergencyFault
 
 __all__ = [
     "TankState",
-    "PowerFlows",
     "make_tank",
-    "tank_energy",
-    "modulation",
     "damper_coefficient",
     "commit_step",
     "set_lower_bound",
@@ -33,9 +30,9 @@ __all__ = [
 FLOOR_TOL = 1e-9
 #: Default half-width of the band above epsilon in which the damper arms.
 DAMPER_BAND = 1e-3
-#: Default squared-speed floor below which the damper quotient is unsafe.
+#: Speed (m/s) below which the damper quotient f_e.xd / xd.xd is unsafe.
 V_FLOOR = 1e-6
-#: Smallest admissible lower bound; keeps the modulation away from x_t = 0.
+#: Smallest admissible lower bound (J); keeps x_t = sqrt(2 T) away from 0.
 EPSILON_MIN = 1e-3
 
 
@@ -72,25 +69,6 @@ class TankState:
         return self.t_initial + self.h_initial
 
 
-@dataclass(frozen=True)
-class PowerFlows:
-    """Decision-time power bookkeeping for one interval (W)."""
-
-    p_task: float
-    p_ext_in: float   # f_e . xd, positive when the environment injects
-    p_damper: float   # b * xd . xd, never negative
-    b: float
-
-    def __post_init__(self):
-        if self.p_damper < -1e-15:
-            raise EmergencyFault("damper channel cannot extract from the tank")
-
-    @property
-    def p_ext(self) -> float:
-        """Net external channel as the tank books it."""
-        return -self.p_ext_in + self.p_damper
-
-
 def make_tank(t_initial: float, epsilon: float, h_initial: float = 0.0) -> TankState:
     if not t_initial > 0:
         raise ConfigError(f"initial tank energy must be positive, got {t_initial!r}")
@@ -101,31 +79,12 @@ def make_tank(t_initial: float, epsilon: float, h_initial: float = 0.0) -> TankS
                      t_initial=float(t_initial), h_initial=float(h_initial))
 
 
-def tank_energy(state: TankState) -> float:
-    """T = x_t^2 / 2, the only way energy is read off the tank."""
-    return state.energy
-
-
-def modulation(gamma, state: TankState, floor: float | None = None) -> np.ndarray:
-    """Modulation a = gamma / x_t, so the port output a * x_t equals gamma.
-
-    Guards the division against a drained tank; by default the guard level is
-    the current floor.  Callers that legitimately operate below epsilon
-    (bound raised mid-run) pass an explicit positive ``floor``.
-    """
-    guard = state.epsilon if floor is None else floor
-    if state.energy < guard - FLOOR_TOL:
-        raise EmergencyFault(
-            f"tank energy {state.energy!r} is under the modulation guard {guard!r}")
-    return np.asarray(gamma, dtype=float) / state.x_t
-
-
 def damper_coefficient(f_e, xdot, state: TankState,
-                       tol_b: float = DAMPER_BAND, v_floor: float = V_FLOOR) -> float:
+                       tol_b: float = DAMPER_BAND) -> float:
     """Emergency damping coefficient b >= 0.
 
     Arms only when the environment is injecting power (f_e . xd > 0) while
-    the tank sits within tol_b of its floor, and the speed is above v_floor.
+    the tank sits within tol_b of its floor, and the speed is above V_FLOOR.
     The value f_e.xd / xd.xd makes the damper dissipate exactly the injected
     power, so the tank's external channel books zero net flow.
     """
@@ -137,7 +96,7 @@ def damper_coefficient(f_e, xdot, state: TankState,
         return 0.0
     if state.energy > state.epsilon + tol_b:
         return 0.0
-    if speed_sq <= v_floor * v_floor:
+    if speed_sq <= V_FLOOR * V_FLOOR:
         return 0.0
     return p_in / speed_sq
 
@@ -170,8 +129,7 @@ def commit_step(state: TankState, p_task: float, f_e, xdot, b: float,
                    discarded=state.discarded + discard)
 
 
-def set_lower_bound(state: TankState, h_bound: float,
-                    epsilon_min: float = EPSILON_MIN) -> TankState:
+def set_lower_bound(state: TankState, h_bound: float) -> TankState:
     """Retarget the floor so the robot may acquire at most h_bound of kinetic
     energy: epsilon' = t_initial - h_bound + h_initial.
 
@@ -182,8 +140,8 @@ def set_lower_bound(state: TankState, h_bound: float,
     if not h_bound > 0:
         raise ConfigError(f"energy bound must be positive, got {h_bound!r}")
     eps_new = state.t_initial - h_bound + state.h_initial
-    if eps_new < epsilon_min:
+    if eps_new < EPSILON_MIN:
         raise ConfigError(
             f"bound {h_bound!r} J needs epsilon = {eps_new!r} J, under the "
-            f"minimum {epsilon_min!r} J; start with a larger tank")
+            f"minimum {EPSILON_MIN!r} J; start with a larger tank")
     return replace(state, epsilon=eps_new)

@@ -65,15 +65,10 @@ class WrenchInput:
         object.__setattr__(self, "f_e", f_e)
 
 
-def _check_tau(tau: float):
-    if not tau > 0:
-        raise DomainError(f"step size must be positive, got {tau!r}")
-
-
 class CartesianPlant:
     """Point mass with constant symmetric positive-definite inertia Lambda."""
 
-    def __init__(self, inertia, x0, xdot0, time0: float = 0.0):
+    def __init__(self, inertia, x0, xdot0):
         lam = np.atleast_2d(np.asarray(inertia, dtype=float))
         if lam.shape[0] != lam.shape[1]:
             raise DomainError(f"inertia must be square, got {lam.shape}")
@@ -90,7 +85,7 @@ class CartesianPlant:
         self._xdot = np.array(xdot0, dtype=float)
         if self._x.shape != (self.m,) or self._xdot.shape != (self.m,):
             raise DomainError("x0/xdot0 dimensions do not match the inertia")
-        self._time = float(time0)
+        self._time = 0.0
 
     @property
     def pose(self) -> np.ndarray:
@@ -112,8 +107,10 @@ class CartesianPlant:
         return PlantState(self._x, self._xdot, self.kinetic_energy, self._time)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
-        """Advance one interval holding the wrenches constant."""
-        _check_tau(tau)
+        """Advance one interval holding the wrenches constant.
+
+        tau > 0 is checked once where the run is configured, not per step.
+        """
         f = -wrench.f_c + wrench.f_e
         v = self._xdot + tau * (self._lam_inv @ f)
         x = self._x + tau * v
@@ -251,7 +248,6 @@ class PlanarArm:
         return PlantState(self.pose, self.twist, self.kinetic_energy, self._time)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
-        _check_tau(tau)
         q, qdot = self._q, self._qdot
         jt = self.jacobian(q).T
         grav = self.gravity_vector(q)

@@ -22,13 +22,12 @@ the floor absorbs the half-step difference between the two velocities.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .energy_tank import (
     DAMPER_BAND,
-    EPSILON_MIN,
     FLOOR_TOL,
     V_FLOOR,
     TankState,
@@ -117,12 +116,12 @@ def solve_alpha(f_des, xdot, t_prev: float, epsilon: float,
 
 
 def project_halfspace(f_des, xdot, t_prev: float, epsilon: float, tau: float,
-                      p_ext: float, v_floor: float = V_FLOOR) -> np.ndarray:
+                      p_ext: float) -> np.ndarray:
     """Nearest force to f_des satisfying the same tank constraint.
 
     Direction is not preserved: the optimum adds a multiple of xd.  Kept as
     the comparison baseline for the direction-preserving alpha rule.  Below
-    v_floor the constraint cannot be met by any force, so the safe zero
+    V_FLOOR the constraint cannot be met by any force, so the safe zero
     command is returned when f_des is inadmissible.
     """
     f_des = np.asarray(f_des, dtype=float)
@@ -132,7 +131,7 @@ def project_halfspace(f_des, xdot, t_prev: float, epsilon: float, tau: float,
     if slack >= 0.0:
         return f_des.copy()
     speed_sq = float(xdot @ xdot)
-    if speed_sq <= v_floor * v_floor:
+    if speed_sq <= V_FLOOR * V_FLOOR:
         return np.zeros_like(f_des)
     lam = (epsilon - avail - tau * float(f_des @ xdot)) / (tau * speed_sq)
     return f_des + lam * xdot
@@ -171,14 +170,14 @@ class RegionSchedule:
 
 
 def supervise(schedule: RegionSchedule, time: float, tank: TankState, *,
-              epsilon_min: float = EPSILON_MIN, time_slack: float = 0.0) -> TankState:
+              time_slack: float = 0.0) -> TankState:
     """Retarget the tank floor whenever the scheduled region changed."""
     idx = schedule.active_index(time, time_slack)
     h_bound = schedule.energies[idx]
     expected = tank.t_initial - h_bound + tank.h_initial
     if expected == tank.epsilon:
         return tank
-    return set_lower_bound(tank, h_bound, epsilon_min=epsilon_min)
+    return set_lower_bound(tank, h_bound)
 
 
 @dataclass(frozen=True)
@@ -225,20 +224,18 @@ class SafetyController:
 
     def __init__(self, gains: PdGains, schedule: RegionSchedule, tank: TankState,
                  tau: float, *, feasibility_margin: float = FEASIBILITY_MARGIN,
-                 damper_band: float = DAMPER_BAND, v_floor: float = V_FLOOR,
-                 epsilon_min: float = EPSILON_MIN):
+                 damper_band: float = DAMPER_BAND):
         if not tau > 0:
             raise ConfigError(f"cycle time must be positive, got {tau!r}")
-        if feasibility_margin < 0:
-            raise ConfigError("feasibility margin cannot be negative")
+        if not feasibility_margin >= 0:
+            raise ConfigError(
+                f"feasibility margin must be non-negative, got {feasibility_margin!r}")
         self.gains = gains
         self.schedule = schedule
         self.tank = tank
         self.tau = float(tau)
         self.feasibility_margin = float(feasibility_margin)
         self.damper_band = float(damper_band)
-        self.v_floor = float(v_floor)
-        self.epsilon_min = float(epsilon_min)
         self._pending: _PendingInterval | None = None
         self._deficit = False
         self._k = 0
@@ -275,8 +272,7 @@ class SafetyController:
         if self._pending is not None:
             self._commit_pending(xdot)
         slack = 0.5 * self.tau
-        self.tank = supervise(self.schedule, t, self.tank,
-                              epsilon_min=self.epsilon_min, time_slack=slack)
+        self.tank = supervise(self.schedule, t, self.tank, time_slack=slack)
         region = self.schedule.regions[self.schedule.active_index(t, slack)]
 
         t_now = self.tank.energy
@@ -287,8 +283,7 @@ class SafetyController:
             self._deficit = True
 
         f_des = -pd_force(self.gains, obs.x, xdot)
-        b = damper_coefficient(f_e, xdot, self.tank,
-                               tol_b=self.damper_band, v_floor=self.v_floor)
+        b = damper_coefficient(f_e, xdot, self.tank, tol_b=self.damper_band)
         p_ext = -float(f_e @ xdot) + b * float(xdot @ xdot)
         avail = t_now + self.tau * p_ext
         if not self._deficit and avail < eps - FLOOR_TOL:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .energy_tank import DAMPER_BAND, EPSILON_MIN, V_FLOOR, make_tank
+from .energy_tank import DAMPER_BAND, EPSILON_MIN, make_tank
 from .errors import ConfigError, DomainError, EmergencyFault, IntegrationFault
 from .iso15066 import RobotMassSpec, robot_effective_mass, v_max
 from .robot_dynamics import CartesianPlant, PlanarArm, PlantState, WrenchInput
@@ -102,10 +102,7 @@ class Scenario:
     duration: float = 10.0
     feasibility_margin: float = FEASIBILITY_MARGIN
     damper_band: float = DAMPER_BAND
-    v_floor: float = V_FLOOR
-    epsilon_min: float = EPSILON_MIN
     iso_mass: RobotMassSpec | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -141,11 +138,11 @@ def initial_epsilons(scenario: Scenario, h_initial: float) -> list[float]:
     floors = []
     for region, energy in zip(scenario.schedule.regions, scenario.schedule.energies):
         eps = scenario.t_initial - energy + h_initial
-        if eps < scenario.epsilon_min:
+        if eps < EPSILON_MIN:
             raise ConfigError(
                 f"region {region.name!r} needs {energy!r} J of budget but the tank "
                 f"holds {scenario.t_initial!r} J; floor would be {eps!r} J, "
-                f"under the minimum {scenario.epsilon_min!r} J")
+                f"under the minimum {EPSILON_MIN!r} J")
         floors.append(eps)
     return floors
 
@@ -170,8 +167,7 @@ def run(scenario: Scenario) -> RunResult:
     controller = SafetyController(
         scenario.gains, scenario.schedule, tank, scenario.tau,
         feasibility_margin=scenario.feasibility_margin,
-        damper_band=scenario.damper_band, v_floor=scenario.v_floor,
-        epsilon_min=scenario.epsilon_min)
+        damper_band=scenario.damper_band)
 
     n_steps = int(round(scenario.duration / scenario.tau))
     if n_steps < 1:
@@ -226,9 +222,6 @@ class SegmentSummary:
     exceeded_quasi_static: bool | None = None
     exceeded_transient: bool | None = None
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class Summary:
@@ -249,9 +242,7 @@ class Summary:
     fault: str | None = None
 
     def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["segments"] = [seg.to_dict() for seg in self.segments]
-        return out
+        return asdict(self)
 
 
 def summarize(ticks) -> Summary:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -98,9 +99,57 @@ def test_stiffness_unit_conversion(tmp_path):
     assert k_mm == k_m == 25000.0
 
 
-def test_non_integer_seed_rejected(tmp_path, capsys):
-    assert main(["validate", _write(tmp_path, _doc(seed=1.5))]) == EXIT_CONFIG
-    assert "seed" in capsys.readouterr().err
+def test_removed_keys_rejected(tmp_path, capsys):
+    # nothing is random, so there is no seed; v_floor and epsilon_min are the
+    # fixed constants V_FLOOR and EPSILON_MIN, not scenario settings
+    cases = [("scenario", "seed", _doc(seed=0))]
+    for key in ("v_floor", "epsilon_min"):
+        doc = _doc()
+        doc["controller"][key] = 1e-3
+        cases.append(("controller", key, doc))
+    for path, key, doc in cases:
+        assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{path}: unknown keys ['{key}']" in err
+
+
+NON_FINITE_SITES = {
+    "controller.kp": ("controller", "kp", 0),
+    "controller.target": ("controller", "target", 0),
+    "controller.feasibility_margin": ("controller", "feasibility_margin"),
+    "controller.damper_band": ("controller", "damper_band"),
+    "plant.x0": ("plant", "x0", 0),
+    "plant.inertia": ("plant", "inertia", 0, 0),
+    "wrench_script[0].force": ("wrench_script", 0, "force", 0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("path", list(NON_FINITE_SITES))
+def test_non_finite_numbers_rejected(tmp_path, capsys, path, value):
+    # json.dumps writes NaN and Infinity literals, which json.loads accepts
+    doc = _doc(wrench_script=[{"t_start": 0.0, "t_end": 0.1, "force": [1.0]}])
+    keys = NON_FINITE_SITES[path]
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "scenario.json" in err and path in err and "finite" in err
+
+
+@pytest.mark.parametrize("plant", [
+    {"type": "cartesian", "inertia": [[1.0, 2.0], [2.0, 1.0]],
+     "x0": [0.0, 0.0], "v0": [0.0, 0.0]},
+    {"type": "planar_arm", "l1": -0.5, "l2": 0.5, "m1": 4.0, "m2": 4.0,
+     "q0": [0.3, 1.2], "qd0": [0.0, 0.0]},
+], ids=["non_spd_inertia", "negative_l1"])
+def test_plant_errors_are_path_qualified(tmp_path, capsys, plant):
+    doc = _doc(plant=plant, controller={"kp": [4.0, 4.0], "kd": [6.0, 6.0],
+                                        "target": [1.5, 1.5]})
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
+    assert "scenario.json: plant: " in capsys.readouterr().err
 
 
 # -- run -----------------------------------------------------------------------

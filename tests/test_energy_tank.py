@@ -7,20 +7,17 @@ from pfltank.energy_tank import (
     DAMPER_BAND,
     EPSILON_MIN,
     FLOOR_TOL,
-    PowerFlows,
     TankState,
     commit_step,
     damper_coefficient,
     make_tank,
-    modulation,
     set_lower_bound,
-    tank_energy,
 )
 from pfltank.errors import ConfigError, EmergencyFault
 
 
 def test_energy_reading():
-    assert tank_energy(make_tank(5.0, 3.4)) == pytest.approx(5.0)
+    assert make_tank(5.0, 3.4).energy == pytest.approx(5.0)
     assert TankState(x_t=2.0, epsilon=0.1, t_initial=2.0, h_initial=0.0).energy == 2.0
     assert TankState(x_t=math.sqrt(10.0), epsilon=0.1, t_initial=5.0,
                      h_initial=0.0).energy == pytest.approx(5.0)
@@ -40,25 +37,6 @@ def test_tank_construction_guards():
         TankState(x_t=0.0, epsilon=0.5, t_initial=1.0, h_initial=0.0)
     with pytest.raises(ConfigError):
         TankState(x_t=1.0, epsilon=0.5, t_initial=1.0, h_initial=-0.1)
-
-
-def test_modulation_routes_exact_port_value():
-    tank = make_tank(2.0, 0.5)
-    gamma = np.array([1.5, -0.25])
-    a = modulation(gamma, tank)
-    assert a * tank.x_t == pytest.approx(gamma)
-
-
-def test_modulation_guard_and_override():
-    low = TankState(x_t=math.sqrt(2.0 * 0.2), epsilon=1.4, t_initial=3.0,
-                    h_initial=0.0)  # energy 0.2, floor 1.4: deficit state
-    with pytest.raises(EmergencyFault):
-        modulation(np.array([1.0]), low)
-    # explicit floor admits the deficit regime
-    a = modulation(np.array([1.0]), low, floor=0.1)
-    assert np.isfinite(a).all()
-    with pytest.raises(EmergencyFault):
-        modulation(np.array([1.0]), low, floor=0.5)
 
 
 def test_commit_books_the_three_channels():
@@ -142,16 +120,9 @@ def test_damper_cancels_injection_exactly():
     xdot = np.array([0.3, -0.4])
     f_e = np.array([1.0, 0.5])
     b = damper_coefficient(f_e, xdot, tank)
-    flows = PowerFlows(p_task=0.0, p_ext_in=float(f_e @ xdot),
-                       p_damper=b * float(xdot @ xdot), b=b)
-    assert flows.p_ext == pytest.approx(0.0, abs=1e-15)
+    assert -(f_e @ xdot) + b * (xdot @ xdot) == pytest.approx(0.0, abs=1e-15)
     new = commit_step(tank, 0.0, f_e, xdot, b, tau=1e-3, floor=tank.epsilon)
     assert new.energy == pytest.approx(tank.energy, abs=1e-15)
-
-
-def test_power_flows_guard():
-    with pytest.raises(EmergencyFault):
-        PowerFlows(p_task=0.0, p_ext_in=0.0, p_damper=-1e-6, b=0.1)
 
 
 def test_set_lower_bound_arithmetic():

@@ -292,3 +292,5 @@ def test_controller_config_validation():
         _controller(tau=0.0)
     with pytest.raises(ConfigError):
         _controller(feasibility_margin=-1e-3)
+    with pytest.raises(ConfigError):
+        _controller(feasibility_margin=np.nan)
