@@ -172,9 +172,13 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         raise ConfigError("controller: expected a mapping")
     _check_keys(ctl, {"kp", "kd", "target", "feasibility_margin", "damper_band"},
                 "controller")
-    gains = PdGains(kp=_vector(_need(ctl, "kp", "controller"), "controller.kp", m),
-                    kd=_vector(_need(ctl, "kd", "controller"), "controller.kd", m),
-                    target=_vector(_need(ctl, "target", "controller"), "controller.target", m))
+    kp = _vector(_need(ctl, "kp", "controller"), "controller.kp", m)
+    kd = _vector(_need(ctl, "kd", "controller"), "controller.kd", m)
+    target = _vector(_need(ctl, "target", "controller"), "controller.target", m)
+    try:
+        gains = PdGains(kp=kp, kd=kd, target=target)
+    except ConfigError as exc:
+        raise ConfigError(f"controller: {exc}") from None
     knobs = {key: _number(ctl[key], f"controller.{key}")
              for key in ("feasibility_margin", "damper_band") if key in ctl}
 
@@ -200,7 +204,10 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         if rname not in regions:
             raise ConfigError(f"{path}.region: {rname!r} is not defined under regions")
         pairs.append((_number(_need(entry, "t", path), f"{path}.t"), regions[rname]))
-    schedule = RegionSchedule.from_pairs(pairs)
+    try:
+        schedule = RegionSchedule.from_pairs(pairs)
+    except ConfigError as exc:
+        raise ConfigError(f"schedule: {exc}") from None
 
     wrench = []
     for i, entry in enumerate(doc.get("wrench_script", [])):
@@ -208,10 +215,13 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected a mapping")
         _check_keys(entry, {"t_start", "t_end", "force"}, path)
-        wrench.append(WrenchSegment(
-            t_start=_number(_need(entry, "t_start", path), f"{path}.t_start"),
-            t_end=_number(_need(entry, "t_end", path), f"{path}.t_end"),
-            force=_vector(_need(entry, "force", path), f"{path}.force", m)))
+        t_start = _number(_need(entry, "t_start", path), f"{path}.t_start")
+        t_end = _number(_need(entry, "t_end", path), f"{path}.t_end")
+        force = _vector(_need(entry, "force", path), f"{path}.force", m)
+        try:
+            wrench.append(WrenchSegment(t_start=t_start, t_end=t_end, force=force))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     tau = _number(_need(doc, "tau", "scenario"), "tau")
     duration = _number(_need(doc, "duration", "scenario"), "duration")

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ConfigError, EmergencyFault
 
 __all__ = [
@@ -79,19 +77,16 @@ def make_tank(t_initial: float, epsilon: float, h_initial: float = 0.0) -> TankS
                      t_initial=float(t_initial), h_initial=float(h_initial))
 
 
-def damper_coefficient(f_e, xdot, state: TankState,
+def damper_coefficient(p_in: float, speed_sq: float, state: TankState,
                        tol_b: float = DAMPER_BAND) -> float:
-    """Emergency damping coefficient b >= 0.
+    """Emergency damping coefficient b >= 0 from the port's injected power
+    p_in = f_e . xd and its squared speed speed_sq = xd . xd.
 
-    Arms only when the environment is injecting power (f_e . xd > 0) while
-    the tank sits within tol_b of its floor, and the speed is above V_FLOOR.
-    The value f_e.xd / xd.xd makes the damper dissipate exactly the injected
-    power, so the tank's external channel books zero net flow.
+    Arms only when the environment is injecting power (p_in > 0) while the
+    tank sits within tol_b of its floor, and the speed is above V_FLOOR.
+    The value p_in / speed_sq makes the damper dissipate exactly the
+    injected power, so the tank's external channel books zero net flow.
     """
-    f_e = np.asarray(f_e, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    p_in = float(f_e @ xdot)
-    speed_sq = float(xdot @ xdot)
     if p_in <= 0.0:
         return 0.0
     if state.energy > state.epsilon + tol_b:
@@ -109,8 +104,6 @@ def commit_step(state: TankState, p_task: float, f_e, xdot, b: float,
     energy level below which the commit is treated as an accounting fault;
     pass None while a raised bound is legitimately being worked off.
     """
-    f_e = np.asarray(f_e, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
     flow = p_task - float(f_e @ xdot) + b * float(xdot @ xdot)
     t_new = state.energy + tau * flow
     if not math.isfinite(t_new):
@@ -125,8 +118,8 @@ def commit_step(state: TankState, p_task: float, f_e, xdot, b: float,
             "the optimizer or the damper band is mis-sized")
     if t_new <= 0.0:
         raise EmergencyFault(f"tank depleted: committed energy {t_new!r}")
-    return replace(state, x_t=math.sqrt(2.0 * t_new),
-                   discarded=state.discarded + discard)
+    return TankState(math.sqrt(2.0 * t_new), state.epsilon, state.t_initial,
+                     state.h_initial, state.discarded + discard)
 
 
 def set_lower_bound(state: TankState, h_bound: float) -> TankState:

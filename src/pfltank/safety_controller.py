@@ -72,10 +72,11 @@ class PdGains:
             raise ConfigError("PD gains must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlantObservation:
     """Everything the controller is allowed to see: pose, twist, external
-    wrench.  Deliberately free of inertia, joint state, or plant internals."""
+    wrench, as float arrays.  Deliberately free of inertia, joint state, or
+    plant internals."""
 
     x: np.ndarray
     xdot: np.ndarray
@@ -84,8 +85,6 @@ class PlantObservation:
 
 def pd_force(gains: PdGains, x, xdot) -> np.ndarray:
     """Plain PD attraction kp (target - x) - kd xd, in the plant frame."""
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
     return gains.kp * (gains.target - x) - gains.kd * xdot
 
 
@@ -98,9 +97,8 @@ def solve_alpha(f_des, xdot, t_prev: float, epsilon: float,
     at 1.  When no alpha satisfies it the least-draining admissible value is
     returned instead (1 for replenishing commands, 0 otherwise); the caller
     decides whether that situation is a fault or a bound-raise transient.
+    f_des and xdot are float arrays.
     """
-    f_des = np.asarray(f_des, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
     c = tau * float(f_des @ xdot)
     avail = t_prev + tau * p_ext
     if c > 0.0:
@@ -180,7 +178,7 @@ def supervise(schedule: RegionSchedule, time: float, tank: TankState, *,
     return set_lower_bound(tank, h_bound)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControlTick:
     """One cycle's record, in the column order of the CSV log.
 
@@ -206,15 +204,6 @@ class ControlTick:
     xdot: np.ndarray
 
 
-@dataclass
-class _PendingInterval:
-    xdot: np.ndarray
-    f_c: np.ndarray
-    f_e: np.ndarray
-    b: float
-    floor: float | None
-
-
 class SafetyController:
     """Stateful per-cycle controller: supervise, damp, scale, account.
 
@@ -236,7 +225,9 @@ class SafetyController:
         self.tau = float(tau)
         self.feasibility_margin = float(feasibility_margin)
         self.damper_band = float(damper_band)
-        self._pending: _PendingInterval | None = None
+        # the last cycle's (xdot, f_c, f_e, b, floor), booked once the next
+        # velocity sample exists
+        self._pending: tuple | None = None
         self._deficit = False
         self._k = 0
 
@@ -249,11 +240,10 @@ class SafetyController:
         return self._deficit
 
     def _commit_pending(self, xdot_now: np.ndarray):
-        pend = self._pending
-        v_mid = 0.5 * (pend.xdot + xdot_now)
-        p_task = float(pend.f_c @ v_mid)
-        self.tank = commit_step(self.tank, p_task, pend.f_e, v_mid, pend.b,
-                                self.tau, floor=pend.floor)
+        xdot, f_c, f_e, b, floor = self._pending
+        v_mid = 0.5 * (xdot + xdot_now)
+        self.tank = commit_step(self.tank, float(f_c @ v_mid), f_e, v_mid, b,
+                                self.tau, floor=floor)
         self._pending = None
 
     def control_cycle(self, obs: PlantObservation,
@@ -261,53 +251,53 @@ class SafetyController:
         """Run one cycle; returns the wrench to command and the tick record.
 
         The returned wrench already includes the damper share b xd, so the
-        plant applies -(f_c + b xd) + f_e in total.
+        plant applies -(f_c + b xd) + f_e in total.  The observation's arrays
+        are kept, not copied, in the tick record and in the interval booked
+        next cycle, so each cycle needs fresh arrays.
         """
-        t = self._k * self.tau
-        xdot = np.asarray(obs.xdot, dtype=float)
-        f_e = np.asarray(obs.f_e, dtype=float)
+        k = self._k
+        tau = self.tau
+        t = k * tau
+        xdot = obs.xdot
+        f_e = obs.f_e
 
         # settle the previous interval with its trapezoidal velocity first,
         # then let the schedule move the floor for this cycle
         if self._pending is not None:
             self._commit_pending(xdot)
-        slack = 0.5 * self.tau
-        self.tank = supervise(self.schedule, t, self.tank, time_slack=slack)
+        slack = 0.5 * tau
+        self.tank = tank = supervise(self.schedule, t, self.tank, time_slack=slack)
         region = self.schedule.regions[self.schedule.active_index(t, slack)]
 
-        t_now = self.tank.energy
-        eps = self.tank.epsilon
+        t_now = tank.energy
+        eps = tank.epsilon
         if self._deficit and t_now >= eps:
             self._deficit = False
         elif not self._deficit and t_now < eps - FLOOR_TOL:
             self._deficit = True
 
         f_des = -pd_force(self.gains, obs.x, xdot)
-        b = damper_coefficient(f_e, xdot, self.tank, tol_b=self.damper_band)
-        p_ext = -float(f_e @ xdot) + b * float(xdot @ xdot)
-        avail = t_now + self.tau * p_ext
+        p_in = float(f_e @ xdot)
+        speed_sq = float(xdot @ xdot)
+        b = damper_coefficient(p_in, speed_sq, tank, tol_b=self.damper_band)
+        p_ext = -p_in + b * speed_sq
+        avail = t_now + tau * p_ext
         if not self._deficit and avail < eps - FLOOR_TOL:
             raise EmergencyFault(
-                f"cycle {self._k}: zero-scale command infeasible "
+                f"cycle {k}: zero-scale command infeasible "
                 f"(T = {t_now!r}, epsilon = {eps!r}, p_ext = {p_ext!r}); "
                 "the damper band is too narrow for this wrench")
 
         alpha = solve_alpha(f_des, xdot, t_now, eps + self.feasibility_margin,
-                            self.tau, p_ext)
+                            tau, p_ext)
         f_c = alpha * f_des
         floor = None if self._deficit else eps - self.feasibility_margin - FLOOR_TOL
-        self._pending = _PendingInterval(xdot=xdot.copy(), f_c=f_c,
-                                         f_e=f_e.copy(), b=b, floor=floor)
+        self._pending = (xdot, f_c, f_e, b, floor)
 
-        tick = ControlTick(
-            k=self._k, t=t, active_region=region.name, alpha=alpha,
-            f_des=f_des, f_c=f_c, f_e=f_e.copy(), b=b, p_ext=p_ext,
-            tank_T=t_now, epsilon=eps,
-            h_est=self.tank.t_initial + self.tank.h_initial - t_now,
-            h_truth=float(h_truth), x=np.array(obs.x, dtype=float),
-            xdot=xdot.copy(),
-        )
-        self._k += 1
+        tick = ControlTick(k, t, region.name, alpha, f_des, f_c, f_e, b, p_ext,
+                           t_now, eps, tank.t_initial + tank.h_initial - t_now,
+                           float(h_truth), obs.x, xdot)
+        self._k = k + 1
         return f_c + b * xdot, tick
 
     def finalize(self, xdot_final: np.ndarray) -> TankState:

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +108,11 @@ class Scenario:
     iso_mass: RobotMassSpec | None = None
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau!r}")
-        if not self.duration > 0:
-            raise ConfigError(f"duration must be positive, got {self.duration!r}")
+        # finite as well as positive: the cycle count is duration / tau
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError(f"duration must be positive and finite, got {self.duration!r}")
         if not self.t_initial > 0:
             raise ConfigError(f"initial tank energy must be positive, got {self.t_initial!r}")
 
@@ -129,7 +133,7 @@ def wrench_at(script, t: float, m: int, slack: float = 0.0) -> np.ndarray:
     shifted = t + slack
     for seg in script:
         if seg.t_start <= shifted < seg.t_end:
-            total += np.asarray(seg.force, dtype=float)
+            total += seg.force
     return total
 
 
@@ -159,9 +163,15 @@ class RunResult:
 
 
 def run(scenario: Scenario) -> RunResult:
-    """Execute the scenario; on a fault, return the partial log instead of raising."""
+    """Execute the scenario; on a fault, return the partial log instead of raising.
+
+    The scenario was validated when it was built and the loop does not check
+    it again; per cycle only the wrench handed to the plant, the plant's new
+    state and the tank's commit are checked.
+    """
     plant = make_plant(scenario.plant)
-    h_initial = plant.kinetic_energy
+    state = plant.state()
+    h_initial = state.kinetic_energy_truth
     floors = initial_epsilons(scenario, h_initial)
     tank = make_tank(scenario.t_initial, floors[0], h_initial)
     controller = SafetyController(
@@ -169,25 +179,28 @@ def run(scenario: Scenario) -> RunResult:
         feasibility_margin=scenario.feasibility_margin,
         damper_band=scenario.damper_band)
 
-    n_steps = int(round(scenario.duration / scenario.tau))
+    tau = scenario.tau
+    n_steps = int(round(scenario.duration / tau))
     if n_steps < 1:
         raise ConfigError("duration must cover at least one cycle")
     m = plant.m
-    half = 0.5 * scenario.tau
+    half = 0.5 * tau
+    script = scenario.wrench_script
 
     ticks: list[ControlTick] = []
     fault = None
     final_plant = None
     try:
         for k in range(n_steps):
-            t = k * scenario.tau
-            f_e = wrench_at(scenario.wrench_script, t, m, slack=half)
-            obs = PlantObservation(x=plant.pose, xdot=plant.twist, f_e=f_e)
-            command, tick = controller.control_cycle(obs, h_truth=plant.kinetic_energy)
+            f_e = wrench_at(script, k * tau, m, slack=half)
+            # each step's fresh PlantState is the next cycle's observation
+            command, tick = controller.control_cycle(
+                PlantObservation(x=state.x, xdot=state.xdot, f_e=f_e),
+                h_truth=state.kinetic_energy_truth)
             ticks.append(tick)
-            plant.step(WrenchInput(f_c=command, f_e=f_e), scenario.tau)
-        controller.finalize(plant.twist)
-        final_plant = plant.state()
+            state = plant.step(WrenchInput(f_c=command, f_e=f_e), tau)
+        controller.finalize(state.xdot)
+        final_plant = state
     except IntegrationFault as exc:
         fault = "integration"
         log.error("scenario %s: integration fault: %s", scenario.name, exc)
@@ -315,63 +328,123 @@ def _attach_iso_comparison(summary: Summary, scenario: Scenario):
 
 
 # -- tick log I/O -------------------------------------------------------------
+#
+# The CSV columns follow ControlTick's fields in order; each vector field
+# spreads over one column per axis.  Both directions work on blocks of
+# _CHUNK rows, so the extra memory they hold stays bounded by the block.
+
+_CHUNK = 256
+_VECTORS = {"f_des", "f_c", "f_e", "x", "xdot"}
+_TEXT = {"k", "active_region"}  # written as they are; k is read back as int
+_FIELDS = [f.name for f in fields(ControlTick)]
+
+
+def _field_columns(name: str, m: int) -> list[str]:
+    if name in _VECTORS:
+        return [f"{name}_{_AXES[i]}" for i in range(m)]
+    return [name]
+
 
 def _tick_columns(m: int) -> list[str]:
-    cols = ["k", "t", "active_region", "alpha"]
-    for stem in ("f_des", "f_c", "f_e"):
-        cols += [f"{stem}_{_AXES[i]}" for i in range(m)]
-    cols += ["b", "p_ext", "tank_T", "epsilon", "h_est", "h_truth"]
-    for stem in ("x", "xdot"):
-        cols += [f"{stem}_{_AXES[i]}" for i in range(m)]
-    return cols
-
-
-def _fmt(value: float) -> str:
-    # shortest representation that round-trips the double exactly
-    return repr(float(value))
+    return [col for name in _FIELDS for col in _field_columns(name, m)]
 
 
 def write_ticks_csv(path, ticks):
+    """Write the tick log; every float as its shortest exact repr."""
     if not ticks:
         raise DomainError("refusing to write an empty tick log")
     m = len(ticks[0].xdot)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_tick_columns(m))
-        for tk in ticks:
-            row = [str(tk.k), _fmt(tk.t), tk.active_region, _fmt(tk.alpha)]
-            for vec in (tk.f_des, tk.f_c, tk.f_e):
-                row += [_fmt(v) for v in vec]
-            row += [_fmt(tk.b), _fmt(tk.p_ext), _fmt(tk.tank_T), _fmt(tk.epsilon),
-                    _fmt(tk.h_est), _fmt(tk.h_truth)]
-            for vec in (tk.x, tk.xdot):
-                row += [_fmt(v) for v in vec]
-            writer.writerow(row)
+        for start in range(0, len(ticks), _CHUNK):
+            chunk = ticks[start:start + _CHUNK]
+            columns = []
+            for name in _FIELDS:
+                values = list(map(attrgetter(name), chunk))
+                if name in _TEXT:
+                    columns.append(values)
+                elif name in _VECTORS:
+                    # tolist() yields Python floats, which csv writes by repr
+                    columns += np.array(values, dtype=float).reshape(-1, m).T.tolist()
+                else:
+                    columns.append(np.array(values, dtype=float).tolist())
+            writer.writerows(zip(*columns))
 
 
 def read_ticks_csv(path) -> list[ControlTick]:
-    """Inverse of write_ticks_csv; floats round-trip exactly."""
+    """Inverse of write_ticks_csv; floats round-trip exactly.
+
+    A malformed log raises DomainError naming the file and the missing
+    columns or the offending line.
+    """
     path = Path(path)
+    ticks = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DomainError(f"{path}: empty tick log")
-        m = sum(1 for c in reader.fieldnames if c.startswith("xdot_"))
-        if m == 0:
-            raise DomainError(f"{path}: no velocity columns found")
-        ticks = []
-        for row in reader:
-            def vec(stem):
-                return np.array([float(row[f"{stem}_{_AXES[i]}"]) for i in range(m)])
-            ticks.append(ControlTick(
-                k=int(row["k"]), t=float(row["t"]),
-                active_region=row["active_region"], alpha=float(row["alpha"]),
-                f_des=vec("f_des"), f_c=vec("f_c"), f_e=vec("f_e"),
-                b=float(row["b"]), p_ext=float(row["p_ext"]),
-                tank_T=float(row["tank_T"]), epsilon=float(row["epsilon"]),
-                h_est=float(row["h_est"]), h_truth=float(row["h_truth"]),
-                x=vec("x"), xdot=vec("xdot"),
-            ))
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            layout = _column_layout(header, path)
+            while True:
+                rows, lines = [], []
+                for row in islice(reader, _CHUNK):
+                    if not row:
+                        continue  # blank line
+                    if len(row) != len(header):
+                        raise DomainError(
+                            f"{path}: line {reader.line_num}: expected "
+                            f"{len(header)} fields, got {len(row)}")
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                if not rows:
+                    break
+                ticks += _parse_rows(rows, lines, layout, path)
+        except csv.Error as exc:
+            raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
     if not ticks:
         raise DomainError(f"{path}: empty tick log")
     return ticks
+
+
+def _column_layout(header, path) -> list[list[int]]:
+    """Header positions of each ControlTick field's columns."""
+    if header is None:
+        raise DomainError(f"{path}: empty tick log")
+    m = sum(1 for c in header if c.startswith("xdot_"))
+    if m == 0:
+        raise DomainError(f"{path}: no velocity columns found")
+    position = {name: i for i, name in enumerate(header)}
+    missing = [c for c in _tick_columns(m) if c not in position]
+    if missing:
+        raise DomainError(f"{path}: missing columns {missing}")
+    return [[position[c] for c in _field_columns(name, m)] for name in _FIELDS]
+
+
+def _parse_rows(rows, lines, layout, path) -> list[ControlTick]:
+    try:
+        return _ticks_from_rows(rows, layout)
+    except ValueError:
+        # find the row that failed, for the message
+        for line, row in zip(lines, rows):
+            try:
+                _ticks_from_rows([row], layout)
+            except ValueError as exc:
+                raise DomainError(f"{path}: line {line}: {exc}") from None
+        raise
+
+
+def _ticks_from_rows(rows, layout) -> list[ControlTick]:
+    columns = list(zip(*rows))
+    values = []
+    for name, cols in zip(_FIELDS, layout):
+        if name == "k":
+            values.append(map(int, columns[cols[0]]))
+        elif name == "active_region":
+            values.append(columns[cols[0]])
+        elif name in _VECTORS:
+            # one contiguous block per field; each tick holds a row of it
+            block = np.array([list(map(float, columns[c])) for c in cols]).T.copy()
+            values.append(list(block))
+        else:
+            values.append(list(map(float, columns[cols[0]])))
+    return list(map(ControlTick, *values))

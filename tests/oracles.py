@@ -5,6 +5,7 @@ mechanics, brute-force feasibility search, KKT enumeration) without calling
 into the package, so agreement is evidence rather than tautology.
 """
 
+import csv
 import functools
 
 import numpy as np
@@ -150,3 +151,36 @@ def semi_implicit_constant_force(mass, force, tau, n_steps):
     v = accel * tau * np.arange(1, n_steps + 1)
     x = np.cumsum(v) * tau
     return x, v
+
+
+# -- row-by-row tick log writer ---------------------------------------------------
+
+def write_ticks_csv_rowwise(path, ticks):
+    """The tick log written one row and one repr() at a time: the reference
+    that the package's block-wise writer must match byte for byte."""
+    axes = "xyz"
+    m = len(ticks[0].xdot)
+
+    def spread(stem):
+        return [f"{stem}_{axes[i]}" for i in range(m)]
+
+    header = ["k", "t", "active_region", "alpha"]
+    header += spread("f_des") + spread("f_c") + spread("f_e")
+    header += ["b", "p_ext", "tank_T", "epsilon", "h_est", "h_truth"]
+    header += spread("x") + spread("xdot")
+
+    def fmt(value):
+        return repr(float(value))
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for tk in ticks:
+            row = [str(tk.k), fmt(tk.t), tk.active_region, fmt(tk.alpha)]
+            for vec in (tk.f_des, tk.f_c, tk.f_e):
+                row += [fmt(v) for v in vec]
+            row += [fmt(tk.b), fmt(tk.p_ext), fmt(tk.tank_T), fmt(tk.epsilon),
+                    fmt(tk.h_est), fmt(tk.h_truth)]
+            for vec in (tk.x, tk.xdot):
+                row += [fmt(v) for v in vec]
+            writer.writerow(row)

@@ -152,7 +152,30 @@ def test_plant_errors_are_path_qualified(tmp_path, capsys, plant):
     assert "scenario.json: plant: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"controller": {"kp": [-4.0], "kd": [6.0], "target": [1.5]}},
+     "controller: PD gains must be non-negative"),
+    ({"wrench_script": [{"t_start": 0.2, "t_end": 0.1, "force": [1.0]}]},
+     "wrench_script[0]: wrench segment must have t_end > t_start"),
+    ({"schedule": [{"t": 0.1, "region": "zone"}]},
+     "schedule: first schedule entry must be at t = 0"),
+], ids=["negative_kp", "empty_wrench_window", "late_first_entry"])
+def test_value_errors_are_path_qualified(tmp_path, capsys, over, message):
+    assert main(["validate", _write(tmp_path, _doc(**over))]) == EXIT_CONFIG
+    assert f"scenario.json: {message}" in capsys.readouterr().err
+
+
 # -- run -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag", ["--duration", "--tau"])
+def test_non_finite_overrides_exit_3(tmp_path, capsys, flag):
+    # an infinite duration or cycle time would ask for an unbounded cycle count
+    rc = main(["run", "paper_replica", "--out", str(tmp_path / "out"), flag, "inf"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{flag[2:]} must be positive and finite, got inf" in err
+    assert not (tmp_path / "out").exists()
+
 
 def test_run_writes_log_and_summary(tmp_path, capsys):
     rc = main(["run", "push_at_floor", "--out", str(tmp_path),

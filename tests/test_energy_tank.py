@@ -99,27 +99,31 @@ def test_damper_arms_only_with_all_three_conditions():
     at_floor = make_tank(1.0, 1.0)
     xdot = np.array([0.5, 0.0])
     push = np.array([2.0, 0.0])
-    b = damper_coefficient(push, xdot, at_floor)
+
+    def damper(f_e, v, tank):
+        return damper_coefficient(float(f_e @ v), float(v @ v), tank)
+
+    b = damper(push, xdot, at_floor)
     assert b == pytest.approx((push @ xdot) / (xdot @ xdot))
     # pulling instead of pushing: no damper
-    assert damper_coefficient(-push, xdot, at_floor) == 0.0
+    assert damper(-push, xdot, at_floor) == 0.0
     # tank above the band: no damper
     high = make_tank(1.0 + 2.0 * DAMPER_BAND, 1.0)
-    assert damper_coefficient(push, xdot, high) == 0.0
+    assert damper(push, xdot, high) == 0.0
     # inside the band: damper armed
     inside = TankState(x_t=math.sqrt(2.0 * (1.0 + 0.5 * DAMPER_BAND)),
                        epsilon=1.0, t_initial=1.0, h_initial=0.0)
-    assert damper_coefficient(push, xdot, inside) > 0.0
+    assert damper(push, xdot, inside) > 0.0
     # negligible speed: no damper (the plant cannot dissipate through it)
     crawl = np.array([1e-9, 0.0])
-    assert damper_coefficient(push, crawl, at_floor) == 0.0
+    assert damper(push, crawl, at_floor) == 0.0
 
 
 def test_damper_cancels_injection_exactly():
     tank = make_tank(1.0, 1.0)
     xdot = np.array([0.3, -0.4])
     f_e = np.array([1.0, 0.5])
-    b = damper_coefficient(f_e, xdot, tank)
+    b = damper_coefficient(float(f_e @ xdot), float(xdot @ xdot), tank)
     assert -(f_e @ xdot) + b * (xdot @ xdot) == pytest.approx(0.0, abs=1e-15)
     new = commit_step(tank, 0.0, f_e, xdot, b, tau=1e-3, floor=tank.epsilon)
     assert new.energy == pytest.approx(tank.energy, abs=1e-15)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pfltank import sim_harness
 from pfltank.errors import ConfigError, DomainError
 from pfltank.iso15066 import BodyRegion, RobotMassSpec, v_max
 from pfltank.safety_controller import ControlTick, PdGains, RegionSchedule
@@ -17,6 +20,8 @@ from pfltank.sim_harness import (
     wrench_at,
     write_ticks_csv,
 )
+
+from oracles import write_ticks_csv_rowwise
 
 
 def _region(name, e):
@@ -295,6 +300,98 @@ def test_csv_round_trip_is_exact(tmp_path):
     again.scenario = res.summary.scenario
     again.fault = res.summary.fault
     assert again.to_dict() == res.summary.to_dict()
+
+
+def _assert_same_ticks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(ControlTick):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(y, np.ndarray):
+                # bitwise, so -0.0 and 0.0 stay apart
+                assert x.tobytes() == y.tobytes(), field.name
+            else:
+                assert type(x) is type(y) and repr(x) == repr(y), field.name
+
+
+def _parity_logs():
+    arm = _cart_scenario(
+        name="arm", plant=PlanarArmConfig(q0=(0.3, 0.8)),
+        gains=PdGains(kp=(20.0, 20.0), kd=(8.0, 8.0), target=(0.55, 0.45)),
+        t_initial=1.0, duration=0.3)
+    cart3 = _cart_scenario(
+        name="cart3",
+        plant=CartesianPlantConfig(inertia=((3.0, 0.2, 0.0), (0.2, 2.0, 0.1),
+                                            (0.0, 0.1, 1.5)),
+                                   x0=(0.0, 0.1, -0.2), v0=(0.3, 0.0, -0.1)),
+        gains=PdGains(kp=(4.0, 5.0, 6.0), kd=(2.0, 2.0, 2.0), target=(0.5, -0.5, 0.2)),
+        wrench_script=(WrenchSegment(0.1, 0.2, (0.5, -0.25, 1.0)),),
+        duration=0.3)
+    quoted = _cart_scenario(
+        name="quoted",
+        schedule=_schedule((0.0, 'chest, "upper"', 0.5), (0.1, "hand", 0.4)),
+        duration=0.2)
+    long_log = _cart_scenario(
+        name="long", wrench_script=(WrenchSegment(0.2, 0.4, (-0.7,)),),
+        duration=(2 * sim_harness._CHUNK + 17) * 1e-3)
+    return {"cart1": run(_cart_scenario(duration=0.3)).ticks,
+            "cart3": run(cart3).ticks, "arm": run(arm).ticks,
+            "quoted": run(quoted).ticks, "long": run(long_log).ticks}
+
+
+def test_csv_writer_matches_the_rowwise_reference(tmp_path):
+    for name, ticks in _parity_logs().items():
+        if name == "long":
+            assert len(ticks) > 2 * sim_harness._CHUNK
+        ours, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        write_ticks_csv(ours, ticks)
+        write_ticks_csv_rowwise(ref, ticks)
+        assert ours.read_bytes() == ref.read_bytes(), name
+        _assert_same_ticks(read_ticks_csv(ours), ticks)
+    assert '"chest, ""upper"""' in (tmp_path / "quoted.csv").read_text()
+
+
+def _malformed(tmp_path, edit):
+    path = tmp_path / "ticks.csv"
+    write_ticks_csv(path, run(_cart_scenario(duration=0.005)).ticks)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+    return path
+
+
+def _drop_column(lines, name="f_des_x"):
+    col = lines[0].rstrip("\r\n").split(",").index(name)
+    out = []
+    for line in lines:
+        fields = line.rstrip("\r\n").split(",")
+        del fields[col]
+        out.append(",".join(fields) + "\r\n")
+    return out
+
+
+def _short_row(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0] + "\r\n"
+    return lines
+
+
+def _non_numeric(lines):
+    fields = lines[4].split(",")
+    fields[1] = "soon"
+    lines[4] = ",".join(fields)
+    return lines
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_column, "missing columns ['f_des_x']"),
+    (_short_row, "line 4: expected 15 fields, got 14"),
+    (_non_numeric, "line 5: could not convert string to float: 'soon'"),
+], ids=["missing_column", "short_row", "non_numeric"])
+def test_malformed_logs_raise_domain_errors(tmp_path, edit, message):
+    path = _malformed(tmp_path, edit)
+    with pytest.raises(DomainError) as info:
+        read_ticks_csv(path)
+    assert str(path) in str(info.value)
+    assert message in str(info.value)
 
 
 def test_csv_refuses_empty_logs(tmp_path):
