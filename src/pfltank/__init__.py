@@ -40,8 +40,6 @@ from .safety_controller import (
     solve_alpha,
 )
 from .sim_harness import (
-    CartesianPlantConfig,
-    PlanarArmConfig,
     RunResult,
     Scenario,
     SegmentSummary,
@@ -59,7 +57,6 @@ __all__ = [
     "BUILTIN_REGIONS",
     "BodyRegion",
     "CartesianPlant",
-    "CartesianPlantConfig",
     "ConfigError",
     "ControlTick",
     "DomainError",
@@ -67,7 +64,6 @@ __all__ = [
     "IntegrationFault",
     "PdGains",
     "PlanarArm",
-    "PlanarArmConfig",
     "PlantObservation",
     "PlantState",
     "RegionSchedule",

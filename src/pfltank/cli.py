@@ -32,17 +32,9 @@ from .iso15066 import (
     robot_effective_mass,
     v_max,
 )
+from .robot_dynamics import CartesianPlant, PlanarArm
 from .safety_controller import PdGains, RegionSchedule
-from .sim_harness import (
-    CartesianPlantConfig,
-    PlanarArmConfig,
-    Scenario,
-    WrenchSegment,
-    initial_epsilons,
-    make_plant,
-    run,
-    write_ticks_csv,
-)
+from .sim_harness import Scenario, WrenchSegment, run, write_ticks_csv
 
 __all__ = ["main", "load_scenario", "scenario_from_config"]
 
@@ -121,35 +113,36 @@ def _region_from_config(name: str, cfg, path: str) -> BodyRegion:
 
 
 def _plant_from_config(cfg, path: str):
+    """The plant at its initial state; the constructors check the values."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: expected a mapping")
     kind = _need(cfg, "type", path)
-    if kind == "cartesian":
-        _check_keys(cfg, {"type", "inertia", "x0", "v0"}, path)
-        rows = _need(cfg, "inertia", path)
-        if not isinstance(rows, list) or not rows:
-            raise ConfigError(f"{path}.inertia: expected a list of rows")
-        m = len(rows)
-        if m > 3:
-            raise ConfigError(f"{path}.inertia: at most 3 axes supported, got {m}")
-        inertia = tuple(_vector(r, f"{path}.inertia[{i}]", m) for i, r in enumerate(rows))
-        return CartesianPlantConfig(
-            inertia=inertia,
-            x0=_vector(_need(cfg, "x0", path), f"{path}.x0", m),
-            v0=_vector(_need(cfg, "v0", path), f"{path}.v0", m),
-        )
-    if kind == "planar_arm":
-        _check_keys(cfg, {"type", "l1", "l2", "m1", "m2", "inertia1", "inertia2",
-                          "q0", "qd0", "gravity"}, path)
-        kwargs = {}
-        for key in ("l1", "l2", "m1", "m2"):
-            kwargs[key] = _number(_need(cfg, key, path), f"{path}.{key}")
-        for key in ("inertia1", "inertia2", "gravity"):
-            if key in cfg:
-                kwargs[key] = _number(cfg[key], f"{path}.{key}")
-        kwargs["q0"] = _vector(_need(cfg, "q0", path), f"{path}.q0", 2)
-        kwargs["qd0"] = _vector(_need(cfg, "qd0", path), f"{path}.qd0", 2)
-        return PlanarArmConfig(**kwargs)
+    try:
+        if kind == "cartesian":
+            _check_keys(cfg, {"type", "inertia", "x0", "v0"}, path)
+            rows = _need(cfg, "inertia", path)
+            if not isinstance(rows, list) or not rows:
+                raise ConfigError(f"{path}.inertia: expected a list of rows")
+            m = len(rows)
+            if m > 3:
+                raise ConfigError(f"{path}.inertia: at most 3 axes supported, got {m}")
+            inertia = [_vector(r, f"{path}.inertia[{i}]", m) for i, r in enumerate(rows)]
+            return CartesianPlant(inertia, _vector(_need(cfg, "x0", path), f"{path}.x0"),
+                                  _vector(_need(cfg, "v0", path), f"{path}.v0"))
+        if kind == "planar_arm":
+            _check_keys(cfg, {"type", "l1", "l2", "m1", "m2", "inertia1", "inertia2",
+                              "q0", "qd0", "gravity"}, path)
+            kwargs = {}
+            for key in ("l1", "l2", "m1", "m2"):
+                kwargs[key] = _number(_need(cfg, key, path), f"{path}.{key}")
+            for key in ("inertia1", "inertia2", "gravity"):
+                if key in cfg:
+                    kwargs[key] = _number(cfg[key], f"{path}.{key}")
+            return PlanarArm(q0=_vector(_need(cfg, "q0", path), f"{path}.q0"),
+                             qdot0=_vector(_need(cfg, "qd0", path), f"{path}.qd0"),
+                             **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}.type: expected 'cartesian' or 'planar_arm', got {kind!r}")
 
 
@@ -164,8 +157,8 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario.name: expected a non-empty string")
 
-    plant_cfg = _plant_from_config(_need(doc, "plant", "scenario"), "plant")
-    m = 2 if isinstance(plant_cfg, PlanarArmConfig) else len(plant_cfg.x0)
+    plant = _plant_from_config(_need(doc, "plant", "scenario"), "plant")
+    m = plant.m
 
     ctl = _need(doc, "controller", "scenario")
     if not isinstance(ctl, dict):
@@ -232,18 +225,13 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     _check_keys(tank_doc, {"t_initial", "epsilon_initial"}, "tank")
     if ("t_initial" in tank_doc) == ("epsilon_initial" in tank_doc):
         raise ConfigError("tank: give exactly one of t_initial or epsilon_initial")
-    try:
-        h_initial = make_plant(plant_cfg).kinetic_energy
-    except DomainError as exc:
-        raise ConfigError(f"plant: {exc}") from None
     if "t_initial" in tank_doc:
         t_initial = _number(tank_doc["t_initial"], "tank.t_initial")
     else:
-        # size the tank so the first region's budget is exactly available
+        # size the tank so the first region's budget is exactly available;
+        # the Scenario rejects the floor if it is under EPSILON_MIN
         eps1 = _number(tank_doc["epsilon_initial"], "tank.epsilon_initial")
-        if eps1 <= 0:
-            raise ConfigError("tank.epsilon_initial: must be positive")
-        t_initial = eps1 + schedule.energies[0] - h_initial
+        t_initial = eps1 + schedule.energies[0] - plant.kinetic_energy
 
     iso_mass = None
     if "iso_comparison" in doc:
@@ -259,13 +247,9 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         except DomainError as exc:
             raise ConfigError(f"iso_comparison: {exc}") from None
 
-    scenario = Scenario(name=name, plant=plant_cfg, gains=gains,
-                        schedule=schedule, t_initial=t_initial,
-                        wrench_script=tuple(wrench), tau=tau,
-                        duration=duration, iso_mass=iso_mass, **knobs)
-    # fail early on floors the schedule cannot support
-    initial_epsilons(scenario, h_initial)
-    return scenario
+    return Scenario(name=name, plant=plant, gains=gains, schedule=schedule,
+                    t_initial=t_initial, wrench_script=tuple(wrench), tau=tau,
+                    duration=duration, iso_mass=iso_mass, **knobs)
 
 
 def _read_config_text(spec: str) -> tuple[str, str]:
@@ -306,8 +290,7 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log.info("running scenario %s (%d cycles)", scenario.name,
-             int(round(scenario.duration / scenario.tau)))
+    log.info("running scenario %s (%d cycles)", scenario.name, scenario.n_cycles)
     result = run(scenario)
 
     ticks_path = out_dir / "ticks.csv"
@@ -376,9 +359,9 @@ def cmd_iso(args) -> int:
 
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.config)
-    n = int(round(scenario.duration / scenario.tau))
-    print(f"OK: {scenario.name} ({n} cycles, {len(scenario.schedule.regions)} "
-          f"schedule segments, tank {scenario.t_initial:g} J)")
+    print(f"OK: {scenario.name} ({scenario.n_cycles} cycles, "
+          f"{len(scenario.schedule.regions)} schedule segments, "
+          f"tank {scenario.t_initial:g} J)")
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ the floor absorbs the half-step difference between the two velocities.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,11 +215,12 @@ class SafetyController:
     def __init__(self, gains: PdGains, schedule: RegionSchedule, tank: TankState,
                  tau: float, *, feasibility_margin: float = FEASIBILITY_MARGIN,
                  damper_band: float = DAMPER_BAND):
-        if not tau > 0:
-            raise ConfigError(f"cycle time must be positive, got {tau!r}")
-        if not feasibility_margin >= 0:
-            raise ConfigError(
-                f"feasibility margin must be non-negative, got {feasibility_margin!r}")
+        if not 0 < tau < math.inf:
+            raise ConfigError(f"tau must be positive and finite, got {tau!r}")
+        for label, value in (("feasibility margin", feasibility_margin),
+                             ("damper band", damper_band)):
+            if not value >= 0:
+                raise ConfigError(f"{label} must be non-negative, got {value!r}")
         self.gains = gains
         self.schedule = schedule
         self.tank = tank

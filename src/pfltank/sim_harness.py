@@ -12,6 +12,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import copy
 import csv
 import logging
 import math
@@ -36,14 +37,11 @@ from .safety_controller import (
 )
 
 __all__ = [
-    "CartesianPlantConfig",
-    "PlanarArmConfig",
     "WrenchSegment",
     "Scenario",
     "RunResult",
     "SegmentSummary",
     "Summary",
-    "make_plant",
     "wrench_at",
     "run",
     "summarize",
@@ -54,26 +52,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _AXES = "xyz"
-
-
-@dataclass(frozen=True)
-class CartesianPlantConfig:
-    inertia: tuple
-    x0: tuple
-    v0: tuple
-
-
-@dataclass(frozen=True)
-class PlanarArmConfig:
-    l1: float = 0.5
-    l2: float = 0.5
-    m1: float = 4.0
-    m2: float = 4.0
-    inertia1: float | None = None
-    inertia2: float | None = None
-    q0: tuple = (0.0, 0.0)
-    qd0: tuple = (0.0, 0.0)
-    gravity: float = 9.81
 
 
 @dataclass(frozen=True)
@@ -93,10 +71,15 @@ class WrenchSegment:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete, self-contained description of one closed-loop run."""
+    """Complete, self-contained description of one closed-loop run.
+
+    ``plant`` is the plant at its initial state; run() steps a copy of it, so
+    a scenario runs again byte for byte.  Building a Scenario runs run()'s
+    set-up, so every scenario that builds is one that run() can start.
+    """
 
     name: str
-    plant: CartesianPlantConfig | PlanarArmConfig
+    plant: CartesianPlant | PlanarArm
     gains: PdGains
     schedule: RegionSchedule
     t_initial: float
@@ -109,22 +92,19 @@ class Scenario:
 
     def __post_init__(self):
         # finite as well as positive: the cycle count is duration / tau
-        if not 0 < self.tau < math.inf:
-            raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
         if not 0 < self.duration < math.inf:
             raise ConfigError(f"duration must be positive and finite, got {self.duration!r}")
-        if not self.t_initial > 0:
-            raise ConfigError(f"initial tank energy must be positive, got {self.t_initial!r}")
+        _start(self)  # the controller checks tau
+        # n_cycles >= 1 exactly when the ratio exceeds 0.5; a subnormal tau
+        # can still overflow it
+        if not 0.5 < self.duration / self.tau < math.inf:
+            raise ConfigError(
+                f"duration must cover at least one cycle and finitely many, got "
+                f"{self.duration!r} s at tau = {self.tau!r} s")
 
-
-def make_plant(cfg):
-    if isinstance(cfg, CartesianPlantConfig):
-        return CartesianPlant(cfg.inertia, cfg.x0, cfg.v0)
-    if isinstance(cfg, PlanarArmConfig):
-        return PlanarArm(l1=cfg.l1, l2=cfg.l2, m1=cfg.m1, m2=cfg.m2,
-                         inertia1=cfg.inertia1, inertia2=cfg.inertia2,
-                         q0=cfg.q0, qdot0=cfg.qd0, gravity=cfg.gravity)
-    raise ConfigError(f"unknown plant config {type(cfg).__name__}")
+    @property
+    def n_cycles(self) -> int:
+        return int(round(self.duration / self.tau))
 
 
 def wrench_at(script, t: float, m: int, slack: float = 0.0) -> np.ndarray:
@@ -151,6 +131,22 @@ def initial_epsilons(scenario: Scenario, h_initial: float) -> list[float]:
     return floors
 
 
+def _start(scenario: Scenario):
+    """run()'s set-up: a copy of the plant, its initial state, and the
+    controller with a tank sized for every scheduled region's floor.  Raises
+    ConfigError where the scenario cannot start."""
+    plant = copy.deepcopy(scenario.plant)
+    state = plant.state()
+    h_initial = state.kinetic_energy_truth
+    floors = initial_epsilons(scenario, h_initial)
+    tank = make_tank(scenario.t_initial, floors[0], h_initial)
+    controller = SafetyController(
+        scenario.gains, scenario.schedule, tank, scenario.tau,
+        feasibility_margin=scenario.feasibility_margin,
+        damper_band=scenario.damper_band)
+    return plant, state, controller
+
+
 @dataclass
 class RunResult:
     scenario: Scenario
@@ -169,20 +165,8 @@ def run(scenario: Scenario) -> RunResult:
     it again; per cycle only the wrench handed to the plant, the plant's new
     state and the tank's commit are checked.
     """
-    plant = make_plant(scenario.plant)
-    state = plant.state()
-    h_initial = state.kinetic_energy_truth
-    floors = initial_epsilons(scenario, h_initial)
-    tank = make_tank(scenario.t_initial, floors[0], h_initial)
-    controller = SafetyController(
-        scenario.gains, scenario.schedule, tank, scenario.tau,
-        feasibility_margin=scenario.feasibility_margin,
-        damper_band=scenario.damper_band)
-
+    plant, state, controller = _start(scenario)
     tau = scenario.tau
-    n_steps = int(round(scenario.duration / tau))
-    if n_steps < 1:
-        raise ConfigError("duration must cover at least one cycle")
     m = plant.m
     half = 0.5 * tau
     script = scenario.wrench_script
@@ -191,7 +175,7 @@ def run(scenario: Scenario) -> RunResult:
     fault = None
     final_plant = None
     try:
-        for k in range(n_steps):
+        for k in range(scenario.n_cycles):
             f_e = wrench_at(script, k * tau, m, slack=half)
             # each step's fresh PlantState is the next cycle's observation
             command, tick = controller.control_cycle(
@@ -201,7 +185,9 @@ def run(scenario: Scenario) -> RunResult:
             state = plant.step(WrenchInput(f_c=command, f_e=f_e), tau)
         controller.finalize(state.xdot)
         final_plant = state
-    except IntegrationFault as exc:
+    except (IntegrationFault, DomainError) as exc:
+        # a DomainError here is WrenchInput refusing a non-finite command,
+        # e.g. an overflowing PD force; the plant cannot take the step
         fault = "integration"
         log.error("scenario %s: integration fault: %s", scenario.name, exc)
     except EmergencyFault as exc:
@@ -281,7 +267,7 @@ def summarize(ticks) -> Summary:
             t_end=chunk[-1].t + tau,
             ticks=len(chunk),
             h_max=max(tk.h_truth for tk in chunk),
-            speed_max=max(float(np.linalg.norm(tk.xdot)) for tk in chunk),
+            speed_max=math.sqrt(max(tk.xdot @ tk.xdot for tk in chunk)),
             energy_bound=bound,
             time_above_bound=above * tau,
         ))

@@ -2,7 +2,9 @@ import json
 import math
 import subprocess
 import sys
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from pfltank.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, load_scenario, main
@@ -30,6 +32,13 @@ def _write(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _replica(edit):
+    doc = json.loads(resources.files("pfltank").joinpath(
+        "scenarios", "paper_replica.json").read_text())
+    edit(doc)
+    return doc
 
 
 # -- validate ------------------------------------------------------------------
@@ -165,6 +174,30 @@ def test_value_errors_are_path_qualified(tmp_path, capsys, over, message):
     assert f"scenario.json: {message}" in capsys.readouterr().err
 
 
+# documents each of which validate and run both reject, naming the file
+RUN_REJECTS = {
+    "below_one_cycle": lambda doc: doc.update(duration=0.0004),
+    "overflowing_cycle_count": lambda doc: doc.update(tau=1e-320),
+    # 2 J of kinetic energy against the 1.6 J chest budget
+    "start_over_budget": lambda doc: doc["plant"].update(v0=[1.0, 0.0]),
+    "negative_feasibility_margin":
+        lambda doc: doc["controller"].update(feasibility_margin=-1.0),
+    "negative_damper_band": lambda doc: doc["controller"].update(damper_band=-1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_REJECTS))
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, case):
+    path = _write(tmp_path, _replica(RUN_REJECTS[case]))
+    assert main(["validate", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 # -- run -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("flag", ["--duration", "--tau"])
@@ -215,6 +248,20 @@ def test_faulting_run_exits_2_with_partial_log(tmp_path, capsys):
     assert len((tmp_path / "ticks.csv").read_text().splitlines()) == 501
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["fault"] == "emergency"
+
+
+def test_non_finite_command_is_an_integration_fault(tmp_path, capsys):
+    # every number is finite, but the PD force overflows on the first cycle
+    doc = _replica(lambda doc: doc["controller"].update(kp=[1e308, 1e308]))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["run", _write(tmp_path, doc), "--out", str(out)])
+    assert rc == EXIT_FAULT
+    assert "FAULT (integration) after 1 cycles" in capsys.readouterr().err
+    assert len((out / "ticks.csv").read_text().splitlines()) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["fault"] == "integration"
+    assert summary["n_ticks"] == 1
 
 
 def test_run_is_byte_deterministic(tmp_path):

@@ -294,3 +294,5 @@ def test_controller_config_validation():
         _controller(feasibility_margin=-1e-3)
     with pytest.raises(ConfigError):
         _controller(feasibility_margin=np.nan)
+    with pytest.raises(ConfigError):
+        _controller(damper_band=-1e-3)

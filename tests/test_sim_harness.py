@@ -6,14 +6,12 @@ import pytest
 from pfltank import sim_harness
 from pfltank.errors import ConfigError, DomainError
 from pfltank.iso15066 import BodyRegion, RobotMassSpec, v_max
+from pfltank.robot_dynamics import CartesianPlant, PlanarArm
 from pfltank.safety_controller import ControlTick, PdGains, RegionSchedule
 from pfltank.sim_harness import (
-    CartesianPlantConfig,
-    PlanarArmConfig,
     Scenario,
     WrenchSegment,
     initial_epsilons,
-    make_plant,
     read_ticks_csv,
     run,
     summarize,
@@ -35,7 +33,7 @@ def _schedule(*pairs):
 def _cart_scenario(**over):
     base = dict(
         name="unit",
-        plant=CartesianPlantConfig(inertia=(2.0,), x0=(0.0,), v0=(0.0,)),
+        plant=CartesianPlant((2.0,), (0.0,), (0.0,)),
         gains=PdGains(kp=(4.0,), kd=(6.0,), target=(2.0,)),
         schedule=_schedule((0.0, "zone", 0.5)),
         t_initial=2.0,
@@ -78,26 +76,17 @@ def test_scenario_validation():
 
 
 def test_run_needs_at_least_one_cycle():
-    with pytest.raises(ConfigError):
-        run(_cart_scenario(duration=1e-4, tau=1e-3))
-
-
-def test_make_plant_dispatch():
-    cart = make_plant(CartesianPlantConfig(inertia=(2.0,), x0=(0.0,), v0=(0.0,)))
-    assert cart.m == 1
-    arm = make_plant(PlanarArmConfig(q0=(0.1, 0.2)))
-    assert arm.m == 2
-    with pytest.raises(ConfigError):
-        make_plant("junk")
+    with pytest.raises(ConfigError, match="at least one cycle"):
+        _cart_scenario(duration=1e-4, tau=1e-3)
 
 
 def test_initial_epsilons_arithmetic_and_region_naming():
     scenario = _cart_scenario(
         schedule=_schedule((0.0, "wide", 0.5), (1.0, "narrow", 0.2)))
     assert initial_epsilons(scenario, 0.25) == pytest.approx([1.75, 2.05])
-    greedy = _cart_scenario(schedule=_schedule((0.0, "greedy", 1.99951)))
+    # building the scenario runs the same check
     with pytest.raises(ConfigError, match="greedy"):
-        initial_epsilons(greedy, 0.0)
+        _cart_scenario(schedule=_schedule((0.0, "greedy", 1.99951)))
 
 
 # -- closed-loop runs ----------------------------------------------------------
@@ -153,7 +142,7 @@ def test_starved_budget_plant_never_moves():
 
 def test_emergency_fault_keeps_the_partial_log():
     scenario = _cart_scenario(
-        plant=CartesianPlantConfig(inertia=(2.0,), x0=(0.0,), v0=(0.1,)),
+        plant=CartesianPlant((2.0,), (0.0,), (0.1,)),
         gains=PdGains(kp=(0.0,), kd=(0.0,), target=(0.0,)),
         schedule=_schedule((0.0, "tight", 0.02)),
         t_initial=0.51,
@@ -174,7 +163,7 @@ def test_emergency_fault_keeps_the_partial_log():
 def test_arm_scenario_conserves_through_the_cartesian_port():
     scenario = _cart_scenario(
         name="arm",
-        plant=PlanarArmConfig(q0=(0.3, 0.8)),
+        plant=PlanarArm(q0=(0.3, 0.8)),
         gains=PdGains(kp=(20.0, 20.0), kd=(8.0, 8.0), target=(0.55, 0.45)),
         schedule=_schedule((0.0, "zone", 0.5)),
         t_initial=1.0, duration=0.5)
@@ -197,6 +186,20 @@ def test_runs_are_deterministic(tmp_path):
     write_ticks_csv(pa, a.ticks)
     write_ticks_csv(pb, b.ticks)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_a_scenario_runs_again_from_its_initial_plant():
+    scenario = _cart_scenario(
+        name="arm", plant=PlanarArm(q0=(0.3, 0.8), qdot0=(0.2, -0.1)),
+        gains=PdGains(kp=(20.0, 20.0), kd=(8.0, 8.0), target=(0.55, 0.45)),
+        wrench_script=(WrenchSegment(0.1, 0.2, (0.5, -0.25)),),
+        t_initial=1.0, duration=0.3)
+    before = scenario.plant.state()
+    first, second = run(scenario), run(scenario)
+    _assert_same_ticks(second.ticks, first.ticks)
+    after = scenario.plant.state()
+    for name in ("x", "xdot", "kinetic_energy_truth", "time"):
+        assert np.array_equal(getattr(after, name), getattr(before, name)), name
 
 
 # -- summarize on crafted logs -------------------------------------------------
@@ -316,14 +319,13 @@ def _assert_same_ticks(got, want):
 
 def _parity_logs():
     arm = _cart_scenario(
-        name="arm", plant=PlanarArmConfig(q0=(0.3, 0.8)),
+        name="arm", plant=PlanarArm(q0=(0.3, 0.8)),
         gains=PdGains(kp=(20.0, 20.0), kd=(8.0, 8.0), target=(0.55, 0.45)),
         t_initial=1.0, duration=0.3)
     cart3 = _cart_scenario(
         name="cart3",
-        plant=CartesianPlantConfig(inertia=((3.0, 0.2, 0.0), (0.2, 2.0, 0.1),
-                                            (0.0, 0.1, 1.5)),
-                                   x0=(0.0, 0.1, -0.2), v0=(0.3, 0.0, -0.1)),
+        plant=CartesianPlant(((3.0, 0.2, 0.0), (0.2, 2.0, 0.1), (0.0, 0.1, 1.5)),
+                             (0.0, 0.1, -0.2), (0.3, 0.0, -0.1)),
         gains=PdGains(kp=(4.0, 5.0, 6.0), kd=(2.0, 2.0, 2.0), target=(0.5, -0.5, 0.2)),
         wrench_script=(WrenchSegment(0.1, 0.2, (0.5, -0.25, 1.0)),),
         duration=0.3)
