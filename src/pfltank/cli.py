@@ -124,8 +124,6 @@ def _plant_from_config(cfg, path: str):
             if not isinstance(rows, list) or not rows:
                 raise ConfigError(f"{path}.inertia: expected a list of rows")
             m = len(rows)
-            if m > 3:
-                raise ConfigError(f"{path}.inertia: at most 3 axes supported, got {m}")
             inertia = [_vector(r, f"{path}.inertia[{i}]", m) for i, r in enumerate(rows)]
             return CartesianPlant(inertia, _vector(_need(cfg, "x0", path), f"{path}.x0"),
                                   _vector(_need(cfg, "v0", path), f"{path}.v0"))
@@ -158,16 +156,15 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         raise ConfigError("scenario.name: expected a non-empty string")
 
     plant = _plant_from_config(_need(doc, "plant", "scenario"), "plant")
-    m = plant.m
 
     ctl = _need(doc, "controller", "scenario")
     if not isinstance(ctl, dict):
         raise ConfigError("controller: expected a mapping")
     _check_keys(ctl, {"kp", "kd", "target", "feasibility_margin", "damper_band"},
                 "controller")
-    kp = _vector(_need(ctl, "kp", "controller"), "controller.kp", m)
-    kd = _vector(_need(ctl, "kd", "controller"), "controller.kd", m)
-    target = _vector(_need(ctl, "target", "controller"), "controller.target", m)
+    kp = _vector(_need(ctl, "kp", "controller"), "controller.kp")
+    kd = _vector(_need(ctl, "kd", "controller"), "controller.kd")
+    target = _vector(_need(ctl, "target", "controller"), "controller.target")
     try:
         gains = PdGains(kp=kp, kd=kd, target=target)
     except ConfigError as exc:
@@ -210,7 +207,7 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         _check_keys(entry, {"t_start", "t_end", "force"}, path)
         t_start = _number(_need(entry, "t_start", path), f"{path}.t_start")
         t_end = _number(_need(entry, "t_end", path), f"{path}.t_end")
-        force = _vector(_need(entry, "force", path), f"{path}.force", m)
+        force = _vector(_need(entry, "force", path), f"{path}.force")
         try:
             wrench.append(WrenchSegment(t_start=t_start, t_end=t_end, force=force))
         except ConfigError as exc:
@@ -323,8 +320,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"--sweep-mr expects numbers, got {text!r}") from None
-    if step <= 0 or hi < lo or lo <= 0:
-        raise ConfigError(f"--sweep-mr needs 0 < LO <= HI and STEP > 0, got {text!r}")
+    if not (0 < lo <= hi < math.inf and 0 < step < math.inf):
+        raise ConfigError(f"--sweep-mr needs finite 0 < LO <= HI and STEP > 0, got {text!r}")
     count = int(np.floor((hi - lo) / step + 1e-12)) + 1
     return lo + step * np.arange(count)
 
@@ -335,8 +332,9 @@ def cmd_iso(args) -> int:
                         m_h=args.mh, transient_multiplier=args.transient_mult)
     e_max = max_energy(region)
     if args.sweep_mr is not None:
+        masses = _parse_sweep(args.sweep_mr)
         print("m_r,mu,v_max_quasi_static,v_max_transient")
-        for m_r in _parse_sweep(args.sweep_mr):
+        for m_r in masses:
             mu = reduced_mass(args.mh, float(m_r))
             print(f"{float(m_r)!r},{mu!r},{v_max(region, float(m_r), 'quasi_static')!r},"
                   f"{v_max(region, float(m_r), 'transient')!r}")

@@ -10,6 +10,7 @@ are stored in N/m throughout (unit conversion happens at config load).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,12 @@ class BodyRegion:
                 f"region {self.name!r}: give f_max and k, or an e_max_override")
         for label in ("f_max", "k", "m_h", "e_max_override"):
             value = getattr(self, label)
-            if value is not None and not value > 0:
-                raise DomainError(
-                    f"region {self.name!r}: {label} must be positive, got {value!r}")
-        if not self.transient_multiplier >= 1.0:
+            if value is not None and not 0 < value < math.inf:
+                raise DomainError(f"region {self.name!r}: {label} must be positive "
+                                  f"and finite, got {value!r}")
+        if not 1.0 <= self.transient_multiplier < math.inf:
             raise DomainError(
-                f"region {self.name!r}: transient_multiplier must be >= 1")
+                f"region {self.name!r}: transient_multiplier must be >= 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,11 @@ class RobotMassSpec:
     payload: float = 0.0   # end-effector load, kg
 
     def __post_init__(self):
-        if not self.moving_mass > 0:
-            raise DomainError(f"moving_mass must be positive, got {self.moving_mass!r}")
-        if self.payload < 0:
-            raise DomainError(f"payload must be >= 0, got {self.payload!r}")
+        if not 0 < self.moving_mass < math.inf:
+            raise DomainError(
+                f"moving_mass must be positive and finite, got {self.moving_mass!r}")
+        if not 0 <= self.payload < math.inf:
+            raise DomainError(f"payload must be >= 0 and finite, got {self.payload!r}")
 
 
 #: Regions used by the bundled scenarios.  Chest carries the full contact

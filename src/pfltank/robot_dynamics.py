@@ -34,12 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlantState:
-    """Immutable snapshot of a plant: pose, twist, true kinetic energy, time."""
+    """Immutable snapshot of a plant: pose, twist, true kinetic energy."""
 
     x: np.ndarray
     xdot: np.ndarray
     kinetic_energy_truth: float
-    time: float
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.array(self.x, dtype=float))
@@ -92,7 +91,6 @@ class CartesianPlant:
         self._xdot = np.array(xdot0, dtype=float)
         if self._x.shape != (self.m,) or self._xdot.shape != (self.m,):
             raise DomainError("x0/xdot0 dimensions do not match the inertia")
-        self._time = 0.0
 
     @property
     def pose(self) -> np.ndarray:
@@ -103,15 +101,11 @@ class CartesianPlant:
         return self._xdot.copy()
 
     @property
-    def time(self) -> float:
-        return self._time
-
-    @property
     def kinetic_energy(self) -> float:
         return 0.5 * float(self._xdot @ self.inertia @ self._xdot)
 
     def state(self) -> PlantState:
-        return PlantState(self._x, self._xdot, self.kinetic_energy, self._time)
+        return PlantState(self._x, self._xdot, self.kinetic_energy)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
         """Advance one interval holding the wrenches constant.
@@ -122,10 +116,9 @@ class CartesianPlant:
         v = self._xdot + tau * (self._lam_inv @ f)
         x = self._x + tau * v
         if not _all_finite(v, x):
-            raise IntegrationFault(f"non-finite plant state at t={self._time!r}")
+            raise IntegrationFault("non-finite plant state")
         self._xdot = v
         self._x = x
-        self._time += tau
         return self.state()
 
 
@@ -158,7 +151,6 @@ class PlanarArm:
         self._qdot = np.array(qdot0, dtype=float)
         if self._q.shape != (2,) or self._qdot.shape != (2,):
             raise DomainError("q0/qdot0 must have two entries")
-        self._time = 0.0
         self._update_model()
 
     def _update_model(self):
@@ -233,14 +225,6 @@ class PlanarArm:
     # -- plant port ----------------------------------------------------------
 
     @property
-    def joint_position(self) -> np.ndarray:
-        return self._q.copy()
-
-    @property
-    def joint_velocity(self) -> np.ndarray:
-        return self._qdot.copy()
-
-    @property
     def pose(self) -> np.ndarray:
         return self.ee_position(self._q)
 
@@ -249,17 +233,13 @@ class PlanarArm:
         return self._jac @ self._qdot
 
     @property
-    def time(self) -> float:
-        return self._time
-
-    @property
     def kinetic_energy(self) -> float:
         # joint-space energy is the ground truth; it equals the
         # operational-space energy wherever J is invertible
         return 0.5 * float(self._qdot @ self._mass @ self._qdot)
 
     def state(self) -> PlantState:
-        return PlantState(self.pose, self.twist, self.kinetic_energy, self._time)
+        return PlantState(self.pose, self.twist, self.kinetic_energy)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
         q, qdot = self._q, self._qdot
@@ -272,10 +252,9 @@ class PlanarArm:
         qdot_new = qdot + tau * qdd
         q_new = q + tau * qdot_new
         if not _all_finite(qdot_new, q_new):
-            raise IntegrationFault(f"non-finite arm state at t={self._time!r}")
+            raise IntegrationFault("non-finite arm state")
         self._qdot = qdot_new
         self._q = q_new
-        self._time += tau
         self._update_model()
         return self.state()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,18 +138,22 @@ def project_halfspace(f_des, xdot, t_prev: float, epsilon: float, tau: float,
 
 @dataclass(frozen=True)
 class RegionSchedule:
-    """Piecewise-constant body-region schedule with derived energy budgets."""
+    """Piecewise-constant body-region schedule: ``regions[i]`` governs from
+    ``times[i]`` on.  Each region's energy budget is derived from the region
+    itself (max_energy), so a budget cannot disagree with its label."""
 
     times: tuple
     regions: tuple
-    energies: tuple
+    energies: tuple = field(init=False)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "RegionSchedule":
-        if not pairs:
+    def __post_init__(self):
+        times = tuple(float(t) for t in self.times)
+        regions = tuple(self.regions)
+        if len(times) != len(regions):
+            raise ConfigError(
+                f"schedule has {len(times)} switch times but {len(regions)} regions")
+        if not times:
             raise ConfigError("schedule cannot be empty")
-        times = tuple(float(t) for t, _ in pairs)
-        regions = tuple(r for _, r in pairs)
         if times[0] != 0.0:
             raise ConfigError(f"first schedule entry must be at t = 0, got {times[0]!r}")
         for a, b in zip(times, times[1:]):
@@ -158,8 +162,14 @@ class RegionSchedule:
         for region in regions:
             if not isinstance(region, BodyRegion):
                 raise ConfigError(f"schedule entries need BodyRegion values, got {region!r}")
-        energies = tuple(max_energy(r) for r in regions)
-        return cls(times, regions, energies)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "energies", tuple(max_energy(r) for r in regions))
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "RegionSchedule":
+        """Schedule from (switch time, region) pairs."""
+        return cls(tuple(t for t, _ in pairs), tuple(r for _, r in pairs))
 
     def active_index(self, time: float, slack: float = 0.0) -> int:
         """Index of the region governing ``time``; ``slack`` forgives float
@@ -234,10 +244,6 @@ class SafetyController:
         self._k = 0
 
     @property
-    def cycle_index(self) -> int:
-        return self._k
-
-    @property
     def in_deficit(self) -> bool:
         return self._deficit
 
@@ -286,7 +292,7 @@ class SafetyController:
         avail = t_now + tau * p_ext
         if not self._deficit and avail < eps - FLOOR_TOL:
             raise EmergencyFault(
-                f"cycle {k}: zero-scale command infeasible "
+                "zero-scale command infeasible "
                 f"(T = {t_now!r}, epsilon = {eps!r}, p_ext = {p_ext!r}); "
                 "the damper band is too narrow for this wrench")
 

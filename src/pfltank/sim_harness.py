@@ -74,7 +74,8 @@ class Scenario:
     """Complete, self-contained description of one closed-loop run.
 
     ``plant`` is the plant at its initial state; run() steps a copy of it, so
-    a scenario runs again byte for byte.  Building a Scenario runs run()'s
+    a scenario runs again byte for byte.  Building a Scenario checks that the
+    gains and wrench forces have one entry per plant axis and runs run()'s
     set-up, so every scenario that builds is one that run() can start.
     """
 
@@ -94,6 +95,16 @@ class Scenario:
         # finite as well as positive: the cycle count is duration / tau
         if not 0 < self.duration < math.inf:
             raise ConfigError(f"duration must be positive and finite, got {self.duration!r}")
+        m = self.plant.m
+        if m > len(_AXES):  # the tick log names the axes x, y and z
+            raise ConfigError(f"plant: at most {len(_AXES)} axes are supported, got {m}")
+        if self.gains.kp.shape != (m,):
+            raise ConfigError(f"kp, kd and target need one entry per plant axis ({m}), "
+                              f"got shape {self.gains.kp.shape}")
+        for i, seg in enumerate(self.wrench_script):
+            if np.shape(seg.force) != (m,):
+                raise ConfigError(f"wrench_script[{i}].force needs one entry per plant "
+                                  f"axis ({m}), got shape {np.shape(seg.force)}")
         _start(self)  # the controller checks tau
         # n_cycles >= 1 exactly when the ratio exceeds 0.5; a subnormal tau
         # can still overflow it
@@ -189,10 +200,11 @@ def run(scenario: Scenario) -> RunResult:
         # a DomainError here is WrenchInput refusing a non-finite command,
         # e.g. an overflowing PD force; the plant cannot take the step
         fault = "integration"
-        log.error("scenario %s: integration fault: %s", scenario.name, exc)
+        log.error("scenario %s: integration fault at cycle %d: %s",
+                  scenario.name, k, exc)
     except EmergencyFault as exc:
         fault = "emergency"
-        log.error("scenario %s: emergency fault: %s", scenario.name, exc)
+        log.error("scenario %s: emergency fault at cycle %d: %s", scenario.name, k, exc)
 
     summary = None
     if ticks:

@@ -183,6 +183,15 @@ RUN_REJECTS = {
     "negative_feasibility_margin":
         lambda doc: doc["controller"].update(feasibility_margin=-1.0),
     "negative_damper_band": lambda doc: doc["controller"].update(damper_band=-1.0),
+    # axis counts that disagree with the plant; the Scenario checks them
+    "gain_lengths": lambda doc: doc["controller"].update(
+        kp=[8.0] * 3, kd=[11.0] * 3, target=[6.0, 0.0, 0.0]),
+    "wrench_force_length": lambda doc: doc.update(wrench_script=[
+        {"t_start": 0.5, "t_end": 1.0, "force": [1.0, 0.0, 0.0]}]),
+    "four_axes": lambda doc: doc.update(
+        plant={"type": "cartesian", "inertia": np.eye(4).tolist(),
+               "x0": [0.0] * 4, "v0": [0.0] * 4},
+        controller={"kp": [8.0] * 4, "kd": [11.0] * 4, "target": [6.0, 0.0, 0.0, 0.0]}),
 }
 
 
@@ -250,7 +259,7 @@ def test_faulting_run_exits_2_with_partial_log(tmp_path, capsys):
     assert summary["fault"] == "emergency"
 
 
-def test_non_finite_command_is_an_integration_fault(tmp_path, capsys):
+def test_non_finite_command_is_an_integration_fault(tmp_path, capsys, caplog):
     # every number is finite, but the PD force overflows on the first cycle
     doc = _replica(lambda doc: doc["controller"].update(kp=[1e308, 1e308]))
     out = tmp_path / "out"
@@ -258,6 +267,7 @@ def test_non_finite_command_is_an_integration_fault(tmp_path, capsys):
         rc = main(["run", _write(tmp_path, doc), "--out", str(out)])
     assert rc == EXIT_FAULT
     assert "FAULT (integration) after 1 cycles" in capsys.readouterr().err
+    assert "integration fault at cycle 0: wrench entries must be finite" in caplog.text
     assert len((out / "ticks.csv").read_text().splitlines()) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["fault"] == "integration"
@@ -323,14 +333,23 @@ def test_iso_rejects_bad_sweeps(capsys):
     assert main(base + ["--sweep-mr", "12:4:1"]) == EXIT_CONFIG
     assert main(base + ["--sweep-mr", "1:2"]) == EXIT_CONFIG
     assert main(base + ["--sweep-mr", "a:b:c"]) == EXIT_CONFIG
-    capsys.readouterr()
+    # non-finite bounds or steps ask for an unbounded sweep
+    for sweep in ("1:inf:1", "1:2:inf", "nan:2:1", "1:2:nan"):
+        assert main(base + ["--sweep-mr", sweep]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no CSV header before the error
+        assert "--sweep-mr needs finite" in captured.err
 
 
 def test_iso_rejects_nonphysical_region(capsys):
-    rc = main(["iso", "--fmax", "-1", "--k", "25", "--k-unit", "N/mm",
-               "--mh", "40", "--mr", "8"])
-    assert rc == EXIT_CONFIG
-    capsys.readouterr()
+    # an infinite k printed E_max 0 J, an infinite f_max E_max inf
+    for fmax, k in (("-1", "25"), ("inf", "25"), ("140", "inf"), ("nan", "25")):
+        rc = main(["iso", "--fmax", fmax, "--k", k, "--k-unit", "N/mm",
+                   "--mh", "40", "--mr", "8"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive and finite" in captured.err
 
 
 # -- argument plumbing ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,17 @@ def test_region_validation():
         BodyRegion(name="")
 
 
+@pytest.mark.parametrize("field", ["f_max", "k", "m_h", "e_max_override",
+                                   "transient_multiplier"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_region_rejects_non_finite_values(field, value):
+    # an infinite k gives E_max = 0 J, an infinite f_max E_max = inf
+    values = dict(f_max=140.0, k=25_000.0, m_h=40.0)
+    values[field] = value
+    with pytest.raises(DomainError, match=field):
+        BodyRegion(name="bad", **values)
+
+
 def test_reduced_mass_hand_values():
     assert reduced_mass(40.0, 8.0) == pytest.approx(1.0 / (1.0 / 40.0 + 1.0 / 8.0))
     assert reduced_mass(40.0, 8.0) == pytest.approx(6.666666666666667)
@@ -66,6 +79,10 @@ def test_robot_effective_mass():
     assert robot_effective_mass(RobotMassSpec(moving_mass=16.0, payload=2.0)) == 10.0
     with pytest.raises(DomainError):
         RobotMassSpec(moving_mass=-1.0)
+    for bad in (dict(moving_mass=math.inf), dict(moving_mass=16.0, payload=math.inf),
+                dict(moving_mass=16.0, payload=math.nan)):
+        with pytest.raises(DomainError):
+            RobotMassSpec(**bad)
 
 
 def test_v_max_both_modes():

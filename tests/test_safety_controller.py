@@ -3,7 +3,7 @@ import pytest
 
 from pfltank.energy_tank import FLOOR_TOL, make_tank
 from pfltank.errors import ConfigError, EmergencyFault
-from pfltank.iso15066 import BodyRegion
+from pfltank.iso15066 import BUILTIN_REGIONS, BodyRegion, max_energy
 from pfltank.safety_controller import (
     FEASIBILITY_MARGIN,
     ControlTick,
@@ -132,6 +132,25 @@ def test_schedule_validation():
         _schedule((0.0, "a", 1.0), (0.0, "b", 2.0))
     with pytest.raises(ConfigError):
         RegionSchedule.from_pairs([(0.0, "not-a-region")])
+    # the constructor makes the same checks as from_pairs, plus equal lengths
+    chest = BUILTIN_REGIONS["chest"]
+    with pytest.raises(ConfigError, match="first schedule entry must be at t = 0"):
+        RegionSchedule((0.5,), (chest,))
+    with pytest.raises(ConfigError, match="1 switch times but 2 regions"):
+        RegionSchedule((0.0,), (chest, chest))
+    with pytest.raises(ConfigError, match="empty"):
+        RegionSchedule((), ())
+
+
+def test_schedule_derives_its_budgets():
+    chest, shoulders = BUILTIN_REGIONS["chest"], BUILTIN_REGIONS["shoulders"]
+    sched = RegionSchedule((0.0,), (chest,))
+    assert sched.energies == (max_energy(chest),)
+    assert RegionSchedule.from_pairs([(0, chest), (4, shoulders)]) == RegionSchedule(
+        (0.0, 4.0), (chest, shoulders))
+    # a budget is not a constructor argument, so it cannot contradict its region
+    with pytest.raises(TypeError):
+        RegionSchedule((0.0,), (chest,), (100.0,))
 
 
 def test_schedule_active_index_and_slack():
@@ -181,7 +200,8 @@ def test_cycle_sign_convention_and_tick_fields():
     assert tick.epsilon == pytest.approx(0.5)
     assert tick.h_est == pytest.approx(0.0)
     assert tick.h_truth == pytest.approx(0.123)
-    assert ctl.cycle_index == 1
+    _, tick2 = ctl.control_cycle(_obs(0.0, 0.3))
+    assert tick2.k == 1 and tick2.t == pytest.approx(0.01)
 
 
 def test_deferred_commit_uses_trapezoidal_velocity():

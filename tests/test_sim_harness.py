@@ -75,6 +75,22 @@ def test_scenario_validation():
         _cart_scenario(t_initial=0.0)
 
 
+@pytest.mark.parametrize("over, message", [
+    (dict(gains=PdGains(kp=(4.0, 4.0), kd=(6.0, 6.0), target=(2.0, 0.0))),
+     r"kp, kd and target need one entry per plant axis \(1\), got shape \(2,\)"),
+    (dict(wrench_script=(WrenchSegment(0.0, 0.1, (1.0,)),
+                         WrenchSegment(0.2, 0.3, (1.0, 0.0)))),
+     r"wrench_script\[1\]\.force needs one entry per plant axis \(1\)"),
+    (dict(plant=CartesianPlant(np.eye(4), np.zeros(4), np.zeros(4)),
+          gains=PdGains(kp=(1.0,) * 4, kd=(1.0,) * 4, target=(0.0,) * 4)),
+     "plant: at most 3 axes are supported, got 4"),
+], ids=["gains", "wrench_force", "four_axes"])
+def test_scenario_checks_the_axis_contract(over, message):
+    # each of these used to build and then fail inside run() or the CSV writer
+    with pytest.raises(ConfigError, match=message):
+        _cart_scenario(**over)
+
+
 def test_run_needs_at_least_one_cycle():
     with pytest.raises(ConfigError, match="at least one cycle"):
         _cart_scenario(duration=1e-4, tau=1e-3)
@@ -140,7 +156,7 @@ def test_starved_budget_plant_never_moves():
     assert res.summary.min_tank == pytest.approx(1.0, abs=1e-15)
 
 
-def test_emergency_fault_keeps_the_partial_log():
+def test_emergency_fault_keeps_the_partial_log(caplog):
     scenario = _cart_scenario(
         plant=CartesianPlant((2.0,), (0.0,), (0.1,)),
         gains=PdGains(kp=(0.0,), kd=(0.0,), target=(0.0,)),
@@ -152,6 +168,7 @@ def test_emergency_fault_keeps_the_partial_log():
     assert res.fault == "emergency"
     # the violent wrench lands at k = 500 and that cycle never books a tick
     assert len(res.ticks) == 500
+    assert "scenario unit: emergency fault at cycle 500: " in caplog.text
     assert res.final_plant is None
     assert res.summary is not None
     assert res.summary.fault == "emergency"
@@ -198,7 +215,7 @@ def test_a_scenario_runs_again_from_its_initial_plant():
     first, second = run(scenario), run(scenario)
     _assert_same_ticks(second.ticks, first.ticks)
     after = scenario.plant.state()
-    for name in ("x", "xdot", "kinetic_energy_truth", "time"):
+    for name in ("x", "xdot", "kinetic_energy_truth"):
         assert np.array_equal(getattr(after, name), getattr(before, name)), name
 
 
