@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -44,6 +45,8 @@ EXIT_OK = 0
 EXIT_FAULT = 2
 EXIT_CONFIG = 3
 
+MAX_SWEEP_POINTS = 1_000_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad arguments, which collides with the fault
@@ -59,6 +62,15 @@ def _check_keys(mapping: dict, allowed: set, path: str):
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
+
+
+@contextmanager
+def _at(path: str):
+    """Prefix a constructor's ConfigError or DomainError with its document path."""
+    try:
+        yield
+    except (ConfigError, DomainError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _need(mapping: dict, key: str, path: str):
@@ -106,10 +118,8 @@ def _region_from_config(name: str, cfg, path: str) -> BodyRegion:
     for key in ("f_max", "m_h", "transient_multiplier", "e_max_override"):
         if key in cfg:
             kwargs[key] = _number(cfg[key], f"{path}.{key}")
-    try:
+    with _at(path):
         return BodyRegion(name=name, k=k, **kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _plant_from_config(cfg, path: str):
@@ -117,30 +127,25 @@ def _plant_from_config(cfg, path: str):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: expected a mapping")
     kind = _need(cfg, "type", path)
-    try:
-        if kind == "cartesian":
-            _check_keys(cfg, {"type", "inertia", "x0", "v0"}, path)
-            rows = _need(cfg, "inertia", path)
-            if not isinstance(rows, list) or not rows:
-                raise ConfigError(f"{path}.inertia: expected a list of rows")
-            m = len(rows)
-            inertia = [_vector(r, f"{path}.inertia[{i}]", m) for i, r in enumerate(rows)]
-            return CartesianPlant(inertia, _vector(_need(cfg, "x0", path), f"{path}.x0"),
-                                  _vector(_need(cfg, "v0", path), f"{path}.v0"))
-        if kind == "planar_arm":
-            _check_keys(cfg, {"type", "l1", "l2", "m1", "m2", "inertia1", "inertia2",
-                              "q0", "qd0", "gravity"}, path)
-            kwargs = {}
-            for key in ("l1", "l2", "m1", "m2"):
-                kwargs[key] = _number(_need(cfg, key, path), f"{path}.{key}")
-            for key in ("inertia1", "inertia2", "gravity"):
-                if key in cfg:
-                    kwargs[key] = _number(cfg[key], f"{path}.{key}")
-            return PlanarArm(q0=_vector(_need(cfg, "q0", path), f"{path}.q0"),
-                             qdot0=_vector(_need(cfg, "qd0", path), f"{path}.qd0"),
-                             **kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    if kind == "cartesian":
+        _check_keys(cfg, {"type", "inertia", "x0", "v0"}, path)
+        rows = _need(cfg, "inertia", path)
+        if not isinstance(rows, list) or not rows:
+            raise ConfigError(f"{path}.inertia: expected a list of rows")
+        m = len(rows)
+        args = ([_vector(r, f"{path}.inertia[{i}]", m) for i, r in enumerate(rows)],
+                _vector(_need(cfg, "x0", path), f"{path}.x0"),
+                _vector(_need(cfg, "v0", path), f"{path}.v0"))
+        with _at(path):
+            return CartesianPlant(*args)
+    if kind == "planar_arm":
+        _check_keys(cfg, {"type", "l1", "l2", "m1", "m2", "q0", "qd0"}, path)
+        args = [_number(_need(cfg, key, path), f"{path}.{key}")
+                for key in ("l1", "l2", "m1", "m2")]
+        args += [_vector(_need(cfg, "q0", path), f"{path}.q0"),
+                 _vector(_need(cfg, "qd0", path), f"{path}.qd0")]
+        with _at(path):
+            return PlanarArm(*args)
     raise ConfigError(f"{path}.type: expected 'cartesian' or 'planar_arm', got {kind!r}")
 
 
@@ -165,10 +170,8 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     kp = _vector(_need(ctl, "kp", "controller"), "controller.kp")
     kd = _vector(_need(ctl, "kd", "controller"), "controller.kd")
     target = _vector(_need(ctl, "target", "controller"), "controller.target")
-    try:
+    with _at("controller"):
         gains = PdGains(kp=kp, kd=kd, target=target)
-    except ConfigError as exc:
-        raise ConfigError(f"controller: {exc}") from None
     knobs = {key: _number(ctl[key], f"controller.{key}")
              for key in ("feasibility_margin", "damper_band") if key in ctl}
 
@@ -184,7 +187,7 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     sched_doc = _need(doc, "schedule", "scenario")
     if not isinstance(sched_doc, list) or not sched_doc:
         raise ConfigError("schedule: expected a non-empty list")
-    pairs = []
+    times, scheduled = [], []
     for i, entry in enumerate(sched_doc):
         path = f"schedule[{i}]"
         if not isinstance(entry, dict):
@@ -193,11 +196,10 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         rname = _need(entry, "region", path)
         if rname not in regions:
             raise ConfigError(f"{path}.region: {rname!r} is not defined under regions")
-        pairs.append((_number(_need(entry, "t", path), f"{path}.t"), regions[rname]))
-    try:
-        schedule = RegionSchedule.from_pairs(pairs)
-    except ConfigError as exc:
-        raise ConfigError(f"schedule: {exc}") from None
+        times.append(_number(_need(entry, "t", path), f"{path}.t"))
+        scheduled.append(regions[rname])
+    with _at("schedule"):
+        schedule = RegionSchedule(times, scheduled)
 
     wrench = []
     for i, entry in enumerate(doc.get("wrench_script", [])):
@@ -208,10 +210,8 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         t_start = _number(_need(entry, "t_start", path), f"{path}.t_start")
         t_end = _number(_need(entry, "t_end", path), f"{path}.t_end")
         force = _vector(_need(entry, "force", path), f"{path}.force")
-        try:
+        with _at(path):
             wrench.append(WrenchSegment(t_start=t_start, t_end=t_end, force=force))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
 
     tau = _number(_need(doc, "tau", "scenario"), "tau")
     duration = _number(_need(doc, "duration", "scenario"), "duration")
@@ -236,13 +236,11 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         if not isinstance(iso_doc, dict):
             raise ConfigError("iso_comparison: expected a mapping")
         _check_keys(iso_doc, {"moving_mass", "payload"}, "iso_comparison")
-        try:
-            iso_mass = RobotMassSpec(
-                moving_mass=_number(_need(iso_doc, "moving_mass", "iso_comparison"),
-                                    "iso_comparison.moving_mass"),
-                payload=_number(iso_doc.get("payload", 0.0), "iso_comparison.payload"))
-        except DomainError as exc:
-            raise ConfigError(f"iso_comparison: {exc}") from None
+        moving_mass = _number(_need(iso_doc, "moving_mass", "iso_comparison"),
+                              "iso_comparison.moving_mass")
+        payload = _number(iso_doc.get("payload", 0.0), "iso_comparison.payload")
+        with _at("iso_comparison"):
+            iso_mass = RobotMassSpec(moving_mass=moving_mass, payload=payload)
 
     return Scenario(name=name, plant=plant, gains=gains, schedule=schedule,
                     t_initial=t_initial, wrench_script=tuple(wrench), tau=tau,
@@ -267,10 +265,8 @@ def load_scenario(spec: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{origin}: invalid JSON: {exc}") from None
-    try:
+    with _at(origin):
         return scenario_from_config(doc, fallback_name=Path(origin).stem)
-    except ConfigError as exc:
-        raise ConfigError(f"{origin}: {exc}") from None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -322,8 +318,12 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"--sweep-mr expects numbers, got {text!r}") from None
     if not (0 < lo <= hi < math.inf and 0 < step < math.inf):
         raise ConfigError(f"--sweep-mr needs finite 0 < LO <= HI and STEP > 0, got {text!r}")
-    count = int(np.floor((hi - lo) / step + 1e-12)) + 1
-    return lo + step * np.arange(count)
+    # checked before anything is allocated; the quotient may be infinite
+    span = (hi - lo) / step + 1e-12
+    if not span < MAX_SWEEP_POINTS:
+        raise ConfigError(f"--sweep-mr gives more than {MAX_SWEEP_POINTS} points, "
+                          f"got {text!r}")
+    return lo + step * np.arange(math.floor(span) + 1)
 
 
 def cmd_iso(args) -> int:

@@ -68,8 +68,9 @@ class TankState:
 
 
 def make_tank(t_initial: float, epsilon: float, h_initial: float = 0.0) -> TankState:
-    if not t_initial > 0:
-        raise ConfigError(f"initial tank energy must be positive, got {t_initial!r}")
+    if not 0 < t_initial < math.inf:
+        raise ConfigError(
+            f"initial tank energy must be positive and finite, got {t_initial!r}")
     if epsilon > t_initial + FLOOR_TOL:
         raise ConfigError(
             f"initial tank energy {t_initial!r} is below the floor {epsilon!r}")

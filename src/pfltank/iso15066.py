@@ -144,7 +144,7 @@ def apparent_mass(n, mobility) -> float:
 
     ``mobility`` is the end-point mobility tensor Lambda^-1.  It must be
     symmetric positive-semidefinite within tolerance; directions with no
-    mobility (e.g. out-of-plane for a planar arm) have unbounded apparent
+    mobility (e.g. radially for a fully stretched arm) have unbounded apparent
     mass and raise DomainError.
     """
     n = np.asarray(n, dtype=float)
@@ -177,14 +177,14 @@ def apparent_mass(n, mobility) -> float:
 
 
 def endpoint_mobility(model, q) -> np.ndarray:
-    """End-point mobility tensor J_v M(q)^-1 J_v^T.
+    """End-point mobility tensor J M(q)^-1 J^T.
 
-    ``model`` must expose mass_matrix(q) and linear_jacobian(q); the linear
-    Jacobian has one row per workspace translation axis, so a planar arm
-    yields a 3x3 tensor whose out-of-plane row and column are zero.
+    ``model`` must expose mass_matrix(q) and jacobian(q); the Jacobian has
+    one row per workspace axis, so the tensor is m x m (2x2 for the planar
+    arm).
     """
     q = np.asarray(q, dtype=float)
-    jv = np.atleast_2d(np.asarray(model.linear_jacobian(q), dtype=float))
+    jv = np.atleast_2d(np.asarray(model.jacobian(q), dtype=float))
     m = np.atleast_2d(np.asarray(model.mass_matrix(q), dtype=float))
     try:
         np.linalg.cholesky(m)

@@ -2,16 +2,17 @@
 and a planar two-link arm.
 
 Both plants integrate with fixed-step semi-implicit Euler (velocity first,
-pose with the new velocity), which keeps long-run energy drift second order
-in the step size.  The port seen by a controller is Cartesian: a commanded
+pose with the new velocity).  Energy drifts second order in the step size for
+the constant-inertia point mass but first order for the arm, whose inertia
+varies with q.  The port seen by a controller is Cartesian: a commanded
 wrench plus an external wrench in, a pose/twist snapshot out.  The commanded
 wrench enters with a minus sign, i.e. the plant advances
 
     Lambda xdd + S xd = -f_c + f_e
 
-so that tank bookkeeping and plant work use one sign convention.  Gravity on
-the arm is simulated and exactly compensated inside the wrapper; the
-Cartesian port therefore behaves like a gravity-free model.
+so that tank bookkeeping and plant work use one sign convention.  The arm's
+gravity compensation cancels its gravity, so the Cartesian port behaves like
+a gravity-free model.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ __all__ = [
     "PlanarArm",
     "power_balance_residual",
 ]
+
+#: Gravitational acceleration on the arm, m/s^2.
+GRAVITY = 9.81
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,8 @@ class CartesianPlant:
         lam = np.atleast_2d(np.asarray(inertia, dtype=float))
         if lam.shape[0] != lam.shape[1]:
             raise DomainError(f"inertia must be square, got {lam.shape}")
+        if not np.all(np.isfinite(lam)):
+            raise DomainError("inertia entries must be finite")
         if np.max(np.abs(lam - lam.T)) > 1e-12 * max(np.max(np.abs(lam)), 1.0):
             raise DomainError("inertia must be symmetric")
         try:
@@ -91,6 +97,8 @@ class CartesianPlant:
         self._xdot = np.array(xdot0, dtype=float)
         if self._x.shape != (self.m,) or self._xdot.shape != (self.m,):
             raise DomainError("x0/xdot0 dimensions do not match the inertia")
+        if not _all_finite(self._x, self._xdot):
+            raise DomainError("x0/xdot0 must be finite")
 
     @property
     def pose(self) -> np.ndarray:
@@ -126,31 +134,26 @@ class PlanarArm:
     """Two-revolute-joint arm in a vertical plane, uniform rod links.
 
     The Cartesian port is the end-effector point (x, y).  Actuation maps the
-    commanded wrench through J^T and adds exact gravity compensation, so the
-    arm presents the same force-driven port as the Cartesian plant, with a
+    commanded wrench through J^T and adds gravity compensation, so the arm
+    presents the same force-driven port as the Cartesian plant, with a
     configuration-dependent operational-space inertia.
     """
 
     m = 2  # workspace dimension
 
-    def __init__(self, l1=0.5, l2=0.5, m1=4.0, m2=4.0,
-                 inertia1: float | None = None, inertia2: float | None = None,
-                 q0=(0.0, 0.0), qdot0=(0.0, 0.0), gravity: float = 9.81):
+    def __init__(self, l1=0.5, l2=0.5, m1=4.0, m2=4.0, q0=(0.0, 0.0), qdot0=(0.0, 0.0)):
         for label, value in (("l1", l1), ("l2", l2), ("m1", m1), ("m2", m2)):
-            if not value > 0:
-                raise DomainError(f"{label} must be positive, got {value!r}")
+            if not 0 < value < math.inf:
+                raise DomainError(f"{label} must be positive and finite, got {value!r}")
         self.l1, self.l2 = float(l1), float(l2)
         self.m1, self.m2 = float(m1), float(m2)
-        # uniform rod about its center unless told otherwise
-        self.i1 = float(inertia1) if inertia1 is not None else m1 * l1 * l1 / 12.0
-        self.i2 = float(inertia2) if inertia2 is not None else m2 * l2 * l2 / 12.0
-        if self.i1 <= 0 or self.i2 <= 0:
-            raise DomainError("link inertias must be positive")
-        self.gravity = float(gravity)
+        self.i1 = self.m1 * self.l1 * self.l1 / 12.0
+        self.i2 = self.m2 * self.l2 * self.l2 / 12.0
         self._q = np.array(q0, dtype=float)
         self._qdot = np.array(qdot0, dtype=float)
-        if self._q.shape != (2,) or self._qdot.shape != (2,):
-            raise DomainError("q0/qdot0 must have two entries")
+        if (self._q.shape != (2,) or self._qdot.shape != (2,)
+                or not _all_finite(self._q, self._qdot)):
+            raise DomainError("q0/qdot0 must have two finite entries")
         self._update_model()
 
     def _update_model(self):
@@ -192,7 +195,7 @@ class PlanarArm:
     def gravity_vector(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         lc1, lc2 = 0.5 * self.l1, 0.5 * self.l2
-        g = self.gravity
+        g = GRAVITY
         c1 = np.cos(q[0])
         c12 = np.cos(q[0] + q[1])
         g1 = (self.m1 * lc1 + self.m2 * self.l1) * g * c1 + self.m2 * lc2 * g * c12
@@ -208,12 +211,6 @@ class PlanarArm:
             [-self.l1 * s1 - self.l2 * s12, -self.l2 * s12],
             [self.l1 * c1 + self.l2 * c12, self.l2 * c12],
         ])
-
-    def linear_jacobian(self, q) -> np.ndarray:
-        """3xN translational Jacobian; the out-of-plane row is zero."""
-        jv = np.zeros((3, 2))
-        jv[:2, :] = self.jacobian(q)
-        return jv
 
     def ee_position(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -244,8 +241,8 @@ class PlanarArm:
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
         q, qdot = self._q, self._qdot
         jt = self._jac.T
+        # gravity and its compensation cancel, but deleting them moves the arm's bytes
         grav = self.gravity_vector(q)
-        # actuation = J^T (-f_c) + exact gravity compensation
         torque = jt @ (-wrench.f_c) + grav
         rhs = torque + jt @ wrench.f_e - self.coriolis_matrix(q, qdot) @ qdot - grav
         qdd = np.linalg.solve(self._mass, rhs)

@@ -69,6 +69,8 @@ class PdGains:
             object.__setattr__(self, label, np.array(getattr(self, label), dtype=float))
         if not (self.kp.shape == self.kd.shape == self.target.shape):
             raise ConfigError("kp, kd and target must have matching shapes")
+        if not np.all(np.isfinite((self.kp, self.kd, self.target))):
+            raise ConfigError("kp, kd and target must be finite")
         if np.any(self.kp < 0) or np.any(self.kd < 0):
             raise ConfigError("PD gains must be non-negative")
 
@@ -165,11 +167,6 @@ class RegionSchedule:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "energies", tuple(max_energy(r) for r in regions))
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "RegionSchedule":
-        """Schedule from (switch time, region) pairs."""
-        return cls(tuple(t for t, _ in pairs), tuple(r for _, r in pairs))
 
     def active_index(self, time: float, slack: float = 0.0) -> int:
         """Index of the region governing ``time``; ``slack`` forgives float
@@ -299,7 +296,7 @@ class SafetyController:
         alpha = solve_alpha(f_des, xdot, t_now, eps + self.feasibility_margin,
                             tau, p_ext)
         f_c = alpha * f_des
-        floor = None if self._deficit else eps - self.feasibility_margin - FLOOR_TOL
+        floor = None if self._deficit else eps - self.feasibility_margin
         self._pending = (xdot, f_c, f_e, b, floor)
 
         tick = ControlTick(k, t, region.name, alpha, f_des, f_c, f_e, b, p_ext,

@@ -63,12 +63,9 @@ def _symbolic_arm():
 class ArmOracle:
     """Lambdified symbolic dynamics for a planar 2R arm with rod links."""
 
-    def __init__(self, l1=0.5, l2=0.5, m1=4.0, m2=4.0,
-                 inertia1=None, inertia2=None, gravity=9.81):
-        self.params = (l1, l2, m1, m2,
-                       m1 * l1 ** 2 / 12.0 if inertia1 is None else inertia1,
-                       m2 * l2 ** 2 / 12.0 if inertia2 is None else inertia2,
-                       gravity)
+    def __init__(self, l1=0.5, l2=0.5, m1=4.0, m2=4.0):
+        # uniform rods under standard gravity, as PlanarArm assumes
+        self.params = (l1, l2, m1, m2, m1 * l1 ** 2 / 12.0, m2 * l2 ** 2 / 12.0, 9.81)
         self._f = _symbolic_arm()
 
     def mass(self, q):

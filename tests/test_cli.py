@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -116,6 +117,11 @@ def test_removed_keys_rejected(tmp_path, capsys):
         doc = _doc()
         doc["controller"][key] = 1e-3
         cases.append(("controller", key, doc))
+    # the arm's links are uniform rods under standard gravity
+    for key in ("gravity", "inertia1", "inertia2"):
+        arm = {"type": "planar_arm", "l1": 0.5, "l2": 0.5, "m1": 4.0, "m2": 4.0,
+               "q0": [0.3, 1.2], "qd0": [0.0, 0.0], key: 1.0}
+        cases.append(("plant", key, _doc(plant=arm)))
     for path, key, doc in cases:
         assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -263,8 +269,11 @@ def test_non_finite_command_is_an_integration_fault(tmp_path, capsys, caplog):
     # every number is finite, but the PD force overflows on the first cycle
     doc = _replica(lambda doc: doc["controller"].update(kp=[1e308, 1e308]))
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["run", _write(tmp_path, doc), "--out", str(out)])
+    # the fault line explains the end of the run; numpy adds nothing to it
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert rc == EXIT_FAULT
     assert "FAULT (integration) after 1 cycles" in capsys.readouterr().err
     assert "integration fault at cycle 0: wrench entries must be finite" in caplog.text
@@ -339,6 +348,13 @@ def test_iso_rejects_bad_sweeps(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""  # no CSV header before the error
         assert "--sweep-mr needs finite" in captured.err
+    # finite bounds whose point count overflows, or is merely huge, are refused
+    # before anything is allocated
+    for sweep in ("1:1e300:1e-300", "1:1e9:1e-3"):
+        assert main(base + ["--sweep-mr", sweep]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sweep-mr gives more than 1000000 points" in captured.err
 
 
 def test_iso_rejects_nonphysical_region(capsys):

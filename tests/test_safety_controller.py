@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pfltank.energy_tank import FLOOR_TOL, make_tank
+from pfltank import safety_controller
+from pfltank.energy_tank import FLOOR_TOL, commit_step, make_tank
 from pfltank.errors import ConfigError, EmergencyFault
 from pfltank.iso15066 import BUILTIN_REGIONS, BodyRegion, max_energy
 from pfltank.safety_controller import (
@@ -21,8 +22,9 @@ from oracles import alpha_oracle, projection_oracle
 
 
 def _schedule(*pairs):
-    return RegionSchedule.from_pairs(
-        [(t, BodyRegion(name=name, e_max_override=e)) for t, name, e in pairs])
+    return RegionSchedule(tuple(t for t, _, _ in pairs),
+                          tuple(BodyRegion(name=name, e_max_override=e)
+                                for _, name, e in pairs))
 
 
 # -- command scaling --------------------------------------------------------------
@@ -125,14 +127,11 @@ def test_gains_validation():
 
 def test_schedule_validation():
     with pytest.raises(ConfigError):
-        RegionSchedule.from_pairs([])
-    with pytest.raises(ConfigError):
         _schedule((1.0, "late", 1.0))
     with pytest.raises(ConfigError):
         _schedule((0.0, "a", 1.0), (0.0, "b", 2.0))
     with pytest.raises(ConfigError):
-        RegionSchedule.from_pairs([(0.0, "not-a-region")])
-    # the constructor makes the same checks as from_pairs, plus equal lengths
+        RegionSchedule((0.0,), ("not-a-region",))
     chest = BUILTIN_REGIONS["chest"]
     with pytest.raises(ConfigError, match="first schedule entry must be at t = 0"):
         RegionSchedule((0.5,), (chest,))
@@ -146,8 +145,7 @@ def test_schedule_derives_its_budgets():
     chest, shoulders = BUILTIN_REGIONS["chest"], BUILTIN_REGIONS["shoulders"]
     sched = RegionSchedule((0.0,), (chest,))
     assert sched.energies == (max_energy(chest),)
-    assert RegionSchedule.from_pairs([(0, chest), (4, shoulders)]) == RegionSchedule(
-        (0.0, 4.0), (chest, shoulders))
+    assert RegionSchedule([0, 4], [chest, shoulders]).times == (0.0, 4.0)
     # a budget is not a constructor argument, so it cannot contradict its region
     with pytest.raises(TypeError):
         RegionSchedule((0.0,), (chest,), (100.0,))
@@ -185,6 +183,21 @@ def _controller(t_initial=1.0, e_max=0.5, kp=2.0, kd=0.0, target=1.0, tau=0.01,
 def _obs(x, xdot, f_e=0.0):
     return PlantObservation(x=np.array([float(x)]), xdot=np.array([float(xdot)]),
                             f_e=np.array([float(f_e)]))
+
+
+def test_commit_floor_is_the_margin_below_epsilon(monkeypatch):
+    # commit_step applies FLOOR_TOL itself, so the controller must not
+    floors = []
+
+    def spy(*args, floor=None, **kwargs):
+        floors.append(floor)
+        return commit_step(*args, floor=floor, **kwargs)
+
+    monkeypatch.setattr(safety_controller, "commit_step", spy)
+    ctl = _controller()
+    ctl.control_cycle(_obs(0.0, 0.3))
+    ctl.control_cycle(_obs(0.0, 0.3))
+    assert floors == [ctl.tank.epsilon - FEASIBILITY_MARGIN]
 
 
 def test_cycle_sign_convention_and_tick_fields():

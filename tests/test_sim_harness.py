@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pfltank import sim_harness
+from pfltank.energy_tank import make_tank
 from pfltank.errors import ConfigError, DomainError
 from pfltank.iso15066 import BodyRegion, RobotMassSpec, v_max
 from pfltank.robot_dynamics import CartesianPlant, PlanarArm
@@ -27,7 +28,8 @@ def _region(name, e):
 
 
 def _schedule(*pairs):
-    return RegionSchedule.from_pairs([(t, _region(n, e)) for t, n, e in pairs])
+    return RegionSchedule(tuple(t for t, _, _ in pairs),
+                          tuple(_region(n, e) for _, n, e in pairs))
 
 
 def _cart_scenario(**over):
@@ -62,6 +64,35 @@ def test_wrench_overlaps_add_and_windows_are_half_open():
 def test_wrench_segment_rejects_empty_window():
     with pytest.raises(ConfigError):
         WrenchSegment(1.0, 1.0, (0.0,))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: PdGains(kp=(_NAN,), kd=(1.0,), target=(0.0,)), ConfigError),
+    (lambda: PdGains(kp=(1.0,), kd=(_INF,), target=(0.0,)), ConfigError),
+    (lambda: PdGains(kp=(1.0,), kd=(1.0,), target=(_INF,)), ConfigError),
+    (lambda: WrenchSegment(0.0, 1.0, (_NAN,)), ConfigError),
+    (lambda: CartesianPlant((_INF,), (0.0,), (0.0,)), DomainError),
+    (lambda: CartesianPlant((_NAN,), (0.0,), (0.0,)), DomainError),
+    (lambda: CartesianPlant((2.0,), (_NAN,), (0.0,)), DomainError),
+    (lambda: CartesianPlant((2.0,), (0.0,), (_INF,)), DomainError),
+    (lambda: PlanarArm(l1=_INF), DomainError),
+    (lambda: PlanarArm(l2=_NAN), DomainError),
+    (lambda: PlanarArm(m1=_INF), DomainError),
+    (lambda: PlanarArm(m2=_NAN), DomainError),
+    (lambda: PlanarArm(q0=(_NAN, 0.0)), DomainError),
+    (lambda: PlanarArm(qdot0=(0.0, _INF)), DomainError),
+    (lambda: make_tank(_INF, 1.0), ConfigError),
+], ids=["kp_nan", "kd_inf", "target_inf", "force_nan", "inertia_inf", "inertia_nan",
+        "x0_nan", "xdot0_inf", "l1_inf", "l2_nan", "m1_inf", "m2_nan", "q0_nan",
+        "qdot0_inf", "t_initial_inf"])
+def test_constructors_reject_non_finite_values(build, error):
+    # refused where they enter, with a message that names the cause, instead
+    # of a fault at cycle 0 or a misleading error further down
+    with pytest.raises(error, match="finite"):
+        build()
 
 
 # -- scenario plumbing ---------------------------------------------------------
@@ -277,7 +308,7 @@ def test_iso_comparison_attaches_only_where_data_exists():
     chest = BodyRegion(name="chest", f_max=140.0, k=25000.0, m_h=40.0,
                        e_max_override=1.6)
     scenario = _cart_scenario(
-        schedule=RegionSchedule.from_pairs([(0.0, chest)]),
+        schedule=RegionSchedule((0.0,), (chest,)),
         gains=PdGains(kp=(0.0,), kd=(0.0,), target=(0.0,)),
         duration=0.05,
         iso_mass=RobotMassSpec(moving_mass=16.0))
