@@ -3,8 +3,8 @@
 The package wires three layers together: ISO/TS 15066 body-region limit
 tables (:mod:`pfltank.iso15066`), a modulated energy tank with a time-varying
 floor (:mod:`pfltank.energy_tank`), and a passivity-preserving command filter
-(:mod:`pfltank.safety_controller`) that scales or projects the task force so
-the manipulator's kinetic energy can never outrun the active limit.
+(:mod:`pfltank.safety_controller`) that scales the task force so the
+manipulator's kinetic energy can never outrun the active limit.
 :mod:`pfltank.sim_harness` closes the loop against either a constant-inertia
 Cartesian plant or a planar two-link arm and emits verifiable per-cycle logs.
 """
@@ -26,7 +26,6 @@ from .energy_tank import (
     commit_step,
     damper_coefficient,
     make_tank,
-    set_lower_bound,
 )
 from .robot_dynamics import CartesianPlant, PlanarArm, PlantState, WrenchInput
 from .safety_controller import (
@@ -36,7 +35,6 @@ from .safety_controller import (
     RegionSchedule,
     SafetyController,
     pd_force,
-    project_halfspace,
     solve_alpha,
 )
 from .sim_harness import (
@@ -83,12 +81,10 @@ __all__ = [
     "make_tank",
     "max_energy",
     "pd_force",
-    "project_halfspace",
     "read_ticks_csv",
     "reduced_mass",
     "robot_effective_mass",
     "run",
-    "set_lower_bound",
     "solve_alpha",
     "summarize",
     "v_max",

@@ -47,6 +47,10 @@ EXIT_CONFIG = 3
 
 MAX_SWEEP_POINTS = 1_000_000
 
+#: N/m per unit of contact stiffness, for the scenario's stiffness_unit and
+#: iso's --k-unit.
+STIFFNESS_UNITS = {"N/m": 1.0, "N/mm": 1000.0}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad arguments, which collides with the fault
@@ -58,10 +62,13 @@ class _Parser(argparse.ArgumentParser):
 
 # -- scenario document --------------------------------------------------------
 
-def _check_keys(mapping: dict, allowed: set, path: str):
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
+def _mapping(value, path: str, keys: set | None = None) -> dict:
+    """``value``, checked to be a JSON object with no keys outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    if keys is not None and not keys.issuperset(value):
+        raise ConfigError(f"{path}: unknown keys {sorted(set(value) - keys)}")
+    return value
 
 
 @contextmanager
@@ -98,20 +105,15 @@ def _vector(value, path: str, length: int | None = None) -> tuple:
 
 
 def _region_from_config(name: str, cfg, path: str) -> BodyRegion:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    _check_keys(cfg, {"f_max", "k", "stiffness_unit", "m_h",
-                      "transient_multiplier", "e_max_override"}, path)
+    _mapping(cfg, path, {"f_max", "k", "stiffness_unit", "m_h",
+                         "transient_multiplier", "e_max_override"})
     k = None
     if "k" in cfg:
         unit = _need(cfg, "stiffness_unit", path)
-        if unit == "N/m":
-            factor = 1.0
-        elif unit == "N/mm":
-            factor = 1000.0
-        else:
-            raise ConfigError(f"{path}.stiffness_unit: expected 'N/m' or 'N/mm', got {unit!r}")
-        k = _number(cfg["k"], f"{path}.k") * factor
+        if not isinstance(unit, str) or unit not in STIFFNESS_UNITS:
+            raise ConfigError(f"{path}.stiffness_unit: expected "
+                              f"{' or '.join(map(repr, STIFFNESS_UNITS))}, got {unit!r}")
+        k = _number(cfg["k"], f"{path}.k") * STIFFNESS_UNITS[unit]
     elif "stiffness_unit" in cfg:
         raise ConfigError(f"{path}: stiffness_unit given without k")
     kwargs = {}
@@ -124,11 +126,9 @@ def _region_from_config(name: str, cfg, path: str) -> BodyRegion:
 
 def _plant_from_config(cfg, path: str):
     """The plant at its initial state; the constructors check the values."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    kind = _need(cfg, "type", path)
+    kind = _need(_mapping(cfg, path), "type", path)
     if kind == "cartesian":
-        _check_keys(cfg, {"type", "inertia", "x0", "v0"}, path)
+        _mapping(cfg, path, {"type", "inertia", "x0", "v0"})
         rows = _need(cfg, "inertia", path)
         if not isinstance(rows, list) or not rows:
             raise ConfigError(f"{path}.inertia: expected a list of rows")
@@ -139,7 +139,7 @@ def _plant_from_config(cfg, path: str):
         with _at(path):
             return CartesianPlant(*args)
     if kind == "planar_arm":
-        _check_keys(cfg, {"type", "l1", "l2", "m1", "m2", "q0", "qd0"}, path)
+        _mapping(cfg, path, {"type", "l1", "l2", "m1", "m2", "q0", "qd0"})
         args = [_number(_need(cfg, key, path), f"{path}.{key}")
                 for key in ("l1", "l2", "m1", "m2")]
         args += [_vector(_need(cfg, "q0", path), f"{path}.q0"),
@@ -153,20 +153,17 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     """Build a Scenario from a parsed JSON document, validating strictly."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
-    _check_keys(doc, {"name", "plant", "controller", "regions", "schedule",
-                      "tank", "wrench_script", "tau", "duration",
-                      "iso_comparison"}, "scenario")
+    _mapping(doc, "scenario", {"name", "plant", "controller", "regions", "schedule",
+                               "tank", "wrench_script", "tau", "duration",
+                               "iso_comparison"})
     name = doc.get("name", fallback_name)
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario.name: expected a non-empty string")
 
     plant = _plant_from_config(_need(doc, "plant", "scenario"), "plant")
 
-    ctl = _need(doc, "controller", "scenario")
-    if not isinstance(ctl, dict):
-        raise ConfigError("controller: expected a mapping")
-    _check_keys(ctl, {"kp", "kd", "target", "feasibility_margin", "damper_band"},
-                "controller")
+    ctl = _mapping(_need(doc, "controller", "scenario"), "controller",
+                   {"kp", "kd", "target", "feasibility_margin", "damper_band"})
     kp = _vector(_need(ctl, "kp", "controller"), "controller.kp")
     kd = _vector(_need(ctl, "kd", "controller"), "controller.kd")
     target = _vector(_need(ctl, "target", "controller"), "controller.target")
@@ -190,11 +187,9 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     times, scheduled = [], []
     for i, entry in enumerate(sched_doc):
         path = f"schedule[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected a mapping")
-        _check_keys(entry, {"t", "region"}, path)
+        _mapping(entry, path, {"t", "region"})
         rname = _need(entry, "region", path)
-        if rname not in regions:
+        if not isinstance(rname, str) or rname not in regions:
             raise ConfigError(f"{path}.region: {rname!r} is not defined under regions")
         times.append(_number(_need(entry, "t", path), f"{path}.t"))
         scheduled.append(regions[rname])
@@ -204,9 +199,7 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     wrench = []
     for i, entry in enumerate(doc.get("wrench_script", [])):
         path = f"wrench_script[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected a mapping")
-        _check_keys(entry, {"t_start", "t_end", "force"}, path)
+        _mapping(entry, path, {"t_start", "t_end", "force"})
         t_start = _number(_need(entry, "t_start", path), f"{path}.t_start")
         t_end = _number(_need(entry, "t_end", path), f"{path}.t_end")
         force = _vector(_need(entry, "force", path), f"{path}.force")
@@ -216,10 +209,8 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     tau = _number(_need(doc, "tau", "scenario"), "tau")
     duration = _number(_need(doc, "duration", "scenario"), "duration")
 
-    tank_doc = _need(doc, "tank", "scenario")
-    if not isinstance(tank_doc, dict):
-        raise ConfigError("tank: expected a mapping")
-    _check_keys(tank_doc, {"t_initial", "epsilon_initial"}, "tank")
+    tank_doc = _mapping(_need(doc, "tank", "scenario"), "tank",
+                        {"t_initial", "epsilon_initial"})
     if ("t_initial" in tank_doc) == ("epsilon_initial" in tank_doc):
         raise ConfigError("tank: give exactly one of t_initial or epsilon_initial")
     if "t_initial" in tank_doc:
@@ -232,10 +223,8 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
 
     iso_mass = None
     if "iso_comparison" in doc:
-        iso_doc = doc["iso_comparison"]
-        if not isinstance(iso_doc, dict):
-            raise ConfigError("iso_comparison: expected a mapping")
-        _check_keys(iso_doc, {"moving_mass", "payload"}, "iso_comparison")
+        iso_doc = _mapping(doc["iso_comparison"], "iso_comparison",
+                           {"moving_mass", "payload"})
         moving_mass = _number(_need(iso_doc, "moving_mass", "iso_comparison"),
                               "iso_comparison.moving_mass")
         payload = _number(iso_doc.get("payload", 0.0), "iso_comparison.payload")
@@ -327,9 +316,9 @@ def _parse_sweep(text: str) -> np.ndarray:
 
 
 def cmd_iso(args) -> int:
-    unit_factor = 1000.0 if args.k_unit == "N/mm" else 1.0
-    region = BodyRegion(name="cli", f_max=args.fmax, k=args.k * unit_factor,
-                        m_h=args.mh, transient_multiplier=args.transient_mult)
+    k = args.k * STIFFNESS_UNITS[args.k_unit]
+    region = BodyRegion(name="cli", f_max=args.fmax, k=k, m_h=args.mh,
+                        transient_multiplier=args.transient_mult)
     e_max = max_energy(region)
     if args.sweep_mr is not None:
         masses = _parse_sweep(args.sweep_mr)
@@ -379,7 +368,7 @@ def _build_parser() -> _Parser:
     p_iso = sub.add_parser("iso", help="print PFL limit quantities for one region")
     p_iso.add_argument("--fmax", type=float, required=True, help="quasi-static force limit, N")
     p_iso.add_argument("--k", type=float, required=True, help="contact spring constant")
-    p_iso.add_argument("--k-unit", choices=["N/m", "N/mm"], required=True,
+    p_iso.add_argument("--k-unit", choices=list(STIFFNESS_UNITS), required=True,
                        help="unit of --k")
     p_iso.add_argument("--mh", type=float, required=True, help="body-part mass, kg")
     p_iso.add_argument("--mr", type=float, default=None, help="robot effective mass, kg")

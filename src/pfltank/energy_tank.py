@@ -12,7 +12,7 @@ tightens the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError, EmergencyFault
 
@@ -21,7 +21,6 @@ __all__ = [
     "make_tank",
     "damper_coefficient",
     "commit_step",
-    "set_lower_bound",
 ]
 
 #: Committed tank energy may sit below the floor by at most this much.
@@ -40,8 +39,8 @@ class TankState:
 
     t_initial and h_initial are the energies at run start; they pin both the
     capacity (t_initial + h_initial, the most the tank can ever legitimately
-    hold) and the bound arithmetic in set_lower_bound.  ``discarded``
-    accumulates surplus dumped at the capacity so the ledger stays exact.
+    hold) and the floor each body region implies.  ``discarded`` accumulates
+    surplus dumped at the capacity so the ledger stays exact.
     """
 
     x_t: float
@@ -122,20 +121,3 @@ def commit_step(state: TankState, p_task: float, f_e, xdot, b: float,
     return TankState(math.sqrt(2.0 * t_new), state.epsilon, state.t_initial,
                      state.h_initial, state.discarded + discard)
 
-
-def set_lower_bound(state: TankState, h_bound: float) -> TankState:
-    """Retarget the floor so the robot may acquire at most h_bound of kinetic
-    energy: epsilon' = t_initial - h_bound + h_initial.
-
-    Takes effect immediately even if the current energy sits below the new
-    floor; the optimizer then only admits replenishing commands until the
-    deficit is worked off.
-    """
-    if not h_bound > 0:
-        raise ConfigError(f"energy bound must be positive, got {h_bound!r}")
-    eps_new = state.t_initial - h_bound + state.h_initial
-    if eps_new < EPSILON_MIN:
-        raise ConfigError(
-            f"bound {h_bound!r} J needs epsilon = {eps_new!r} J, under the "
-            f"minimum {EPSILON_MIN!r} J; start with a larger tank")
-    return replace(state, epsilon=eps_new)

@@ -29,7 +29,6 @@ __all__ = [
     "WrenchInput",
     "CartesianPlant",
     "PlanarArm",
-    "power_balance_residual",
 ]
 
 #: Gravitational acceleration on the arm, m/s^2.

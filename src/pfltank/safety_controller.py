@@ -23,18 +23,18 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .energy_tank import (
     DAMPER_BAND,
+    EPSILON_MIN,
     FLOOR_TOL,
     V_FLOOR,
     TankState,
     commit_step,
     damper_coefficient,
-    set_lower_bound,
 )
 from .errors import ConfigError, EmergencyFault
 from .iso15066 import BodyRegion, max_energy
@@ -47,7 +47,6 @@ __all__ = [
     "SafetyController",
     "pd_force",
     "solve_alpha",
-    "project_halfspace",
     "supervise",
 ]
 
@@ -174,16 +173,31 @@ class RegionSchedule:
         idx = bisect.bisect_right(self.times, time + slack) - 1
         return max(idx, 0)
 
+    def floors(self, t_initial: float, h_initial: float) -> tuple:
+        """The tank floor each region implies for a tank that started with
+        t_initial and a robot that started with h_initial of kinetic energy.
+        Raises ConfigError, naming the region, for a floor under EPSILON_MIN."""
+        floors = []
+        for region, energy in zip(self.regions, self.energies):
+            eps = t_initial - energy + h_initial
+            if eps < EPSILON_MIN:
+                raise ConfigError(
+                    f"region {region.name!r} needs {energy!r} J of budget but the tank "
+                    f"holds {t_initial!r} J; floor would be {eps!r} J, "
+                    f"under the minimum {EPSILON_MIN!r} J")
+            floors.append(eps)
+        return tuple(floors)
 
-def supervise(schedule: RegionSchedule, time: float, tank: TankState, *,
-              time_slack: float = 0.0) -> TankState:
-    """Retarget the tank floor whenever the scheduled region changed."""
-    idx = schedule.active_index(time, time_slack)
-    h_bound = schedule.energies[idx]
-    expected = tank.t_initial - h_bound + tank.h_initial
-    if expected == tank.epsilon:
+
+def supervise(floors: tuple, idx: int, tank: TankState) -> TankState:
+    """Retarget the tank floor to ``floors[idx]``; the same tank when it is
+    already there.  A floor above the tank's energy takes effect at once: the
+    controller then admits only replenishing commands until the deficit is
+    worked off."""
+    eps = floors[idx]
+    if eps == tank.epsilon:
         return tank
-    return set_lower_bound(tank, h_bound)
+    return replace(tank, epsilon=eps)
 
 
 @dataclass(slots=True)
@@ -191,7 +205,7 @@ class ControlTick:
     """One cycle's record, in the column order of the CSV log.
 
     tank_T is the committed energy the cycle's decision used; h_est is the
-    ledger-implied kinetic energy t_initial + h_initial - tank_T. h_truth is
+    ledger-implied kinetic energy, the tank's capacity minus tank_T. h_truth is
     carried along for logging only and never read by the controller.
     """
 
@@ -216,7 +230,9 @@ class SafetyController:
     """Stateful per-cycle controller: supervise, damp, scale, account.
 
     Owns the tank.  Reads only PlantObservation fields, never the plant; the
-    kinetic-energy estimate it logs comes from the tank ledger alone.
+    kinetic-energy estimate it logs comes from the tank ledger alone.  Every
+    scheduled region's floor is derived and checked when the controller is
+    built, so a cycle only picks one.
     """
 
     def __init__(self, gains: PdGains, schedule: RegionSchedule, tank: TankState,
@@ -234,6 +250,7 @@ class SafetyController:
         self.tau = float(tau)
         self.feasibility_margin = float(feasibility_margin)
         self.damper_band = float(damper_band)
+        self._floors = schedule.floors(tank.t_initial, tank.h_initial)
         # the last cycle's (xdot, f_c, f_e, b, floor), booked once the next
         # velocity sample exists
         self._pending: tuple | None = None
@@ -270,9 +287,8 @@ class SafetyController:
         # then let the schedule move the floor for this cycle
         if self._pending is not None:
             self._commit_pending(xdot)
-        slack = 0.5 * tau
-        self.tank = tank = supervise(self.schedule, t, self.tank, time_slack=slack)
-        region = self.schedule.regions[self.schedule.active_index(t, slack)]
+        idx = self.schedule.active_index(t, 0.5 * tau)
+        self.tank = tank = supervise(self._floors, idx, self.tank)
 
         t_now = tank.energy
         eps = tank.epsilon
@@ -299,8 +315,8 @@ class SafetyController:
         floor = None if self._deficit else eps - self.feasibility_margin
         self._pending = (xdot, f_c, f_e, b, floor)
 
-        tick = ControlTick(k, t, region.name, alpha, f_des, f_c, f_e, b, p_ext,
-                           t_now, eps, tank.t_initial + tank.h_initial - t_now,
+        tick = ControlTick(k, t, self.schedule.regions[idx].name, alpha, f_des, f_c,
+                           f_e, b, p_ext, t_now, eps, tank.capacity - t_now,
                            float(h_truth), obs.x, xdot)
         self._k = k + 1
         return f_c + b * xdot, tick

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy_tank import DAMPER_BAND, EPSILON_MIN, make_tank
+from .energy_tank import DAMPER_BAND, make_tank
 from .errors import ConfigError, DomainError, EmergencyFault, IntegrationFault
 from .iso15066 import RobotMassSpec, robot_effective_mass, v_max
 from .robot_dynamics import CartesianPlant, PlanarArm, PlantState, WrenchInput
@@ -132,16 +132,7 @@ def wrench_at(script, t: float, m: int, slack: float = 0.0) -> np.ndarray:
 
 def initial_epsilons(scenario: Scenario, h_initial: float) -> list[float]:
     """Floor value each scheduled region implies; validates them all."""
-    floors = []
-    for region, energy in zip(scenario.schedule.regions, scenario.schedule.energies):
-        eps = scenario.t_initial - energy + h_initial
-        if eps < EPSILON_MIN:
-            raise ConfigError(
-                f"region {region.name!r} needs {energy!r} J of budget but the tank "
-                f"holds {scenario.t_initial!r} J; floor would be {eps!r} J, "
-                f"under the minimum {EPSILON_MIN!r} J")
-        floors.append(eps)
-    return floors
+    return list(scenario.schedule.floors(scenario.t_initial, h_initial))
 
 
 def _start(scenario: Scenario):

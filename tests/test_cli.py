@@ -74,6 +74,10 @@ def test_schedule_must_reference_defined_regions(tmp_path, capsys):
     doc = _doc(schedule=[{"t": 0.0, "region": "ghost"}])
     assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
     assert "'ghost' is not defined" in capsys.readouterr().err
+    # a JSON list is no region name (and cannot be looked up as one)
+    doc = _doc(schedule=[{"t": 0.0, "region": ["zone"]}])
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
+    assert "['zone'] is not defined" in capsys.readouterr().err
 
 
 def test_tank_takes_exactly_one_sizing_key(tmp_path, capsys):
@@ -97,6 +101,15 @@ def test_stiffness_unit_is_required_with_k(tmp_path, capsys):
     doc = _doc(regions={"zone": {"f_max": 140.0, "k": 25.0, "m_h": 40.0}})
     assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
     assert "stiffness_unit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unit", ["N/cm", ["N/m"]], ids=["other_unit", "list"])
+def test_stiffness_unit_must_be_known(tmp_path, capsys, unit):
+    doc = _doc(regions={"zone": {"f_max": 140.0, "k": 25.0, "stiffness_unit": unit,
+                                 "m_h": 40.0}})
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
+    assert (f"regions.zone.stiffness_unit: expected 'N/m' or 'N/mm', got {unit!r}\n"
+            in capsys.readouterr().err)
 
 
 def test_stiffness_unit_conversion(tmp_path):
@@ -126,6 +139,41 @@ def test_removed_keys_rejected(tmp_path, capsys):
         assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{path}: unknown keys ['{key}']" in err
+
+
+# every JSON object of the document, and how to put a value at its path
+MAPPING_SITES = {
+    "regions.zone": lambda doc, v: doc["regions"].update(zone=v),
+    "plant": lambda doc, v: doc.update(plant=v),
+    "controller": lambda doc, v: doc.update(controller=v),
+    "schedule[0]": lambda doc, v: doc.update(schedule=[v]),
+    "wrench_script[0]": lambda doc, v: doc.update(wrench_script=[v]),
+    "tank": lambda doc, v: doc.update(tank=v),
+    "iso_comparison": lambda doc, v: doc.update(iso_comparison=v),
+}
+
+
+@pytest.mark.parametrize("path", list(MAPPING_SITES))
+def test_non_mappings_rejected(tmp_path, capsys, path):
+    doc = _doc()
+    MAPPING_SITES[path](doc, [1.0])
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
+    assert f"scenario.json: {path}: expected a mapping\n" in capsys.readouterr().err
+
+
+# scenario, controller and plant are covered by test_removed_keys_rejected
+@pytest.mark.parametrize("path, value", [
+    ("regions.zone", {"e_max_override": 0.5, "bogus": 1}),
+    ("schedule[0]", {"t": 0.0, "region": "zone", "bogus": 1}),
+    ("wrench_script[0]", {"t_start": 0.0, "t_end": 0.1, "force": [1.0], "bogus": 1}),
+    ("tank", {"t_initial": 2.0, "bogus": 1}),
+    ("iso_comparison", {"moving_mass": 8.0, "bogus": 1}),
+])
+def test_unknown_keys_rejected(tmp_path, capsys, path, value):
+    doc = _doc()
+    MAPPING_SITES[path](doc, value)
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
+    assert f"scenario.json: {path}: unknown keys ['bogus']\n" in capsys.readouterr().err
 
 
 NON_FINITE_SITES = {
@@ -237,6 +285,22 @@ def test_run_writes_log_and_summary(tmp_path, capsys):
     assert summary["scenario"] == "push_at_floor"
     assert summary["n_ticks"] == 500
     assert summary["fault"] is None
+
+
+def test_zero_budget_later_region_runs_in_deficit(tmp_path, capsys):
+    # the second region's budget underflows to 0 J: its floor is the tank's
+    # capacity, a tightening switch like any other
+    doc = _doc(regions={"zone": {"e_max_override": 0.5},
+                        "zero": {"f_max": 1e-170, "k": 1, "stiffness_unit": "N/m"}},
+               schedule=[{"t": 0.0, "region": "zone"}, {"t": 0.5, "region": "zero"}],
+               duration=0.6)
+    path = _write(tmp_path, doc)
+    assert main(["validate", path]) == EXIT_OK
+    assert main(["run", path, "--out", str(tmp_path)]) == EXIT_OK
+    assert len((tmp_path / "ticks.csv").read_text().splitlines()) == 601
+    segments = json.loads((tmp_path / "summary.json").read_text())["segments"]
+    assert [seg["region"] for seg in segments] == ["zone", "zero"]
+    assert segments[1]["energy_bound"] == 0.0
 
 
 def test_overrides_change_the_cycle_count(tmp_path):

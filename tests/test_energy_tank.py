@@ -5,13 +5,11 @@ import pytest
 
 from pfltank.energy_tank import (
     DAMPER_BAND,
-    EPSILON_MIN,
     FLOOR_TOL,
     TankState,
     commit_step,
     damper_coefficient,
     make_tank,
-    set_lower_bound,
 )
 from pfltank.errors import ConfigError, EmergencyFault
 
@@ -127,35 +125,6 @@ def test_damper_cancels_injection_exactly():
     assert -(f_e @ xdot) + b * (xdot @ xdot) == pytest.approx(0.0, abs=1e-15)
     new = commit_step(tank, 0.0, f_e, xdot, b, tau=1e-3, floor=tank.epsilon)
     assert new.energy == pytest.approx(tank.energy, abs=1e-15)
-
-
-def test_set_lower_bound_arithmetic():
-    tank = make_tank(5.0, 3.4)
-    assert set_lower_bound(tank, 1.6).epsilon + 1.6 == 5.0
-    assert set_lower_bound(tank, 2.5).epsilon == pytest.approx(2.5)
-    # a plant that starts moving contributes its kinetic energy to the budget
-    rolling = make_tank(5.0, 3.4, h_initial=0.5)
-    assert set_lower_bound(rolling, 1.6).epsilon == pytest.approx(3.9)
-
-
-def test_set_lower_bound_takes_effect_in_deficit():
-    tank = make_tank(3.0, 0.5)
-    drained = commit_step(tank, p_task=-250.0, f_e=np.zeros(1),
-                          xdot=np.zeros(1), b=0.0, tau=0.01)
-    assert drained.energy == pytest.approx(0.5)
-    raised = set_lower_bound(drained, 1.6)  # floor 1.4 above current energy
-    assert raised.epsilon == pytest.approx(1.4)
-    assert raised.energy < raised.epsilon  # legal snapshot, handled upstream
-
-
-def test_set_lower_bound_rejects_unreachable_floor():
-    tank = make_tank(5.0, 3.4)
-    with pytest.raises(ConfigError):
-        set_lower_bound(tank, 5.0 + EPSILON_MIN / 2.0)
-    with pytest.raises(ConfigError):
-        set_lower_bound(tank, -1.0)
-    # exactly at the minimum is allowed
-    assert set_lower_bound(tank, 5.0 - EPSILON_MIN).epsilon == pytest.approx(EPSILON_MIN)
 
 
 def test_floor_tolerance_is_tight():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pfltank import safety_controller
-from pfltank.energy_tank import FLOOR_TOL, commit_step, make_tank
+from pfltank.energy_tank import EPSILON_MIN, FLOOR_TOL, commit_step, make_tank
 from pfltank.errors import ConfigError, EmergencyFault
 from pfltank.iso15066 import BUILTIN_REGIONS, BodyRegion, max_energy
 from pfltank.safety_controller import (
@@ -164,10 +164,23 @@ def test_schedule_active_index_and_slack():
 def test_supervise_moves_floor_only_on_change():
     sched = _schedule((0.0, "a", 1.6), (4.0, "b", 2.5))
     tank = make_tank(5.0, 3.4)
-    same = supervise(sched, 1.0, tank)
+    floors = sched.floors(tank.t_initial, tank.h_initial)
+    same = supervise(floors, sched.active_index(1.0), tank)
     assert same is tank  # no churn inside a segment
-    moved = supervise(sched, 4.0, tank)
+    moved = supervise(floors, sched.active_index(4.0), tank)
     assert moved.epsilon == pytest.approx(2.5)
+
+
+def test_supervise_takes_effect_in_deficit():
+    sched = _schedule((0.0, "wide", 2.5), (1.0, "narrow", 1.6))
+    tank = make_tank(3.0, 0.5)
+    floors = sched.floors(tank.t_initial, tank.h_initial)
+    drained = commit_step(tank, p_task=-250.0, f_e=np.zeros(1),
+                          xdot=np.zeros(1), b=0.0, tau=0.01)
+    assert drained.energy == pytest.approx(0.5)
+    raised = supervise(floors, 1, drained)  # floor 1.4 above current energy
+    assert raised.epsilon == pytest.approx(1.4)
+    assert raised.energy < raised.epsilon  # legal snapshot, handled upstream
 
 
 # -- the per-cycle controller ------------------------------------------------------
@@ -318,6 +331,18 @@ def test_controller_sees_no_inertia():
     assert fields == {"x", "xdot", "f_e"}
     tick_fields = set(ControlTick.__dataclass_fields__)
     assert "inertia" not in tick_fields and "mass" not in tick_fields
+
+
+def test_unreachable_floor_is_refused_at_construction():
+    # the later region leaves 1.0 - 0.9995 = 0.0005 J in the tank, under
+    # EPSILON_MIN; it is refused before the first cycle, not at its switch
+    sched = _schedule((0.0, "wide", 0.5), (0.005, "tight", 0.9995))
+    gains = PdGains(kp=(2.0,), kd=(0.0,), target=(1.0,))
+    with pytest.raises(ConfigError, match="region 'tight' .* under the minimum"):
+        SafetyController(gains, sched, make_tank(1.0, 0.5), tau=1e-3)
+    # exactly at the minimum is allowed
+    assert _controller(t_initial=5.0, e_max=5.0 - EPSILON_MIN).tank.epsilon == \
+        pytest.approx(EPSILON_MIN)
 
 
 def test_controller_config_validation():
