@@ -11,11 +11,8 @@ Cartesian plant or a planar two-link arm and emits verifiable per-cycle logs.
 
 from .errors import ConfigError, DomainError, EmergencyFault, IntegrationFault
 from .iso15066 import (
-    BUILTIN_REGIONS,
     BodyRegion,
     RobotMassSpec,
-    apparent_mass,
-    endpoint_mobility,
     max_energy,
     reduced_mass,
     robot_effective_mass,
@@ -52,7 +49,6 @@ from .sim_harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_REGIONS",
     "BodyRegion",
     "CartesianPlant",
     "ConfigError",
@@ -74,10 +70,8 @@ __all__ = [
     "TankState",
     "WrenchInput",
     "WrenchSegment",
-    "apparent_mass",
     "commit_step",
     "damper_coefficient",
-    "endpoint_mobility",
     "make_tank",
     "max_energy",
     "pd_force",

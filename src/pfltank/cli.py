@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .energy_tank import DAMPER_BAND
 from .errors import ConfigError, DomainError
 from .iso15066 import (
     BodyRegion,
@@ -72,12 +73,13 @@ def _mapping(value, path: str, keys: set | None = None) -> dict:
 
 
 @contextmanager
-def _at(path: str):
-    """Prefix a constructor's ConfigError or DomainError with its document path."""
+def _at(path):
+    """Prefix a constructor's ConfigError or DomainError with its document
+    path, and turn a failure to read or write the file ``path`` into one."""
     try:
         yield
-    except (ConfigError, DomainError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except (ConfigError, DomainError, OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _need(mapping: dict, key: str, path: str):
@@ -163,14 +165,13 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     plant = _plant_from_config(_need(doc, "plant", "scenario"), "plant")
 
     ctl = _mapping(_need(doc, "controller", "scenario"), "controller",
-                   {"kp", "kd", "target", "feasibility_margin", "damper_band"})
+                   {"kp", "kd", "target", "damper_band"})
     kp = _vector(_need(ctl, "kp", "controller"), "controller.kp")
     kd = _vector(_need(ctl, "kd", "controller"), "controller.kd")
     target = _vector(_need(ctl, "target", "controller"), "controller.target")
     with _at("controller"):
         gains = PdGains(kp=kp, kd=kd, target=target)
-    knobs = {key: _number(ctl[key], f"controller.{key}")
-             for key in ("feasibility_margin", "damper_band") if key in ctl}
+    damper_band = _number(ctl.get("damper_band", DAMPER_BAND), "controller.damper_band")
 
     regions_doc = _need(doc, "regions", "scenario")
     if not isinstance(regions_doc, dict) or not regions_doc:
@@ -233,13 +234,14 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
 
     return Scenario(name=name, plant=plant, gains=gains, schedule=schedule,
                     t_initial=t_initial, wrench_script=tuple(wrench), tau=tau,
-                    duration=duration, iso_mass=iso_mass, **knobs)
+                    duration=duration, damper_band=damper_band, iso_mass=iso_mass)
 
 
 def _read_config_text(spec: str) -> tuple[str, str]:
     path = Path(spec)
     if path.exists():
-        return path.read_text(), str(path)
+        with _at(path):
+            return path.read_text(encoding="utf-8"), str(path)
     name = spec if spec.endswith(".json") else spec + ".json"
     res = resources.files(__package__).joinpath("scenarios", name)
     if res.is_file():
@@ -271,21 +273,23 @@ def cmd_run(args) -> int:
         scenario = replace(scenario, **overrides)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _at(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     log.info("running scenario %s (%d cycles)", scenario.name, scenario.n_cycles)
     result = run(scenario)
 
     ticks_path = out_dir / "ticks.csv"
     summary_path = out_dir / "summary.json"
     if result.ticks:
-        write_ticks_csv(ticks_path, result.ticks)
+        with _at(ticks_path):
+            write_ticks_csv(ticks_path, result.ticks)
     if result.summary is not None:
         payload = result.summary.to_dict()
     else:
         payload = {"scenario": scenario.name, "n_ticks": 0, "fault": result.fault}
     if result.discarded_energy:
         log.info("tank overflow discarded %.6g J", result.discarded_energy)
-    with open(summary_path, "w") as fh:
+    with _at(summary_path), open(summary_path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

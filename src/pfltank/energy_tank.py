@@ -6,7 +6,8 @@ commanded force), the external channel (work done by the environment,
 re-routed into the tank with opposite sign), and the emergency damper
 channel (always non-negative).  Its lower bound epsilon encodes how much
 kinetic energy the robot may still acquire; raising the bound immediately
-tightens the budget.
+tightens the budget.  make_tank checks the tank it builds; after that only
+commit_step's faults guard it.
 """
 
 from __future__ import annotations
@@ -37,44 +38,38 @@ EPSILON_MIN = 1e-3
 class TankState:
     """Immutable tank snapshot.
 
-    t_initial and h_initial are the energies at run start; they pin both the
-    capacity (t_initial + h_initial, the most the tank can ever legitimately
-    hold) and the floor each body region implies.  ``discarded`` accumulates
-    surplus dumped at the capacity so the ledger stays exact.
+    ``capacity`` is the run's total energy t_initial + h_initial, the most the
+    tank can ever legitimately hold; ``discarded`` accumulates surplus dumped
+    at the capacity so the ledger stays exact.  Build the first one with
+    make_tank, which checks it; commit_step builds the rest.
     """
 
     x_t: float
     epsilon: float
-    t_initial: float
-    h_initial: float
+    capacity: float
     discarded: float = 0.0
-
-    def __post_init__(self):
-        if not self.x_t > 0:
-            raise EmergencyFault(f"tank state is depleted (x_t = {self.x_t!r})")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.h_initial < 0:
-            raise ConfigError("initial kinetic energy cannot be negative")
 
     @property
     def energy(self) -> float:
         return 0.5 * self.x_t * self.x_t
 
-    @property
-    def capacity(self) -> float:
-        return self.t_initial + self.h_initial
-
 
 def make_tank(t_initial: float, epsilon: float, h_initial: float = 0.0) -> TankState:
+    """A tank charged with t_initial and floored at epsilon, for a robot that
+    starts with h_initial of kinetic energy; the one place a tank is checked."""
     if not 0 < t_initial < math.inf:
         raise ConfigError(
             f"initial tank energy must be positive and finite, got {t_initial!r}")
+    if not 0 <= h_initial < math.inf:
+        raise ConfigError(
+            f"initial kinetic energy must be non-negative and finite, got {h_initial!r}")
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon!r}")
     if epsilon > t_initial + FLOOR_TOL:
         raise ConfigError(
             f"initial tank energy {t_initial!r} is below the floor {epsilon!r}")
     return TankState(x_t=math.sqrt(2.0 * t_initial), epsilon=float(epsilon),
-                     t_initial=float(t_initial), h_initial=float(h_initial))
+                     capacity=float(t_initial) + float(h_initial))
 
 
 def damper_coefficient(p_in: float, speed_sq: float, state: TankState,
@@ -118,6 +113,6 @@ def commit_step(state: TankState, p_task: float, f_e, xdot, b: float,
             "the optimizer or the damper band is mis-sized")
     if t_new <= 0.0:
         raise EmergencyFault(f"tank depleted: committed energy {t_new!r}")
-    return TankState(math.sqrt(2.0 * t_new), state.epsilon, state.t_initial,
-                     state.h_initial, state.discarded + discard)
+    return TankState(math.sqrt(2.0 * t_new), state.epsilon, state.capacity,
+                     state.discarded + discard)
 

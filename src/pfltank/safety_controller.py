@@ -15,7 +15,7 @@ Discrete-time bookkeeping: the decision at cycle k uses the sampled
 velocity, but the actual energy exchanged over [k, k+1) is metered with the
 trapezoidal velocity once the next sample is available.  Committing the
 previous interval first keeps the ledger within O(tau^2) of the true work,
-which the sampled-velocity form cannot do.  A small feasibility margin on
+which the sampled-velocity form cannot do.  The fixed FEASIBILITY_MARGIN on
 the floor absorbs the half-step difference between the two velocities.
 """
 
@@ -35,6 +35,7 @@ from .energy_tank import (
     TankState,
     commit_step,
     damper_coefficient,
+    make_tank,
 )
 from .errors import ConfigError, EmergencyFault
 from .iso15066 import BodyRegion, max_energy
@@ -50,7 +51,7 @@ __all__ = [
     "supervise",
 ]
 
-#: Default slack added to the optimizer's floor so that the committed
+#: Slack (J) added to the optimizer's floor so that the committed
 #: (trapezoidal) energy cannot undershoot the real floor.
 FEASIBILITY_MARGIN = 5e-4
 
@@ -229,28 +230,26 @@ class ControlTick:
 class SafetyController:
     """Stateful per-cycle controller: supervise, damp, scale, account.
 
-    Owns the tank.  Reads only PlantObservation fields, never the plant; the
-    kinetic-energy estimate it logs comes from the tank ledger alone.  Every
-    scheduled region's floor is derived and checked when the controller is
-    built, so a cycle only picks one.
+    Owns the tank, charged with t_initial for a robot that starts with
+    h_initial of kinetic energy.  Reads only PlantObservation fields, never
+    the plant; the kinetic-energy estimate it logs comes from the tank ledger
+    alone.  Every scheduled region's floor is derived and checked when the
+    controller is built, so a cycle only picks one.
     """
 
-    def __init__(self, gains: PdGains, schedule: RegionSchedule, tank: TankState,
-                 tau: float, *, feasibility_margin: float = FEASIBILITY_MARGIN,
-                 damper_band: float = DAMPER_BAND):
+    def __init__(self, gains: PdGains, schedule: RegionSchedule, t_initial: float,
+                 h_initial: float, tau: float, *, damper_band: float = DAMPER_BAND):
         if not 0 < tau < math.inf:
             raise ConfigError(f"tau must be positive and finite, got {tau!r}")
-        for label, value in (("feasibility margin", feasibility_margin),
-                             ("damper band", damper_band)):
-            if not value >= 0:
-                raise ConfigError(f"{label} must be non-negative, got {value!r}")
+        if not 0 <= damper_band < math.inf:
+            raise ConfigError(
+                f"damper band must be non-negative and finite, got {damper_band!r}")
         self.gains = gains
         self.schedule = schedule
-        self.tank = tank
         self.tau = float(tau)
-        self.feasibility_margin = float(feasibility_margin)
         self.damper_band = float(damper_band)
-        self._floors = schedule.floors(tank.t_initial, tank.h_initial)
+        self._floors = schedule.floors(t_initial, h_initial)
+        self.tank = make_tank(t_initial, self._floors[0], h_initial)
         # the last cycle's (xdot, f_c, f_e, b, floor), booked once the next
         # velocity sample exists
         self._pending: tuple | None = None
@@ -309,10 +308,9 @@ class SafetyController:
                 f"(T = {t_now!r}, epsilon = {eps!r}, p_ext = {p_ext!r}); "
                 "the damper band is too narrow for this wrench")
 
-        alpha = solve_alpha(f_des, xdot, t_now, eps + self.feasibility_margin,
-                            tau, p_ext)
+        alpha = solve_alpha(f_des, xdot, t_now, eps + FEASIBILITY_MARGIN, tau, p_ext)
         f_c = alpha * f_des
-        floor = None if self._deficit else eps - self.feasibility_margin
+        floor = None if self._deficit else eps - FEASIBILITY_MARGIN
         self._pending = (xdot, f_c, f_e, b, floor)
 
         tick = ControlTick(k, t, self.schedule.regions[idx].name, alpha, f_des, f_c,

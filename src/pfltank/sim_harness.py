@@ -23,12 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy_tank import DAMPER_BAND, make_tank
+from .energy_tank import DAMPER_BAND
 from .errors import ConfigError, DomainError, EmergencyFault, IntegrationFault
 from .iso15066 import RobotMassSpec, robot_effective_mass, v_max
 from .robot_dynamics import CartesianPlant, PlanarArm, PlantState, WrenchInput
 from .safety_controller import (
-    FEASIBILITY_MARGIN,
     ControlTick,
     PdGains,
     PlantObservation,
@@ -89,7 +88,6 @@ class Scenario:
     wrench_script: tuple = ()
     tau: float = 1e-3
     duration: float = 10.0
-    feasibility_margin: float = FEASIBILITY_MARGIN
     damper_band: float = DAMPER_BAND
     iso_mass: RobotMassSpec | None = None
 
@@ -137,17 +135,13 @@ def initial_epsilons(scenario: Scenario, h_initial: float) -> list[float]:
 
 def _start(scenario: Scenario):
     """run()'s set-up: a copy of the plant, its initial state, and the
-    controller with a tank sized for every scheduled region's floor.  Raises
-    ConfigError where the scenario cannot start."""
+    controller, which sizes its tank for every scheduled region's floor.
+    Raises ConfigError where the scenario cannot start."""
     plant = copy.deepcopy(scenario.plant)
     state = plant.state()
-    h_initial = state.kinetic_energy_truth
-    floors = initial_epsilons(scenario, h_initial)
-    tank = make_tank(scenario.t_initial, floors[0], h_initial)
     controller = SafetyController(
-        scenario.gains, scenario.schedule, tank, scenario.tau,
-        feasibility_margin=scenario.feasibility_margin,
-        damper_band=scenario.damper_band)
+        scenario.gains, scenario.schedule, scenario.t_initial,
+        state.kinetic_energy_truth, scenario.tau, damper_band=scenario.damper_band)
     return plant, state, controller
 
 

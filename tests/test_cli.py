@@ -123,10 +123,11 @@ def test_stiffness_unit_conversion(tmp_path):
 
 
 def test_removed_keys_rejected(tmp_path, capsys):
-    # nothing is random, so there is no seed; v_floor and epsilon_min are the
-    # fixed constants V_FLOOR and EPSILON_MIN, not scenario settings
+    # nothing is random, so there is no seed; v_floor, epsilon_min and
+    # feasibility_margin are the fixed constants V_FLOOR, EPSILON_MIN and
+    # FEASIBILITY_MARGIN, not scenario settings
     cases = [("scenario", "seed", _doc(seed=0))]
-    for key in ("v_floor", "epsilon_min"):
+    for key in ("v_floor", "epsilon_min", "feasibility_margin"):
         doc = _doc()
         doc["controller"][key] = 1e-3
         cases.append(("controller", key, doc))
@@ -179,7 +180,6 @@ def test_unknown_keys_rejected(tmp_path, capsys, path, value):
 NON_FINITE_SITES = {
     "controller.kp": ("controller", "kp", 0),
     "controller.target": ("controller", "target", 0),
-    "controller.feasibility_margin": ("controller", "feasibility_margin"),
     "controller.damper_band": ("controller", "damper_band"),
     "plant.x0": ("plant", "x0", 0),
     "plant.inertia": ("plant", "inertia", 0, 0),
@@ -234,6 +234,7 @@ RUN_REJECTS = {
     "overflowing_cycle_count": lambda doc: doc.update(tau=1e-320),
     # 2 J of kinetic energy against the 1.6 J chest budget
     "start_over_budget": lambda doc: doc["plant"].update(v0=[1.0, 0.0]),
+    # a removed key, refused by both before anything runs
     "negative_feasibility_margin":
         lambda doc: doc["controller"].update(feasibility_margin=-1.0),
     "negative_damper_band": lambda doc: doc["controller"].update(damper_band=-1.0),
@@ -259,6 +260,32 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, case):
     assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == err
     assert not out.exists()
+
+
+# a file that cannot be read or written exits 3 naming it, not with a traceback
+def _config_is_a_directory(tmp):
+    return ["validate", str(tmp)], f"{tmp}: Is a directory"
+
+
+def _config_not_utf8(tmp):
+    path = tmp / "latin1.json"
+    path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    return ["validate", str(path)], f"{path}: 'utf-8' codec can't decode byte 0xe9"
+
+
+def _out_is_a_file(tmp):
+    out = tmp / "taken"
+    out.write_text("")
+    return (["run", "paper_replica", "--duration", "0.01", "--out", str(out)],
+            f"{out}: File exists")
+
+
+@pytest.mark.parametrize("case", [_config_is_a_directory, _config_not_utf8, _out_is_a_file],
+                         ids=lambda case: case.__name__[1:])
+def test_file_errors_exit_3(tmp_path, capsys, case):
+    argv, message = case(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 # -- run -----------------------------------------------------------------------

@@ -16,9 +16,11 @@ from pfltank.errors import ConfigError, EmergencyFault
 
 def test_energy_reading():
     assert make_tank(5.0, 3.4).energy == pytest.approx(5.0)
-    assert TankState(x_t=2.0, epsilon=0.1, t_initial=2.0, h_initial=0.0).energy == 2.0
-    assert TankState(x_t=math.sqrt(10.0), epsilon=0.1, t_initial=5.0,
-                     h_initial=0.0).energy == pytest.approx(5.0)
+    assert TankState(x_t=2.0, epsilon=0.1, capacity=2.0).energy == 2.0
+    assert TankState(x_t=math.sqrt(10.0), epsilon=0.1,
+                     capacity=5.0).energy == pytest.approx(5.0)
+    # the capacity is the run's total energy, charge plus initial motion
+    assert make_tank(2.0, 0.5, h_initial=1.0).capacity == 3.0
     # floor boundary is a legal state
     t = make_tank(1.0, 1.0)
     assert t.energy == pytest.approx(t.epsilon)
@@ -31,10 +33,8 @@ def test_tank_construction_guards():
         make_tank(1.0, 2.0)  # starts under its own floor
     with pytest.raises(ConfigError):
         make_tank(1.0, 0.0)  # floor must be positive
-    with pytest.raises(EmergencyFault):
-        TankState(x_t=0.0, epsilon=0.5, t_initial=1.0, h_initial=0.0)
     with pytest.raises(ConfigError):
-        TankState(x_t=1.0, epsilon=0.5, t_initial=1.0, h_initial=-0.1)
+        make_tank(1.0, 0.5, h_initial=-0.1)
 
 
 def test_commit_books_the_three_channels():
@@ -110,7 +110,7 @@ def test_damper_arms_only_with_all_three_conditions():
     assert damper(push, xdot, high) == 0.0
     # inside the band: damper armed
     inside = TankState(x_t=math.sqrt(2.0 * (1.0 + 0.5 * DAMPER_BAND)),
-                       epsilon=1.0, t_initial=1.0, h_initial=0.0)
+                       epsilon=1.0, capacity=1.0)
     assert damper(push, xdot, inside) > 0.0
     # negligible speed: no damper (the plant cannot dissipate through it)
     crawl = np.array([1e-9, 0.0])

@@ -164,7 +164,7 @@ def test_schedule_active_index_and_slack():
 def test_supervise_moves_floor_only_on_change():
     sched = _schedule((0.0, "a", 1.6), (4.0, "b", 2.5))
     tank = make_tank(5.0, 3.4)
-    floors = sched.floors(tank.t_initial, tank.h_initial)
+    floors = sched.floors(5.0, 0.0)
     same = supervise(floors, sched.active_index(1.0), tank)
     assert same is tank  # no churn inside a segment
     moved = supervise(floors, sched.active_index(4.0), tank)
@@ -173,8 +173,8 @@ def test_supervise_moves_floor_only_on_change():
 
 def test_supervise_takes_effect_in_deficit():
     sched = _schedule((0.0, "wide", 2.5), (1.0, "narrow", 1.6))
-    tank = make_tank(3.0, 0.5)
-    floors = sched.floors(tank.t_initial, tank.h_initial)
+    floors = sched.floors(3.0, 0.0)
+    tank = make_tank(3.0, floors[0])
     drained = commit_step(tank, p_task=-250.0, f_e=np.zeros(1),
                           xdot=np.zeros(1), b=0.0, tau=0.01)
     assert drained.energy == pytest.approx(0.5)
@@ -188,9 +188,8 @@ def test_supervise_takes_effect_in_deficit():
 def _controller(t_initial=1.0, e_max=0.5, kp=2.0, kd=0.0, target=1.0, tau=0.01,
                 **kwargs):
     sched = _schedule((0.0, "zone", e_max))
-    tank = make_tank(t_initial, t_initial - e_max)
     gains = PdGains(kp=(kp,), kd=(kd,), target=(target,))
-    return SafetyController(gains, sched, tank, tau, **kwargs)
+    return SafetyController(gains, sched, t_initial, 0.0, tau, **kwargs)
 
 
 def _obs(x, xdot, f_e=0.0):
@@ -211,6 +210,17 @@ def test_commit_floor_is_the_margin_below_epsilon(monkeypatch):
     ctl.control_cycle(_obs(0.0, 0.3))
     ctl.control_cycle(_obs(0.0, 0.3))
     assert floors == [ctl.tank.epsilon - FEASIBILITY_MARGIN]
+
+
+def test_controller_sizes_its_tank_from_the_charge():
+    sched = _schedule((0.0, "wide", 0.5), (1.0, "narrow", 0.2))
+    gains = PdGains(kp=(2.0,), kd=(0.0,), target=(1.0,))
+    ctl = SafetyController(gains, sched, 2.0, 0.25, tau=1e-3)
+    assert ctl.tank.energy == pytest.approx(2.0)
+    assert ctl.tank.epsilon == 2.0 - 0.5 + 0.25  # the first region's floor
+    assert ctl.tank.capacity == 2.25
+    with pytest.raises(ConfigError, match="kinetic energy"):
+        SafetyController(gains, sched, 2.0, -0.25, tau=1e-3)
 
 
 def test_cycle_sign_convention_and_tick_fields():
@@ -281,9 +291,8 @@ def test_starved_budget_never_kicks_a_resting_plant():
 
 def test_deficit_mode_blocks_drain_and_recovers():
     sched = _schedule((0.0, "wide", 0.5), (0.05, "narrow", 0.2))
-    tank = make_tank(1.0, 0.5)
     gains = PdGains(kp=(2.0,), kd=(0.0,), target=(10.0,))
-    ctl = SafetyController(gains, sched, tank, tau=0.01)
+    ctl = SafetyController(gains, sched, 1.0, 0.0, tau=0.01)
     # five cycles in the wide segment at speed: tank drains toward 0.5
     x, v = 0.0, 0.8
     for k in range(5):
@@ -339,7 +348,7 @@ def test_unreachable_floor_is_refused_at_construction():
     sched = _schedule((0.0, "wide", 0.5), (0.005, "tight", 0.9995))
     gains = PdGains(kp=(2.0,), kd=(0.0,), target=(1.0,))
     with pytest.raises(ConfigError, match="region 'tight' .* under the minimum"):
-        SafetyController(gains, sched, make_tank(1.0, 0.5), tau=1e-3)
+        SafetyController(gains, sched, 1.0, 0.0, tau=1e-3)
     # exactly at the minimum is allowed
     assert _controller(t_initial=5.0, e_max=5.0 - EPSILON_MIN).tank.epsilon == \
         pytest.approx(EPSILON_MIN)
@@ -349,8 +358,6 @@ def test_controller_config_validation():
     with pytest.raises(ConfigError):
         _controller(tau=0.0)
     with pytest.raises(ConfigError):
-        _controller(feasibility_margin=-1e-3)
-    with pytest.raises(ConfigError):
-        _controller(feasibility_margin=np.nan)
-    with pytest.raises(ConfigError):
         _controller(damper_band=-1e-3)
+    with pytest.raises(ConfigError):
+        _controller(damper_band=np.nan)

@@ -1,14 +1,21 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pfltank import sim_harness
+from pfltank.cli import load_scenario
 from pfltank.energy_tank import make_tank
 from pfltank.errors import ConfigError, DomainError
 from pfltank.iso15066 import BodyRegion, RobotMassSpec, v_max
 from pfltank.robot_dynamics import CartesianPlant, PlanarArm
-from pfltank.safety_controller import ControlTick, PdGains, RegionSchedule
+from pfltank.safety_controller import (
+    FEASIBILITY_MARGIN,
+    ControlTick,
+    PdGains,
+    RegionSchedule,
+)
 from pfltank.sim_harness import (
     Scenario,
     WrenchSegment,
@@ -85,9 +92,13 @@ _NAN, _INF = float("nan"), float("inf")
     (lambda: PlanarArm(q0=(_NAN, 0.0)), DomainError),
     (lambda: PlanarArm(qdot0=(0.0, _INF)), DomainError),
     (lambda: make_tank(_INF, 1.0), ConfigError),
+    (lambda: make_tank(2.0, 1.0, h_initial=_NAN), ConfigError),
+    (lambda: make_tank(2.0, 1.0, h_initial=_INF), ConfigError),
+    (lambda: _cart_scenario(damper_band=_INF), ConfigError),
 ], ids=["kp_nan", "kd_inf", "target_inf", "force_nan", "inertia_inf", "inertia_nan",
         "x0_nan", "xdot0_inf", "l1_inf", "l2_nan", "m1_inf", "m2_nan", "q0_nan",
-        "qdot0_inf", "t_initial_inf"])
+        "qdot0_inf", "t_initial_inf", "h_initial_nan", "h_initial_inf",
+        "damper_band_inf"])
 def test_constructors_reject_non_finite_values(build, error):
     # refused where they enter, with a message that names the cause, instead
     # of a fault at cycle 0 or a misleading error further down
@@ -248,6 +259,31 @@ def test_a_scenario_runs_again_from_its_initial_plant():
     after = scenario.plant.state()
     for name in ("x", "xdot", "kinetic_energy_truth"):
         assert np.array_equal(getattr(after, name), getattr(before, name)), name
+
+
+_ARM_REACH = str(Path(__file__).resolve().parents[1] / "perfbench" / "arm_reach.json")
+
+
+@pytest.mark.parametrize("spec, duration", [
+    ("stricter_switch", None),
+    ("push_at_floor", None),
+    pytest.param(_ARM_REACH, 1.0, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the arm's integrator drifts over the bound")),
+], ids=["stricter_switch", "push_at_floor", "arm_reach"])
+def test_bound_invariant_holds_from_the_log_alone(tmp_path, spec, duration):
+    # outside a deficit the robot's energy stays within the active budget
+    # E_active = H(0) + T(0) - epsilon, up to the fixed feasibility margin;
+    # every term is a ticks.csv column
+    scenario = load_scenario(spec)
+    if duration is not None:
+        scenario = dataclasses.replace(scenario, duration=duration)
+    path = tmp_path / "ticks.csv"
+    write_ticks_csv(path, run(scenario).ticks)
+    ticks = read_ticks_csv(path)
+    h0, t0 = ticks[0].h_truth, ticks[0].tank_T
+    broken = [tk.k for tk in ticks if tk.tank_T >= tk.epsilon
+              and not tk.h_truth <= (h0 + t0 - tk.epsilon) + FEASIBILITY_MARGIN]
+    assert broken == []
 
 
 # -- summarize on crafted logs -------------------------------------------------
