@@ -239,11 +239,12 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
 
 def _read_config_text(spec: str) -> tuple[str, str]:
     path = Path(spec)
-    if path.exists():
-        with _at(path):
-            return path.read_text(encoding="utf-8"), str(path)
     name = spec if spec.endswith(".json") else spec + ".json"
     res = resources.files(__package__).joinpath("scenarios", name)
+    # a directory is never a scenario, so it does not hide a bundled namesake
+    if path.exists() and not (path.is_dir() and res.is_file()):
+        with _at(path):
+            return path.read_text(encoding="utf-8"), str(path)
     if res.is_file():
         return res.read_text(), f"bundled scenario {name}"
     raise ConfigError(f"no such file or bundled scenario: {spec!r}")

@@ -13,7 +13,7 @@ commit_step's faults guard it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, EmergencyFault
 
@@ -34,9 +34,9 @@ V_FLOOR = 1e-6
 EPSILON_MIN = 1e-3
 
 
-@dataclass(frozen=True)
-class TankState:
-    """Immutable tank snapshot.
+class TankState(NamedTuple):
+    """Immutable tank snapshot, a named tuple: commit_step builds one per
+    cycle, so it must be cheap to make.
 
     ``capacity`` is the run's total energy t_initial + h_initial, the most the
     tank can ever legitimately hold; ``discarded`` accumulates surplus dumped
@@ -99,7 +99,9 @@ def commit_step(state: TankState, p_task: float, f_e, xdot, b: float,
     energy level below which the commit is treated as an accounting fault;
     pass None while a raised bound is legitimately being worked off.
     """
-    flow = p_task - float(f_e @ xdot) + b * float(xdot @ xdot)
+    # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
+    # call overhead; a Python-float sum would round differently, moving bytes
+    flow = p_task - float(f_e.dot(xdot)) + b * float(xdot.dot(xdot))
     t_new = state.energy + tau * flow
     if not math.isfinite(t_new):
         raise EmergencyFault("tank update is not finite")

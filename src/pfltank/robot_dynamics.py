@@ -18,7 +18,7 @@ a gravity-free model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,37 +35,54 @@ __all__ = [
 GRAVITY = 9.81
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Immutable snapshot of a plant: pose, twist, true kinetic energy."""
+# PlantState and WrenchInput, built every cycle, are named tuples with a checking
+# __new__: as immutable as a frozen dataclass, at a fraction of the cost to build.
 
+class _PlantStateFields(NamedTuple):
     x: np.ndarray
     xdot: np.ndarray
     kinetic_energy_truth: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.array(self.x, dtype=float))
-        object.__setattr__(self, "xdot", np.array(self.xdot, dtype=float))
-        if self.kinetic_energy_truth < 0:
-            raise DomainError("kinetic energy cannot be negative")
+
+class PlantState(_PlantStateFields):
+    """Immutable snapshot of a plant: pose, twist, true kinetic energy.
+
+    Its arrays are its own: the constructor copies what it is given, and a
+    plant hands _snapshot arrays it keeps no reference to.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x, xdot, kinetic_energy_truth):
+        return _snapshot(np.array(x, dtype=float), np.array(xdot, dtype=float),
+                         kinetic_energy_truth)
 
 
-@dataclass(frozen=True)
-class WrenchInput:
-    """One control interval's wrenches: commanded f_c and external f_e."""
+def _snapshot(x: np.ndarray, xdot: np.ndarray, kinetic_energy_truth: float) -> PlantState:
+    """A PlantState that takes ownership of float arrays x and xdot."""
+    if kinetic_energy_truth < 0:
+        raise DomainError("kinetic energy cannot be negative")
+    return tuple.__new__(PlantState, (x, xdot, kinetic_energy_truth))
 
+
+class _WrenchFields(NamedTuple):
     f_c: np.ndarray
     f_e: np.ndarray
 
-    def __post_init__(self):
-        f_c = np.asarray(self.f_c, dtype=float)
-        f_e = np.asarray(self.f_e, dtype=float)
+
+class WrenchInput(_WrenchFields):
+    """One control interval's wrenches: commanded f_c and external f_e."""
+
+    __slots__ = ()
+
+    def __new__(cls, f_c, f_e):
+        f_c = np.asarray(f_c, dtype=float)
+        f_e = np.asarray(f_e, dtype=float)
         if f_c.shape != f_e.shape:
             raise DomainError(f"wrench shapes differ: {f_c.shape} vs {f_e.shape}")
         if not _all_finite(f_c, f_e):
             raise DomainError("wrench entries must be finite")
-        object.__setattr__(self, "f_c", f_c)
-        object.__setattr__(self, "f_e", f_e)
+        return tuple.__new__(cls, (f_c, f_e))
 
 
 def _all_finite(a: np.ndarray, b: np.ndarray) -> bool:
@@ -109,18 +126,20 @@ class CartesianPlant:
 
     @property
     def kinetic_energy(self) -> float:
-        return 0.5 * float(self._xdot @ self.inertia @ self._xdot)
+        # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
+        # call overhead; a Python-float sum would round differently, moving bytes
+        return 0.5 * float(self._xdot.dot(self.inertia).dot(self._xdot))
 
     def state(self) -> PlantState:
-        return PlantState(self._x, self._xdot, self.kinetic_energy)
+        return _snapshot(self.pose, self.twist, self.kinetic_energy)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
         """Advance one interval holding the wrenches constant.
 
         tau > 0 is checked once where the run is configured, not per step.
         """
-        f = -wrench.f_c + wrench.f_e
-        v = self._xdot + tau * (self._lam_inv @ f)
+        f = wrench.f_e - wrench.f_c  # the same bits as -f_c + f_e, one temporary less
+        v = self._xdot + tau * self._lam_inv.dot(f)
         x = self._x + tau * v
         if not _all_finite(v, x):
             raise IntegrationFault("non-finite plant state")
@@ -156,9 +175,9 @@ class PlanarArm:
         self._update_model()
 
     def _update_model(self):
-        # J and M at the current configuration, shared by the port readings
-        # and the next step
-        self._jac = self.jacobian(self._q)
+        # J, the end-effector point, the gravity torque and M at the current
+        # configuration, shared by the port readings and the next step
+        self._jac, self._ee, self._grav = self._trig_terms(self._q)
         self._mass = self.mass_matrix(self._q)
 
     # -- model quantities ----------------------------------------------------
@@ -191,59 +210,60 @@ class PlanarArm:
         d = h * qdot[1]
         return np.array([[2.0 * d, d], [d, 0.0]])
 
-    def gravity_vector(self, q) -> np.ndarray:
+    def _trig_terms(self, q) -> tuple:
+        """J, the end-effector point and the gravity torque at q, from one
+        evaluation of sin and cos of q1 and of q1 + q2."""
         q = np.asarray(q, dtype=float)
-        lc1, lc2 = 0.5 * self.l1, 0.5 * self.l2
+        q12 = q[0] + q[1]
+        s1, c1, s12, c12 = np.sin(q[0]), np.cos(q[0]), np.sin(q12), np.cos(q12)
+        l1, l2 = self.l1, self.l2
+        jac = np.array([
+            [-l1 * s1 - l2 * s12, -l2 * s12],
+            [l1 * c1 + l2 * c12, l2 * c12],
+        ])
+        ee = np.array([l1 * c1 + l2 * c12, l1 * s1 + l2 * s12])
+        lc1, lc2 = 0.5 * l1, 0.5 * l2
         g = GRAVITY
-        c1 = np.cos(q[0])
-        c12 = np.cos(q[0] + q[1])
-        g1 = (self.m1 * lc1 + self.m2 * self.l1) * g * c1 + self.m2 * lc2 * g * c12
+        g1 = (self.m1 * lc1 + self.m2 * l1) * g * c1 + self.m2 * lc2 * g * c12
         g2 = self.m2 * lc2 * g * c12
-        return np.array([g1, g2])
+        return jac, ee, np.array([g1, g2])
+
+    def gravity_vector(self, q) -> np.ndarray:
+        return self._trig_terms(q)[2]
 
     def jacobian(self, q) -> np.ndarray:
         """Planar linear Jacobian (2x2): end-effector (xd, yd) = J qd."""
-        q = np.asarray(q, dtype=float)
-        s1, c1 = np.sin(q[0]), np.cos(q[0])
-        s12, c12 = np.sin(q[0] + q[1]), np.cos(q[0] + q[1])
-        return np.array([
-            [-self.l1 * s1 - self.l2 * s12, -self.l2 * s12],
-            [self.l1 * c1 + self.l2 * c12, self.l2 * c12],
-        ])
+        return self._trig_terms(q)[0]
 
     def ee_position(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        return np.array([
-            self.l1 * np.cos(q[0]) + self.l2 * np.cos(q[0] + q[1]),
-            self.l1 * np.sin(q[0]) + self.l2 * np.sin(q[0] + q[1]),
-        ])
+        return self._trig_terms(q)[1]
 
     # -- plant port ----------------------------------------------------------
 
     @property
     def pose(self) -> np.ndarray:
-        return self.ee_position(self._q)
+        return self._ee.copy()
 
     @property
     def twist(self) -> np.ndarray:
-        return self._jac @ self._qdot
+        return self._jac.dot(self._qdot)
 
     @property
     def kinetic_energy(self) -> float:
         # joint-space energy is the ground truth; it equals the
         # operational-space energy wherever J is invertible
-        return 0.5 * float(self._qdot @ self._mass @ self._qdot)
+        return 0.5 * float(self._qdot.dot(self._mass).dot(self._qdot))
 
     def state(self) -> PlantState:
-        return PlantState(self.pose, self.twist, self.kinetic_energy)
+        return _snapshot(self.pose, self.twist, self.kinetic_energy)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
         q, qdot = self._q, self._qdot
         jt = self._jac.T
         # gravity and its compensation cancel, but deleting them moves the arm's bytes
-        grav = self.gravity_vector(q)
-        torque = jt @ (-wrench.f_c) + grav
-        rhs = torque + jt @ wrench.f_e - self.coriolis_matrix(q, qdot) @ qdot - grav
+        grav = self._grav
+        torque = jt.dot(-wrench.f_c) + grav
+        rhs = torque + jt.dot(wrench.f_e) - self.coriolis_matrix(q, qdot).dot(qdot) - grav
         qdd = np.linalg.solve(self._mass, rhs)
         qdot_new = qdot + tau * qdd
         q_new = q + tau * qdot_new

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,7 +102,9 @@ def solve_alpha(f_des, xdot, t_prev: float, epsilon: float,
     decides whether that situation is a fault or a bound-raise transient.
     f_des and xdot are float arrays.
     """
-    c = tau * float(f_des @ xdot)
+    # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
+    # call overhead; a Python-float sum would round differently, moving bytes
+    c = tau * float(f_des.dot(xdot))
     avail = t_prev + tau * p_ext
     if c > 0.0:
         return 1.0
@@ -198,7 +200,7 @@ def supervise(floors: tuple, idx: int, tank: TankState) -> TankState:
     eps = floors[idx]
     if eps == tank.epsilon:
         return tank
-    return replace(tank, epsilon=eps)
+    return tank._replace(epsilon=eps)
 
 
 @dataclass(slots=True)
@@ -263,7 +265,7 @@ class SafetyController:
     def _commit_pending(self, xdot_now: np.ndarray):
         xdot, f_c, f_e, b, floor = self._pending
         v_mid = 0.5 * (xdot + xdot_now)
-        self.tank = commit_step(self.tank, float(f_c @ v_mid), f_e, v_mid, b,
+        self.tank = commit_step(self.tank, float(f_c.dot(v_mid)), f_e, v_mid, b,
                                 self.tau, floor=floor)
         self._pending = None
 
@@ -297,8 +299,8 @@ class SafetyController:
             self._deficit = True
 
         f_des = -pd_force(self.gains, obs.x, xdot)
-        p_in = float(f_e @ xdot)
-        speed_sq = float(xdot @ xdot)
+        p_in = float(f_e.dot(xdot))
+        speed_sq = float(xdot.dot(xdot))
         b = damper_coefficient(p_in, speed_sq, tank, tol_b=self.damper_band)
         p_ext = -p_in + b * speed_sq
         avail = t_now + tau * p_ext

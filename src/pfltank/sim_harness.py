@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import logging
 import math
 from dataclasses import asdict, dataclass, fields
@@ -268,7 +269,9 @@ def summarize(ticks) -> Summary:
             t_end=chunk[-1].t + tau,
             ticks=len(chunk),
             h_max=max(tk.h_truth for tk in chunk),
-            speed_max=math.sqrt(max(tk.xdot @ tk.xdot for tk in chunk)),
+            # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
+            # call overhead; a Python-float sum would round differently, moving bytes
+            speed_max=math.sqrt(max(tk.xdot.dot(tk.xdot) for tk in chunk)),
             energy_bound=bound,
             time_above_bound=above * tau,
         ))
@@ -279,8 +282,8 @@ def summarize(ticks) -> Summary:
     for prev, nxt in zip(ticks, ticks[1:]):
         if prev.b > 0.0:
             v_mid = 0.5 * (prev.xdot + nxt.xdot)
-            damper_energy += tau * prev.b * float(v_mid @ v_mid)
-            injection += tau * float(prev.f_e @ v_mid)
+            damper_energy += tau * prev.b * float(v_mid.dot(v_mid))
+            injection += tau * float(prev.f_e.dot(v_mid))
 
     return Summary(
         scenario="",
@@ -319,10 +322,12 @@ def _attach_iso_comparison(summary: Summary, scenario: Scenario):
 # The CSV columns follow ControlTick's fields in order; each vector field
 # spreads over one column per axis.  Both directions work on blocks of
 # _CHUNK rows, so the extra memory they hold stays bounded by the block.
+# The writer formats the fields itself, exactly as csv.writer's default
+# dialect would: floats by repr, k by str, commas between fields, "\r\n"
+# after each row, and the region name quoted where csv quotes it.
 
 _CHUNK = 256
 _VECTORS = {"f_des", "f_c", "f_e", "x", "xdot"}
-_TEXT = {"k", "active_region"}  # written as they are; k is read back as int
 _FIELDS = [f.name for f in fields(ControlTick)]
 
 
@@ -336,27 +341,39 @@ def _tick_columns(m: int) -> list[str]:
     return [col for name in _FIELDS for col in _field_columns(name, m)]
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it between other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-3]  # the empty field's "," and the "\r\n"
+
+
 def write_ticks_csv(path, ticks):
     """Write the tick log; every float as its shortest exact repr."""
     if not ticks:
         raise DomainError("refusing to write an empty tick log")
     m = len(ticks[0].xdot)
+    region_fields = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_tick_columns(m))
+        fh.write(",".join(_tick_columns(m)) + "\r\n")
         for start in range(0, len(ticks), _CHUNK):
             chunk = ticks[start:start + _CHUNK]
             columns = []
             for name in _FIELDS:
                 values = list(map(attrgetter(name), chunk))
-                if name in _TEXT:
-                    columns.append(values)
+                if name == "k":
+                    columns.append(map(str, values))
+                elif name == "active_region":
+                    for region in set(values) - region_fields.keys():
+                        region_fields[region] = _csv_field(region)
+                    columns.append(map(region_fields.__getitem__, values))
                 elif name in _VECTORS:
-                    # tolist() yields Python floats, which csv writes by repr
-                    columns += np.array(values, dtype=float).reshape(-1, m).T.tolist()
+                    # tolist() yields Python floats; repr is csv's format for them
+                    for column in np.array(values, dtype=float).reshape(-1, m).T.tolist():
+                        columns.append(map(repr, column))
                 else:
-                    columns.append(np.array(values, dtype=float).tolist())
-            writer.writerows(zip(*columns))
+                    columns.append(map(repr, np.array(values, dtype=float).tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def read_ticks_csv(path) -> list[ControlTick]:

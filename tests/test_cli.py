@@ -288,6 +288,13 @@ def test_file_errors_exit_3(tmp_path, capsys, case):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_bundled_scenario_wins_over_a_directory_of_its_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "paper_replica").mkdir()
+    assert main(["validate", "paper_replica"]) == 0
+    assert capsys.readouterr().out.startswith("OK: paper_replica ")
+
+
 # -- run -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("flag", ["--duration", "--tau"])

@@ -24,6 +24,8 @@ def test_energy_reading():
     # floor boundary is a legal state
     t = make_tank(1.0, 1.0)
     assert t.energy == pytest.approx(t.epsilon)
+    with pytest.raises(AttributeError):  # a snapshot, never edited in place
+        t.epsilon = 0.5
 
 
 def test_tank_construction_guards():

@@ -70,15 +70,31 @@ def test_wrench_validation():
         WrenchInput(f_c=np.array([np.nan, 0.0]), f_e=ZERO2)
     with pytest.raises(DomainError):
         WrenchInput(f_c=np.zeros(2), f_e=np.zeros(3))
+    with pytest.raises(AttributeError):
+        WrenchInput(f_c=ZERO2, f_e=ZERO2).f_c = ZERO2
 
 
 def test_state_snapshots_are_isolated():
     plant = CartesianPlant(np.eye(2), np.zeros(2), np.array([1.0, 0.0]))
     snap = plant.state()
-    plant.step(_wrench(ZERO2), 0.5)
+    stepped = plant.step(_wrench(ZERO2), 0.5)
     assert snap.x == pytest.approx([0.0, 0.0])
     snap.x[0] = 99.0  # mutating the copy must not reach the plant
-    assert plant.pose[0] != 99.0
+    stepped.x[0] = stepped.xdot[0] = 99.0
+    assert plant.pose[0] != 99.0 and plant.twist[0] != 99.0
+    arm = PlanarArm(q0=(0.3, 0.8), qdot0=(0.1, 0.2))
+    arm_snap = arm.state()
+    arm_snap.x[0] = arm_snap.xdot[0] = 99.0
+    assert arm.pose[0] != 99.0 and arm.twist[0] != 99.0
+    # a snapshot built by hand copies its arrays too, and is read-only
+    x = np.array([1.0, 2.0])
+    built = PlantState(x, ZERO2, 0.0)
+    x[0] = 99.0
+    assert built.x[0] == 1.0
+    with pytest.raises(AttributeError):
+        built.x = x
+    with pytest.raises(DomainError, match="kinetic energy cannot be negative"):
+        PlantState(x, ZERO2, -1e-12)
 
 
 # -- arm dynamics against the symbolic oracle ------------------------------------

@@ -422,7 +422,21 @@ def _parity_logs():
         duration=(2 * sim_harness._CHUNK + 17) * 1e-3)
     return {"cart1": run(_cart_scenario(duration=0.3)).ticks,
             "cart3": run(cart3).ticks, "arm": run(arm).ticks,
-            "quoted": run(quoted).ticks, "long": run(long_log).ticks}
+            "quoted": run(quoted).ticks, "long": run(long_log).ticks,
+            "edges": _edge_ticks()}
+
+
+def _edge_ticks():
+    """Region names that csv quotes, and floats at the edges of repr: -0.0,
+    the smallest subnormal and a value near the top of the range."""
+    names = ["comma, here", 'quote "q"', "cr\rhere", "lf\nhere", "crlf\r\nhere", "plain"]
+    values = [-0.0, 5e-324, 1e308]
+    ticks = run(_cart_scenario(duration=0.012)).ticks
+    return [dataclasses.replace(tk, active_region=names[i % len(names)],
+                                b=values[i % 3], h_truth=-values[i % 3],
+                                f_c=np.array([values[(i + 1) % 3]]),
+                                x=np.array([-values[(i + 2) % 3]]))
+            for i, tk in enumerate(ticks)]
 
 
 def test_csv_writer_matches_the_rowwise_reference(tmp_path):
@@ -435,6 +449,10 @@ def test_csv_writer_matches_the_rowwise_reference(tmp_path):
         assert ours.read_bytes() == ref.read_bytes(), name
         _assert_same_ticks(read_ticks_csv(ours), ticks)
     assert '"chest, ""upper"""' in (tmp_path / "quoted.csv").read_text()
+    edges = (tmp_path / "edges.csv").read_bytes()
+    for text in (b'"comma, here"', b'"quote ""q"""', b'"cr\rhere"', b'"lf\nhere"',
+                 b'"crlf\r\nhere",', b",plain,", b",-0.0,", b",5e-324,", b",1e+308,"):
+        assert text in edges, text
 
 
 def _malformed(tmp_path, edit):
