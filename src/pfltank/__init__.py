@@ -7,38 +7,18 @@ floor (:mod:`pfltank.energy_tank`), and a passivity-preserving command filter
 manipulator's kinetic energy can never outrun the active limit.
 :mod:`pfltank.sim_harness` closes the loop against either a constant-inertia
 Cartesian plant or a planar two-link arm and emits verifiable per-cycle logs.
+
+The package namespace holds what a caller needs to build a Scenario, run it,
+catch its errors and read or write its log; everything else imports from its
+module.
 """
 
 from .errors import ConfigError, DomainError, EmergencyFault, IntegrationFault
-from .iso15066 import (
-    BodyRegion,
-    RobotMassSpec,
-    max_energy,
-    reduced_mass,
-    robot_effective_mass,
-    v_max,
-)
-from .energy_tank import (
-    TankState,
-    commit_step,
-    damper_coefficient,
-    make_tank,
-)
-from .robot_dynamics import CartesianPlant, PlanarArm, PlantState, WrenchInput
-from .safety_controller import (
-    ControlTick,
-    PdGains,
-    PlantObservation,
-    RegionSchedule,
-    SafetyController,
-    pd_force,
-    solve_alpha,
-)
+from .iso15066 import BodyRegion, RobotMassSpec
+from .robot_dynamics import CartesianPlant, PlanarArm
+from .safety_controller import PdGains, RegionSchedule
 from .sim_harness import (
-    RunResult,
     Scenario,
-    SegmentSummary,
-    Summary,
     WrenchSegment,
     read_ticks_csv,
     run,
@@ -52,35 +32,17 @@ __all__ = [
     "BodyRegion",
     "CartesianPlant",
     "ConfigError",
-    "ControlTick",
     "DomainError",
     "EmergencyFault",
     "IntegrationFault",
     "PdGains",
     "PlanarArm",
-    "PlantObservation",
-    "PlantState",
     "RegionSchedule",
     "RobotMassSpec",
-    "RunResult",
-    "SafetyController",
     "Scenario",
-    "SegmentSummary",
-    "Summary",
-    "TankState",
-    "WrenchInput",
     "WrenchSegment",
-    "commit_step",
-    "damper_coefficient",
-    "make_tank",
-    "max_energy",
-    "pd_force",
     "read_ticks_csv",
-    "reduced_mass",
-    "robot_effective_mass",
     "run",
-    "solve_alpha",
     "summarize",
-    "v_max",
     "write_ticks_csv",
 ]

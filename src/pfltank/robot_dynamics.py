@@ -235,9 +235,6 @@ class PlanarArm:
         """Planar linear Jacobian (2x2): end-effector (xd, yd) = J qd."""
         return self._trig_terms(q)[0]
 
-    def ee_position(self, q) -> np.ndarray:
-        return self._trig_terms(q)[1]
-
     # -- plant port ----------------------------------------------------------
 
     @property

@@ -331,14 +331,11 @@ _VECTORS = {"f_des", "f_c", "f_e", "x", "xdot"}
 _FIELDS = [f.name for f in fields(ControlTick)]
 
 
-def _field_columns(name: str, m: int) -> list[str]:
-    if name in _VECTORS:
-        return [f"{name}_{_AXES[i]}" for i in range(m)]
-    return [name]
-
-
 def _tick_columns(m: int) -> list[str]:
-    return [col for name in _FIELDS for col in _field_columns(name, m)]
+    columns = []
+    for name in _FIELDS:
+        columns += [f"{name}_{axis}" for axis in _AXES[:m]] if name in _VECTORS else [name]
+    return columns
 
 
 def _csv_field(text: str) -> str:
@@ -354,7 +351,7 @@ def write_ticks_csv(path, ticks):
         raise DomainError("refusing to write an empty tick log")
     m = len(ticks[0].xdot)
     region_fields = {}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_tick_columns(m)) + "\r\n")
         for start in range(0, len(ticks), _CHUNK):
             chunk = ticks[start:start + _CHUNK]
@@ -379,21 +376,21 @@ def write_ticks_csv(path, ticks):
 def read_ticks_csv(path) -> list[ControlTick]:
     """Inverse of write_ticks_csv; floats round-trip exactly.
 
-    A malformed log raises DomainError naming the file and the missing
-    columns or the offending line.
+    Only what write_ticks_csv writes is accepted: UTF-8 text whose header is
+    exactly the tick-log header for its number of axes, then one row per tick
+    with no blank lines.  Anything else raises DomainError naming the file
+    and the missing columns, the header or the offending line.
     """
     path = Path(path)
     ticks = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            layout = _column_layout(header, path)
+            m = _axis_count(header, path)
             while True:
                 rows, lines = [], []
                 for row in islice(reader, _CHUNK):
-                    if not row:
-                        continue  # blank line
                     if len(row) != len(header):
                         raise DomainError(
                             f"{path}: line {reader.line_num}: expected "
@@ -402,53 +399,57 @@ def read_ticks_csv(path) -> list[ControlTick]:
                     lines.append(reader.line_num)
                 if not rows:
                     break
-                ticks += _parse_rows(rows, lines, layout, path)
+                ticks += _parse_rows(rows, lines, m, path)
         except csv.Error as exc:
             raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8: {exc}") from None
     if not ticks:
         raise DomainError(f"{path}: empty tick log")
     return ticks
 
 
-def _column_layout(header, path) -> list[list[int]]:
-    """Header positions of each ControlTick field's columns."""
+def _axis_count(header, path) -> int:
+    """The number of axes of a header that is exactly the tick-log header."""
     if header is None:
         raise DomainError(f"{path}: empty tick log")
     m = sum(1 for c in header if c.startswith("xdot_"))
     if m == 0:
         raise DomainError(f"{path}: no velocity columns found")
-    position = {name: i for i, name in enumerate(header)}
-    missing = [c for c in _tick_columns(m) if c not in position]
+    expected = _tick_columns(m)
+    missing = [c for c in expected if c not in header]
     if missing:
         raise DomainError(f"{path}: missing columns {missing}")
-    return [[position[c] for c in _field_columns(name, m)] for name in _FIELDS]
+    if header != expected:
+        raise DomainError(f"{path}: header is not the tick-log header {expected}")
+    return m
 
 
-def _parse_rows(rows, lines, layout, path) -> list[ControlTick]:
+def _parse_rows(rows, lines, m, path) -> list[ControlTick]:
     try:
-        return _ticks_from_rows(rows, layout)
+        return _ticks_from_rows(rows, m)
     except ValueError:
         # find the row that failed, for the message
         for line, row in zip(lines, rows):
             try:
-                _ticks_from_rows([row], layout)
+                _ticks_from_rows([row], m)
             except ValueError as exc:
                 raise DomainError(f"{path}: line {line}: {exc}") from None
         raise
 
 
-def _ticks_from_rows(rows, layout) -> list[ControlTick]:
-    columns = list(zip(*rows))
+def _ticks_from_rows(rows, m) -> list[ControlTick]:
+    columns = iter(zip(*rows))  # in header order, so in field order
     values = []
-    for name, cols in zip(_FIELDS, layout):
-        if name == "k":
-            values.append(map(int, columns[cols[0]]))
-        elif name == "active_region":
-            values.append(columns[cols[0]])
-        elif name in _VECTORS:
+    for name in _FIELDS:
+        if name in _VECTORS:
             # one contiguous block per field; each tick holds a row of it
-            block = np.array([list(map(float, columns[c])) for c in cols]).T.copy()
+            block = np.array([list(map(float, c)) for c in islice(columns, m)]).T.copy()
             values.append(list(block))
+        elif name == "k":
+            values.append(map(int, next(columns)))
+        elif name == "active_region":
+            values.append(next(columns))
         else:
-            values.append(list(map(float, columns[cols[0]])))
+            values.append(list(map(float, next(columns))))
     return list(map(ControlTick, *values))

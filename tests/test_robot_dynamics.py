@@ -110,7 +110,7 @@ def test_arm_terms_match_lagrangian_oracle():
         assert arm.coriolis_matrix(q, qd) == pytest.approx(oracle.coriolis(q, qd), abs=1e-9)
         assert arm.jacobian(q) == pytest.approx(oracle.jacobian(q), abs=1e-9)
         assert arm.gravity_vector(q) == pytest.approx(oracle.gravity_vec(q), abs=1e-9)
-        assert arm.ee_position(q) == pytest.approx(oracle.ee(q), abs=1e-9)
+        assert PlanarArm(q0=q).pose == pytest.approx(oracle.ee(q), abs=1e-9)
 
 
 def test_arm_terms_match_oracle_for_other_parameters():
@@ -166,7 +166,7 @@ def test_arm_rest_is_equilibrium_under_gravity_compensation():
     for _ in range(1000):
         arm.step(_wrench(ZERO2), 1e-3)
     assert arm.kinetic_energy <= 1e-12
-    assert arm.state().x == pytest.approx(arm.ee_position((0.3, 0.8)), abs=1e-12)
+    assert arm.state().x == pytest.approx(PlanarArm(q0=(0.3, 0.8)).pose, abs=1e-12)
 
 
 # -- energy audit -----------------------------------------------------------------

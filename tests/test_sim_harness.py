@@ -459,18 +459,33 @@ def _malformed(tmp_path, edit):
     path = tmp_path / "ticks.csv"
     write_ticks_csv(path, run(_cart_scenario(duration=0.005)).ticks)
     lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(edit(lines)))
+    # surrogateescape writes a lone "\udcff" as the byte 0xff
+    path.write_bytes("".join(edit(lines)).encode("utf-8", "surrogateescape"))
     return path
+
+
+def _each_line(lines, edit_fields):
+    out = []
+    for line in lines:
+        fields = line.rstrip("\r\n").split(",")
+        edit_fields(fields)
+        out.append(",".join(fields) + "\r\n")
+    return out
 
 
 def _drop_column(lines, name="f_des_x"):
     col = lines[0].rstrip("\r\n").split(",").index(name)
-    out = []
-    for line in lines:
-        fields = line.rstrip("\r\n").split(",")
-        del fields[col]
-        out.append(",".join(fields) + "\r\n")
-    return out
+    return _each_line(lines, lambda fields: fields.pop(col))
+
+
+def _swap_columns(lines):
+    def swap(fields):
+        fields[4], fields[5] = fields[5], fields[4]  # f_des_x and f_c_x
+    return _each_line(lines, swap)
+
+
+def _extra_column(lines):
+    return _each_line(lines, lambda fields: fields.append("0.0"))
 
 
 def _short_row(lines):
@@ -485,11 +500,34 @@ def _non_numeric(lines):
     return lines
 
 
+def _blank_line(lines):
+    lines.insert(3, "\r\n")
+    return lines
+
+
+def _fourth_axis(lines):
+    lines[0] = ",".join(sim_harness._tick_columns(3)) + ",xdot_w\r\n"
+    return lines
+
+
+def _not_utf8(lines):
+    fields = lines[3].split(",")
+    fields[2] += "\udcff"  # the region name
+    lines[3] = ",".join(fields)
+    return lines
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop_column, "missing columns ['f_des_x']"),
     (_short_row, "line 4: expected 15 fields, got 14"),
     (_non_numeric, "line 5: could not convert string to float: 'soon'"),
-], ids=["missing_column", "short_row", "non_numeric"])
+    (_not_utf8, "not UTF-8"),
+    (_swap_columns, "header is not the tick-log header"),
+    (_extra_column, "header is not the tick-log header"),
+    (_blank_line, "line 4: expected 15 fields, got 0"),
+    (_fourth_axis, "header is not the tick-log header"),
+], ids=["missing_column", "short_row", "non_numeric", "not_utf8", "reordered_header",
+        "extra_column", "blank_line", "fourth_axis"])
 def test_malformed_logs_raise_domain_errors(tmp_path, edit, message):
     path = _malformed(tmp_path, edit)
     with pytest.raises(DomainError) as info:
