@@ -82,6 +82,18 @@ def _at(path):
         raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def _name(value, path: str) -> str:
+    """A non-empty string that encodes as UTF-8, as ticks.csv and the console
+    need; JSON's escapes can spell a lone surrogate, which does not."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{path}: {value!r} does not encode as UTF-8") from None
+    return value
+
+
 def _need(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigError(f"{path}: missing required key {key!r}")
@@ -158,9 +170,7 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     _mapping(doc, "scenario", {"name", "plant", "controller", "regions", "schedule",
                                "tank", "wrench_script", "tau", "duration",
                                "iso_comparison"})
-    name = doc.get("name", fallback_name)
-    if not isinstance(name, str) or not name:
-        raise ConfigError("scenario.name: expected a non-empty string")
+    name = _name(doc.get("name", fallback_name), "scenario.name")
 
     plant = _plant_from_config(_need(doc, "plant", "scenario"), "plant")
 
@@ -178,8 +188,7 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         raise ConfigError("regions: expected a non-empty mapping")
     regions = {}
     for rname, rcfg in regions_doc.items():
-        if not isinstance(rname, str) or not rname:
-            raise ConfigError("regions: region names must be non-empty strings")
+        _name(rname, "regions")
         regions[rname] = _region_from_config(rname, rcfg, f"regions.{rname}")
 
     sched_doc = _need(doc, "schedule", "scenario")
@@ -277,7 +286,12 @@ def cmd_run(args) -> int:
     with _at(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     log.info("running scenario %s (%d cycles)", scenario.name, scenario.n_cycles)
-    result = run(scenario)
+    try:
+        result = run(scenario)
+    except MemoryError:
+        # run() allocates the whole log's columns before the first cycle
+        raise ConfigError(f"{scenario.name}: the log of {scenario.n_cycles} cycles "
+                          "does not fit in memory") from None
 
     ticks_path = out_dir / "ticks.csv"
     summary_path = out_dir / "summary.json"

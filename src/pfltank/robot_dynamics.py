@@ -175,65 +175,55 @@ class PlanarArm:
         self._update_model()
 
     def _update_model(self):
-        # J, the end-effector point, the gravity torque and M at the current
-        # configuration, shared by the port readings and the next step
-        self._jac, self._ee, self._grav = self._trig_terms(self._q)
-        self._mass = self.mass_matrix(self._q)
+        # the model at the current configuration, shared by the port readings
+        # and the next step
+        self._jac, self._ee, self._grav, self._mass, self._h = self._terms(self._q)
 
-    # -- model quantities ----------------------------------------------------
-
-    def mass_matrix(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        lc1, lc2 = 0.5 * self.l1, 0.5 * self.l2
-        c2 = np.cos(q[1])
-        a = self.m2 * (self.l1 * self.l1 + lc2 * lc2 + 2.0 * self.l1 * lc2 * c2)
-        m11 = self.m1 * lc1 * lc1 + self.i1 + a + self.i2
-        m12 = self.m2 * (lc2 * lc2 + self.l1 * lc2 * c2) + self.i2
-        m22 = self.m2 * lc2 * lc2 + self.i2
-        return np.array([[m11, m12], [m12, m22]])
-
-    def coriolis_matrix(self, q, qdot) -> np.ndarray:
-        """Christoffel-consistent C(q, qd), so dM/dt - 2C is skew-symmetric."""
-        q = np.asarray(q, dtype=float)
-        qdot = np.asarray(qdot, dtype=float)
-        h = -self.m2 * self.l1 * 0.5 * self.l2 * np.sin(q[1])
-        return np.array([
-            [h * qdot[1], h * (qdot[0] + qdot[1])],
-            [-h * qdot[0], 0.0],
-        ])
-
-    def mass_matrix_rate(self, q, qdot) -> np.ndarray:
-        """Analytic dM/dt; only the elbow angle enters M."""
-        q = np.asarray(q, dtype=float)
-        qdot = np.asarray(qdot, dtype=float)
-        h = -self.m2 * self.l1 * 0.5 * self.l2 * np.sin(q[1])
-        d = h * qdot[1]
-        return np.array([[2.0 * d, d], [d, 0.0]])
-
-    def _trig_terms(self, q) -> tuple:
-        """J, the end-effector point and the gravity torque at q, from one
-        evaluation of sin and cos of q1 and of q1 + q2."""
-        q = np.asarray(q, dtype=float)
-        q12 = q[0] + q[1]
-        s1, c1, s12, c12 = np.sin(q[0]), np.cos(q[0]), np.sin(q12), np.cos(q12)
+    def _terms(self, q) -> tuple:
+        """J, the end-effector point, the gravity torque, M and the Coriolis
+        factor h at q, on Python floats.  math.sin and math.cos give np.sin's
+        and np.cos's bits, so these are the numpy model's values."""
+        q1, q2 = np.asarray(q, dtype=float).tolist()
+        q12 = q1 + q2
+        s1, c1, s12, c12 = math.sin(q1), math.cos(q1), math.sin(q12), math.cos(q12)
+        c2 = math.cos(q2)
         l1, l2 = self.l1, self.l2
+        lc1, lc2 = 0.5 * l1, 0.5 * l2
         jac = np.array([
             [-l1 * s1 - l2 * s12, -l2 * s12],
             [l1 * c1 + l2 * c12, l2 * c12],
         ])
         ee = np.array([l1 * c1 + l2 * c12, l1 * s1 + l2 * s12])
-        lc1, lc2 = 0.5 * l1, 0.5 * l2
         g = GRAVITY
         g1 = (self.m1 * lc1 + self.m2 * l1) * g * c1 + self.m2 * lc2 * g * c12
         g2 = self.m2 * lc2 * g * c12
-        return jac, ee, np.array([g1, g2])
+        a = self.m2 * (l1 * l1 + lc2 * lc2 + 2.0 * l1 * lc2 * c2)
+        m11 = self.m1 * lc1 * lc1 + self.i1 + a + self.i2
+        m12 = self.m2 * (lc2 * lc2 + l1 * lc2 * c2) + self.i2
+        m22 = self.m2 * lc2 * lc2 + self.i2
+        h = -self.m2 * l1 * 0.5 * l2 * math.sin(q2)
+        return jac, ee, np.array([g1, g2]), np.array([[m11, m12], [m12, m22]]), h
+
+    # -- model quantities ----------------------------------------------------
+
+    def mass_matrix(self, q) -> np.ndarray:
+        return self._terms(q)[3]
+
+    def coriolis_matrix(self, q, qdot) -> np.ndarray:
+        """Christoffel-consistent C(q, qd), so dM/dt - 2C is skew-symmetric."""
+        return _coriolis(self._terms(q)[4], qdot)
+
+    def mass_matrix_rate(self, q, qdot) -> np.ndarray:
+        """Analytic dM/dt; only the elbow angle enters M."""
+        d = self._terms(q)[4] * float(qdot[1])
+        return np.array([[2.0 * d, d], [d, 0.0]])
 
     def gravity_vector(self, q) -> np.ndarray:
-        return self._trig_terms(q)[2]
+        return self._terms(q)[2]
 
     def jacobian(self, q) -> np.ndarray:
         """Planar linear Jacobian (2x2): end-effector (xd, yd) = J qd."""
-        return self._trig_terms(q)[0]
+        return self._terms(q)[0]
 
     # -- plant port ----------------------------------------------------------
 
@@ -260,7 +250,7 @@ class PlanarArm:
         # gravity and its compensation cancel, but deleting them moves the arm's bytes
         grav = self._grav
         torque = jt.dot(-wrench.f_c) + grav
-        rhs = torque + jt.dot(wrench.f_e) - self.coriolis_matrix(q, qdot).dot(qdot) - grav
+        rhs = torque + jt.dot(wrench.f_e) - _coriolis(self._h, qdot).dot(qdot) - grav
         qdd = np.linalg.solve(self._mass, rhs)
         qdot_new = qdot + tau * qdd
         q_new = q + tau * qdot_new
@@ -270,6 +260,15 @@ class PlanarArm:
         self._q = q_new
         self._update_model()
         return self.state()
+
+
+def _coriolis(h: float, qdot) -> np.ndarray:
+    """The arm's C(q, qd) from its Coriolis factor h at q."""
+    qd1, qd2 = np.asarray(qdot, dtype=float).tolist()
+    return np.array([
+        [h * qd2, h * (qd1 + qd2)],
+        [-h * qd1, 0.0],
+    ])
 
 
 def power_balance_residual(prev: PlantState, new: PlantState,

@@ -276,7 +276,7 @@ class SafetyController:
         The returned wrench already includes the damper share b xd, so the
         plant applies -(f_c + b xd) + f_e in total.  The observation's arrays
         are kept, not copied, in the tick record and in the interval booked
-        next cycle, so each cycle needs fresh arrays.
+        next cycle, so the caller must not change them afterwards.
         """
         k = self._k
         tau = self.tau

@@ -40,6 +40,7 @@ __all__ = [
     "WrenchSegment",
     "Scenario",
     "RunResult",
+    "TickLog",
     "SegmentSummary",
     "Summary",
     "wrench_at",
@@ -129,6 +130,26 @@ def wrench_at(script, t: float, m: int, slack: float = 0.0) -> np.ndarray:
     return total
 
 
+def _wrench_table(script, n: int, tau: float, m: int) -> list:
+    """The external wrench of each of n cycles, sampled as run() samples it.
+
+    wrench_at runs once per distinct set of active segments, and the cycles
+    that share a set share its array, so no cycle may change it in place.
+    """
+    shifted = np.arange(n) * tau + 0.5 * tau  # k * tau + half, as in wrench_at
+    active = np.array([(seg.t_start <= shifted) & (shifted < seg.t_end)
+                       for seg in script], dtype=bool).reshape(len(script), n)
+    bounds = [0, *(np.flatnonzero((active[:, 1:] != active[:, :-1]).any(axis=0)) + 1)
+              .tolist(), n]
+    table, by_set = [], {}
+    for start, stop in zip(bounds, bounds[1:]):
+        key = tuple(active[:, start].tolist())
+        if key not in by_set:
+            by_set[key] = wrench_at(script, start * tau, m, slack=0.5 * tau)
+        table += [by_set[key]] * (stop - start)
+    return table
+
+
 def initial_epsilons(scenario: Scenario, h_initial: float) -> list[float]:
     """Floor value each scheduled region implies; validates them all."""
     return list(scenario.schedule.floors(scenario.t_initial, h_initial))
@@ -149,7 +170,7 @@ def _start(scenario: Scenario):
 @dataclass
 class RunResult:
     scenario: Scenario
-    ticks: list
+    ticks: "TickLog"
     summary: "Summary | None"
     fault: str | None
     final_plant: PlantState | None
@@ -163,27 +184,31 @@ def run(scenario: Scenario) -> RunResult:
     The scenario was validated when it was built and the loop does not check
     it again; per cycle only the wrench handed to the plant, the plant's new
     state and the tank's commit are checked.  Those checks catch every
-    non-finite value, so numpy's floating-point warnings are silenced.
+    non-finite value, so numpy's floating-point warnings are silenced.  The
+    tick records are packed into the log's columns _CHUNK at a time.
     """
     plant, state, controller = _start(scenario)
     tau = scenario.tau
-    m = plant.m
-    half = 0.5 * tau
-    script = scenario.wrench_script
+    wrenches = _wrench_table(scenario.wrench_script, scenario.n_cycles, tau, plant.m)
 
-    ticks: list[ControlTick] = []
+    ticks = TickLog._empty(scenario.n_cycles, plant.m)
+    block: list[ControlTick] = []
+    written = 0
     fault = None
     final_plant = None
     try:
         with np.errstate(all="ignore"):
-            for k in range(scenario.n_cycles):
-                f_e = wrench_at(script, k * tau, m, slack=half)
+            for k, f_e in enumerate(wrenches):
                 # each step's fresh PlantState is the next cycle's observation
                 command, tick = controller.control_cycle(
                     PlantObservation(x=state.x, xdot=state.xdot, f_e=f_e),
                     h_truth=state.kinetic_energy_truth)
-                ticks.append(tick)
+                block.append(tick)
                 state = plant.step(WrenchInput(f_c=command, f_e=f_e), tau)
+                if len(block) == _CHUNK:
+                    ticks._put(written, block)
+                    written += _CHUNK
+                    block = []
             controller.finalize(state.xdot)
         final_plant = state
     except (IntegrationFault, DomainError) as exc:
@@ -195,6 +220,8 @@ def run(scenario: Scenario) -> RunResult:
     except EmergencyFault as exc:
         fault = "emergency"
         log.error("scenario %s: emergency fault at cycle %d: %s", scenario.name, k, exc)
+    ticks._put(written, block)
+    ticks = ticks[:written + len(block)]
 
     summary = None
     if ticks:
@@ -247,57 +274,69 @@ class Summary:
 
 
 def summarize(ticks) -> Summary:
-    """Reduce a tick log to the run summary.  Pure; raises on an empty log."""
-    if not ticks:
-        raise DomainError("cannot summarize an empty tick log")
-    h0 = ticks[0].h_truth
-    t0 = ticks[0].tank_T
-    budget = h0 + t0
-    tau = ticks[1].t - ticks[0].t if len(ticks) > 1 else 0.0
+    """Reduce a tick log, a TickLog or a sequence of ControlTick records, to
+    the run summary.  Pure; raises on an empty log.
 
+    It reads the log's columns and gives the bits the tick-by-tick reduction
+    gives: per-row products by stacked matmul, which rounds as ndarray.dot
+    does; min and max by Python over .tolist(), so NaN and the sign of a zero
+    land as they would; and the damper and injection sums added one term at
+    a time in tick order, as no numpy or math reduction does.
+    """
+    ticks = _as_log(ticks)
+    n = len(ticks)
+    if not n:
+        raise DomainError("cannot summarize an empty tick log")
+    h, tank, times = ticks.h_truth, ticks.tank_T, ticks.t
+    budget = h[0].item() + tank[0].item()
+    tau = times[1].item() - times[0].item() if n > 1 else 0.0
+
+    codes = ticks.active_region
+    cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+    speed_sq = _row_dot(ticks.xdot, ticks.xdot)
     segments = []
-    start = 0
-    for i in range(1, len(ticks) + 1):
-        if i < len(ticks) and ticks[i].active_region == ticks[start].active_region:
-            continue
-        chunk = ticks[start:i]
-        bound = budget - chunk[0].epsilon
-        above = sum(1 for tk in chunk if tk.h_truth > bound + 1e-9)
+    for start, stop in zip([0, *cuts], [*cuts, n]):
+        bound = budget - ticks.epsilon[start].item()
+        above = int(np.count_nonzero(h[start:stop] > bound + 1e-9))
         segments.append(SegmentSummary(
-            region=chunk[0].active_region,
-            t_start=chunk[0].t,
-            t_end=chunk[-1].t + tau,
-            ticks=len(chunk),
-            h_max=max(tk.h_truth for tk in chunk),
-            # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
-            # call overhead; a Python-float sum would round differently, moving bytes
-            speed_max=math.sqrt(max(tk.xdot.dot(tk.xdot) for tk in chunk)),
+            region=ticks.region_names[codes[start]],
+            t_start=times[start].item(),
+            t_end=times[stop - 1].item() + tau,
+            ticks=stop - start,
+            h_max=max(h[start:stop].tolist()),
+            speed_max=math.sqrt(max(speed_sq[start:stop].tolist())),
             energy_bound=bound,
             time_above_bound=above * tau,
         ))
-        start = i
 
+    # the damper's share of each armed interval, at its trapezoidal velocity
+    armed = np.flatnonzero(ticks.b[:-1] > 0.0)
+    v_mid = 0.5 * (ticks.xdot[armed] + ticks.xdot[armed + 1])
     damper_energy = 0.0
     injection = 0.0
-    for prev, nxt in zip(ticks, ticks[1:]):
-        if prev.b > 0.0:
-            v_mid = 0.5 * (prev.xdot + nxt.xdot)
-            damper_energy += tau * prev.b * float(v_mid.dot(v_mid))
-            injection += tau * float(prev.f_e.dot(v_mid))
+    for b, vv, fv in zip(ticks.b[armed].tolist(), _row_dot(v_mid, v_mid).tolist(),
+                         _row_dot(ticks.f_e[armed], v_mid).tolist()):
+        damper_energy += tau * b * vv
+        injection += tau * fv
 
     return Summary(
         scenario="",
-        n_ticks=len(ticks),
+        n_ticks=n,
         tau=tau,
-        t_final=ticks[-1].t,
+        t_final=times[-1].item(),
         segments=segments,
-        min_tank=min(tk.tank_T for tk in ticks),
-        min_tank_minus_epsilon=min(tk.tank_T - tk.epsilon for tk in ticks),
-        conservation_residual=max(abs(tk.h_truth + tk.tank_T - budget) for tk in ticks),
-        h_est_error_max=max(abs(tk.h_est - tk.h_truth) for tk in ticks),
+        min_tank=min(tank.tolist()),
+        min_tank_minus_epsilon=min((tank - ticks.epsilon).tolist()),
+        conservation_residual=max(np.abs(h + tank - budget).tolist()),
+        h_est_error_max=max(np.abs(ticks.h_est - h).tolist()),
         damper_energy=damper_energy,
         injection_excess=injection,
     )
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i].dot(b[i]) for every row i of two (n, m) arrays, with its bits."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(len(a))
 
 
 def _attach_iso_comparison(summary: Summary, scenario: Scenario):
@@ -317,6 +356,111 @@ def _attach_iso_comparison(summary: Summary, scenario: Scenario):
         seg.exceeded_transient = seg.speed_max > seg.v_max_transient
 
 
+# -- the tick log --------------------------------------------------------------
+
+_CHUNK = 256
+_VECTORS = {"f_des", "f_c", "f_e", "x", "xdot"}
+_FIELDS = tuple(f.name for f in fields(ControlTick))
+_INTS = {"k", "active_region"}
+_record = attrgetter(*_FIELDS)
+
+
+class TickLog:
+    """A run's tick log, held by column.
+
+    Each float field of ControlTick is a float64 array shaped (n,) and each
+    vector field an (n, m) array, all under the field's name; ``k`` is an
+    int64 array, and ``active_region`` holds each tick's index into
+    ``region_names``.  A tick of an m-axis plant takes 80 + 40 m bytes, where
+    a ControlTick with arrays of its own takes about 0.9 KB.
+
+    The log reads as a sequence of ControlTick rows, built on demand with
+    Python scalars and arrays of their own: ``log[i]`` is one row, a slice
+    is a TickLog of views of the columns, and iteration builds the rows
+    _CHUNK at a time.
+    """
+
+    __slots__ = (*_FIELDS, "region_names")
+
+    def __init__(self, columns: dict, region_names: list):
+        for name in _FIELDS:
+            setattr(self, name, columns[name])
+        self.region_names = region_names
+
+    @classmethod
+    def _empty(cls, n: int, m: int) -> "TickLog":
+        """Unfilled columns for n ticks of an m-axis plant."""
+        return cls({name: np.empty((n, m) if name in _VECTORS else n,
+                                   dtype=np.int64 if name in _INTS else float)
+                    for name in _FIELDS}, [])
+
+    @classmethod
+    def from_ticks(cls, ticks) -> "TickLog":
+        """The log of a sequence of ControlTick records; a vector field may be
+        any sequence of m numbers."""
+        ticks = list(ticks)
+        log = cls._empty(len(ticks), len(ticks[0].xdot) if ticks else 0)
+        for name, values in zip(_FIELDS, zip(*map(_record, ticks))):
+            if name == "active_region":
+                values = _region_codes(values, log.region_names)
+            getattr(log, name)[:] = values
+        return log
+
+    def _put(self, start: int, ticks: list):
+        """Store run()'s records ``ticks`` as rows start, start + 1, ...
+
+        run() makes every vector a float64 array of m entries, so their bytes
+        are joined as they stand, at a third of np.concatenate's cost.
+        """
+        stop = start + len(ticks)
+        for name, values in zip(_FIELDS, zip(*map(_record, ticks))):
+            if name in _VECTORS:
+                values = np.frombuffer(b"".join(values)).reshape(len(ticks), -1)
+            elif name == "active_region":
+                values = _region_codes(values, self.region_names)
+            getattr(self, name)[start:stop] = values
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TickLog({name: getattr(self, name)[index] for name in _FIELDS},
+                           self.region_names)
+        i = range(len(self))[index]  # a negative index counts from the end
+        return self._rows(i, i + 1)[0]
+
+    def __iter__(self):
+        for start in range(0, len(self), _CHUNK):
+            yield from self._rows(start, start + _CHUNK)
+
+    def _rows(self, start: int, stop: int) -> list[ControlTick]:
+        values = []
+        for name in _FIELDS:
+            column = getattr(self, name)[start:stop]
+            if name in _VECTORS:
+                values.append(list(column.copy()))  # each row a view of one copy
+            elif name == "active_region":
+                values.append(map(self.region_names.__getitem__, column.tolist()))
+            else:
+                values.append(column.tolist())  # Python ints and floats
+        return list(map(ControlTick, *values))
+
+
+def _as_log(ticks) -> TickLog:
+    return ticks if isinstance(ticks, TickLog) else TickLog.from_ticks(ticks)
+
+
+def _region_codes(values, names: list) -> list[int]:
+    """Each region name's index in ``names``, which gains the names it lacks."""
+    index = {name: i for i, name in enumerate(names)}
+    for name in dict.fromkeys(values):
+        if name not in index:
+            index[name] = len(names)
+            names.append(name)
+    return list(map(index.__getitem__, values))
+
+
 # -- tick log I/O -------------------------------------------------------------
 #
 # The CSV columns follow ControlTick's fields in order; each vector field
@@ -325,10 +469,6 @@ def _attach_iso_comparison(summary: Summary, scenario: Scenario):
 # The writer formats the fields itself, exactly as csv.writer's default
 # dialect would: floats by repr, k by str, commas between fields, "\r\n"
 # after each row, and the region name quoted where csv quotes it.
-
-_CHUNK = 256
-_VECTORS = {"f_des", "f_c", "f_e", "x", "xdot"}
-_FIELDS = [f.name for f in fields(ControlTick)]
 
 
 def _tick_columns(m: int) -> list[str]:
@@ -346,34 +486,32 @@ def _csv_field(text: str) -> str:
 
 
 def write_ticks_csv(path, ticks):
-    """Write the tick log; every float as its shortest exact repr."""
+    """Write the tick log, a TickLog or a sequence of ControlTick records;
+    every float as its shortest exact repr."""
+    ticks = _as_log(ticks)
     if not ticks:
         raise DomainError("refusing to write an empty tick log")
-    m = len(ticks[0].xdot)
-    region_fields = {}
+    region_fields = list(map(_csv_field, ticks.region_names))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_tick_columns(m)) + "\r\n")
+        fh.write(",".join(_tick_columns(ticks.xdot.shape[1])) + "\r\n")
         for start in range(0, len(ticks), _CHUNK):
-            chunk = ticks[start:start + _CHUNK]
             columns = []
             for name in _FIELDS:
-                values = list(map(attrgetter(name), chunk))
+                # tolist() yields Python ints and floats; str and repr are csv's
+                # format for them
+                values = getattr(ticks, name)[start:start + _CHUNK]
                 if name == "k":
-                    columns.append(map(str, values))
+                    columns.append(map(str, values.tolist()))
                 elif name == "active_region":
-                    for region in set(values) - region_fields.keys():
-                        region_fields[region] = _csv_field(region)
-                    columns.append(map(region_fields.__getitem__, values))
+                    columns.append(map(region_fields.__getitem__, values.tolist()))
                 elif name in _VECTORS:
-                    # tolist() yields Python floats; repr is csv's format for them
-                    for column in np.array(values, dtype=float).reshape(-1, m).T.tolist():
-                        columns.append(map(repr, column))
+                    columns += (map(repr, axis) for axis in values.T.tolist())
                 else:
-                    columns.append(map(repr, np.array(values, dtype=float).tolist()))
+                    columns.append(map(repr, values.tolist()))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def read_ticks_csv(path) -> list[ControlTick]:
+def read_ticks_csv(path) -> TickLog:
     """Inverse of write_ticks_csv; floats round-trip exactly.
 
     Only what write_ticks_csv writes is accepted: UTF-8 text whose header is
@@ -382,7 +520,7 @@ def read_ticks_csv(path) -> list[ControlTick]:
     and the missing columns, the header or the offending line.
     """
     path = Path(path)
-    ticks = []
+    blocks, region_names = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -399,14 +537,15 @@ def read_ticks_csv(path) -> list[ControlTick]:
                     lines.append(reader.line_num)
                 if not rows:
                     break
-                ticks += _parse_rows(rows, lines, m, path)
+                blocks.append(_parse_rows(rows, lines, m, region_names, path))
         except csv.Error as exc:
             raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: not UTF-8: {exc}") from None
-    if not ticks:
+    if not blocks:
         raise DomainError(f"{path}: empty tick log")
-    return ticks
+    return TickLog({name: np.concatenate([block[name] for block in blocks])
+                    for name in _FIELDS}, region_names)
 
 
 def _axis_count(header, path) -> int:
@@ -425,31 +564,31 @@ def _axis_count(header, path) -> int:
     return m
 
 
-def _parse_rows(rows, lines, m, path) -> list[ControlTick]:
+def _parse_rows(rows, lines, m, region_names, path) -> dict:
     try:
-        return _ticks_from_rows(rows, m)
-    except ValueError:
-        # find the row that failed, for the message
+        return _columns_from_rows(rows, m, region_names)
+    except (ValueError, OverflowError):
+        # find the row that failed, for the message; k overflows int64 as an
+        # OverflowError
         for line, row in zip(lines, rows):
             try:
-                _ticks_from_rows([row], m)
-            except ValueError as exc:
+                _columns_from_rows([row], m, region_names)
+            except (ValueError, OverflowError) as exc:
                 raise DomainError(f"{path}: line {line}: {exc}") from None
         raise
 
 
-def _ticks_from_rows(rows, m) -> list[ControlTick]:
+def _columns_from_rows(rows, m, region_names) -> dict:
     columns = iter(zip(*rows))  # in header order, so in field order
-    values = []
+    values = {}
     for name in _FIELDS:
         if name in _VECTORS:
-            # one contiguous block per field; each tick holds a row of it
-            block = np.array([list(map(float, c)) for c in islice(columns, m)]).T.copy()
-            values.append(list(block))
+            values[name] = np.array([list(map(float, c)) for c in islice(columns, m)]).T
         elif name == "k":
-            values.append(map(int, next(columns)))
+            values[name] = np.array(list(map(int, next(columns))), dtype=np.int64)
         elif name == "active_region":
-            values.append(next(columns))
+            values[name] = np.array(_region_codes(next(columns), region_names),
+                                    dtype=np.int64)
         else:
-            values.append(list(map(float, next(columns))))
-    return list(map(ControlTick, *values))
+            values[name] = np.array(list(map(float, next(columns))))
+    return values

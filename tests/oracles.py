@@ -2,14 +2,18 @@
 
 Everything here is derived from first principles (symbolic Lagrangian
 mechanics, brute-force feasibility search, KKT enumeration) without calling
-into the package, so agreement is evidence rather than tautology.
+into the package, so agreement is evidence rather than tautology.  The
+tick-by-tick summary borrows only the package's result types.
 """
 
 import csv
 import functools
+import math
 
 import numpy as np
 import sympy as sp
+
+from pfltank.sim_harness import SegmentSummary, Summary
 
 
 # -- planar 2R dynamics from the Lagrangian ------------------------------------
@@ -181,3 +185,58 @@ def write_ticks_csv_rowwise(path, ticks):
             for vec in (tk.x, tk.xdot):
                 row += [fmt(v) for v in vec]
             writer.writerow(row)
+
+
+# -- tick-by-tick summary ---------------------------------------------------------
+
+def summarize_rowwise(ticks) -> Summary:
+    """The run summary reduced one ControlTick at a time: the reference that
+    the package's column-wise summarize must match bit for bit."""
+    if not ticks:
+        raise ValueError("cannot summarize an empty tick log")
+    h0 = ticks[0].h_truth
+    t0 = ticks[0].tank_T
+    budget = h0 + t0
+    tau = ticks[1].t - ticks[0].t if len(ticks) > 1 else 0.0
+
+    segments = []
+    start = 0
+    for i in range(1, len(ticks) + 1):
+        if i < len(ticks) and ticks[i].active_region == ticks[start].active_region:
+            continue
+        chunk = ticks[start:i]
+        bound = budget - chunk[0].epsilon
+        above = sum(1 for tk in chunk if tk.h_truth > bound + 1e-9)
+        segments.append(SegmentSummary(
+            region=chunk[0].active_region,
+            t_start=chunk[0].t,
+            t_end=chunk[-1].t + tau,
+            ticks=len(chunk),
+            h_max=max(tk.h_truth for tk in chunk),
+            speed_max=math.sqrt(max(tk.xdot.dot(tk.xdot) for tk in chunk)),
+            energy_bound=bound,
+            time_above_bound=above * tau,
+        ))
+        start = i
+
+    damper_energy = 0.0
+    injection = 0.0
+    for prev, nxt in zip(ticks, ticks[1:]):
+        if prev.b > 0.0:
+            v_mid = 0.5 * (prev.xdot + nxt.xdot)
+            damper_energy += tau * prev.b * float(v_mid.dot(v_mid))
+            injection += tau * float(prev.f_e.dot(v_mid))
+
+    return Summary(
+        scenario="",
+        n_ticks=len(ticks),
+        tau=tau,
+        t_final=ticks[-1].t,
+        segments=segments,
+        min_tank=min(tk.tank_T for tk in ticks),
+        min_tank_minus_epsilon=min(tk.tank_T - tk.epsilon for tk in ticks),
+        conservation_residual=max(abs(tk.h_truth + tk.tank_T - budget) for tk in ticks),
+        h_est_error_max=max(abs(tk.h_est - tk.h_truth) for tk in ticks),
+        damper_energy=damper_energy,
+        injection_excess=injection,
+    )

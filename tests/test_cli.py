@@ -8,6 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from pfltank import cli
 from pfltank.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, load_scenario, main
 from pfltank.iso15066 import BodyRegion, max_energy, reduced_mass, v_max
 
@@ -295,6 +296,24 @@ def test_bundled_scenario_wins_over_a_directory_of_its_name(tmp_path, monkeypatc
     assert capsys.readouterr().out.startswith("OK: paper_replica ")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(regions={"a\ud800": {"e_max_override": 0.5}},
+                           schedule=[{"t": 0.0, "region": "a\ud800"}]),
+    lambda doc: doc.update(name="a\ud800"),
+], ids=["region", "scenario"])
+def test_names_that_do_not_encode_as_utf8_exit_3(tmp_path, capsys, edit):
+    # a JSON escape can spell a lone surrogate, which ticks.csv and the
+    # console cannot hold; run used to die writing ticks.csv
+    doc = _doc()
+    edit(doc)
+    path = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    for argv in (["validate", path], ["run", path, "--out", str(out)]):
+        assert main(argv) == EXIT_CONFIG
+        assert "'a\\ud800' does not encode as UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- run -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("flag", ["--duration", "--tau"])
@@ -305,6 +324,19 @@ def test_non_finite_overrides_exit_3(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert f"{flag[2:]} must be positive and finite, got inf" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_log_too_large_for_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # run() allocates the log's columns for every cycle before the first
+    # one, so an absurd duration fails there; stood in for by a raising run
+    def out_of_memory(scenario):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    rc = main(["run", "paper_replica", "--out", str(tmp_path), "--duration", "1e12"])
+    assert rc == EXIT_CONFIG
+    assert ("error: paper_replica: the log of 1000000000000000 cycles does not fit "
+            "in memory") in capsys.readouterr().err
 
 
 def test_run_writes_log_and_summary(tmp_path, capsys):

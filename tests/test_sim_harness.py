@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,11 @@ from pfltank.safety_controller import (
     ControlTick,
     PdGains,
     RegionSchedule,
+    SafetyController,
 )
 from pfltank.sim_harness import (
     Scenario,
+    TickLog,
     WrenchSegment,
     initial_epsilons,
     read_ticks_csv,
@@ -27,7 +31,7 @@ from pfltank.sim_harness import (
     write_ticks_csv,
 )
 
-from oracles import write_ticks_csv_rowwise
+from oracles import summarize_rowwise, write_ticks_csv_rowwise
 
 
 def _region(name, e):
@@ -66,6 +70,20 @@ def test_wrench_overlaps_add_and_windows_are_half_open():
     # the slack shifts the sampling instant, not the segment
     assert wrench_at(script, 0.999, 2, slack=0.002) == pytest.approx([0.25, 0.5])
     assert wrench_at((), 0.3, 3) == pytest.approx([0.0, 0.0, 0.0])
+
+
+def test_wrench_table_calls_wrench_at_once_per_active_set():
+    script = (WrenchSegment(0.002, 0.006, (1.0, 0.5)),
+              WrenchSegment(0.004, 0.009, (0.25, -2.0)),
+              WrenchSegment(0.012, 0.013, (3.0, 0.0)))
+    tau = 1e-3
+    table = sim_harness._wrench_table(script, 16, tau, 2)
+    assert len(table) == 16
+    for k, f_e in enumerate(table):
+        assert f_e.tobytes() == wrench_at(script, k * tau, 2, slack=0.5 * tau).tobytes(), k
+    # the sets none, {0}, {0, 1}, {1}, none, {2}, none: five distinct arrays
+    assert len({id(f_e) for f_e in table}) == 5
+    assert [f_e.tolist() for f_e in sim_harness._wrench_table((), 2, tau, 3)] == [[0.0] * 3] * 2
 
 
 def test_wrench_segment_rejects_empty_window():
@@ -237,6 +255,22 @@ def test_arm_scenario_conserves_through_the_cartesian_port():
     assert s.segments[0].h_max <= 0.5 + 1e-6
 
 
+def test_the_log_holds_the_records_the_controller_returned(monkeypatch):
+    records = []
+    cycle = SafetyController.control_cycle
+
+    def recording(self, *args, **kwargs):
+        command, tick = cycle(self, *args, **kwargs)
+        records.append(tick)
+        return command, tick
+
+    monkeypatch.setattr(SafetyController, "control_cycle", recording)
+    res = run(_cart_scenario(
+        wrench_script=(WrenchSegment(0.2, 0.6, (1.5,)),),
+        duration=(sim_harness._CHUNK + 3) * 1e-3))
+    _assert_same_ticks(res.ticks, records)
+
+
 def test_runs_are_deterministic(tmp_path):
     scenario = _cart_scenario(
         wrench_script=(WrenchSegment(0.2, 0.6, (1.5,)),), duration=0.8)
@@ -389,6 +423,87 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert again.to_dict() == res.summary.to_dict()
 
 
+def _cart3_scenario(**over):
+    base = dict(
+        name="cart3",
+        plant=CartesianPlant(((3.0, 0.2, 0.0), (0.2, 2.0, 0.1), (0.0, 0.1, 1.5)),
+                             (0.0, 0.1, -0.2), (0.3, 0.0, -0.1)),
+        gains=PdGains(kp=(4.0, 5.0, 6.0), kd=(2.0, 2.0, 2.0), target=(0.5, -0.5, 0.2)),
+        wrench_script=(WrenchSegment(0.1, 0.2, (0.5, -0.25, 1.0)),),
+        duration=0.3)
+    base.update(over)
+    return _cart_scenario(**base)
+
+
+def test_tick_log_rows_are_control_ticks_of_python_scalars():
+    ticks = run(_cart3_scenario(
+        schedule=_schedule((0.0, "wide", 0.5), (0.1, "narrow", 0.4)))).ticks
+    assert isinstance(ticks, TickLog)
+    rows = list(ticks)
+    assert len(rows) == len(ticks) == 300
+    tk = ticks[-1]
+    assert type(tk) is ControlTick
+    assert type(tk.k) is int and type(tk.active_region) is str
+    assert all(type(getattr(tk, name)) is float for name in
+               ("t", "alpha", "b", "p_ext", "tank_T", "epsilon", "h_est", "h_truth"))
+    for name in sim_harness._VECTORS:
+        value = getattr(tk, name)
+        assert value.dtype == np.float64 and value.shape == (3,), name
+    assert (ticks[0].active_region, tk.active_region) == ("wide", "narrow")
+
+    # negative indices count from the end; a slice is a log of the same rows
+    for i in (0, 1, -1, -2, -300, 299):
+        _assert_same_ticks([ticks[i]], [rows[i]])
+    for i in (300, -301):
+        with pytest.raises(IndexError):
+            ticks[i]
+    for part in (slice(None, 5), slice(-7, -2), slice(None, None, -3), slice(10, 2),
+                 slice(3, None, 2), slice(-1000, 1000)):
+        assert isinstance(ticks[part], TickLog)
+        _assert_same_ticks(ticks[part], rows[part])
+        _assert_same_ticks(ticks[part], TickLog.from_ticks(rows[part]))
+    assert summarize(ticks[100:200]).to_dict() == summarize(rows[100:200]).to_dict()
+
+    # a row's arrays are its own
+    tk.x[0] = 99.0
+    assert ticks[-1].x[0] != 99.0
+
+    # records from elsewhere may hold their vectors as lists or integers
+    loose = TickLog.from_ticks([dataclasses.replace(tk, x=[1, 2, 3], f_e=np.arange(3))])
+    assert loose.x.tolist() == [[1.0, 2.0, 3.0]] and loose.f_e.dtype == np.float64
+
+
+def test_iterating_a_tick_log_holds_one_block_of_rows():
+    ticks = run(_cart_scenario(duration=(3 * sim_harness._CHUNK + 5) * 1e-3)).ticks
+
+    def live_rows():
+        return sum(1 for obj in gc.get_objects() if type(obj) is ControlTick)
+
+    before = live_rows()
+    seen = 0
+    for i, _ in enumerate(ticks):
+        if i % 128 == 0:
+            assert 1 <= live_rows() - before <= sim_harness._CHUNK, i
+        seen += 1
+    assert seen == len(ticks)
+
+
+def test_tick_log_memory_per_tick():
+    # a ControlTick with five arrays of its own takes about 0.9 KB; the
+    # columns take 200 B at three axes
+    scenario = _cart3_scenario(duration=2.0)
+    run(scenario)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ticks = run(scenario).ticks
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ticks) == 2000
+    assert held / len(ticks) < 400
+
+
 def _assert_same_ticks(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -406,13 +521,6 @@ def _parity_logs():
         name="arm", plant=PlanarArm(q0=(0.3, 0.8)),
         gains=PdGains(kp=(20.0, 20.0), kd=(8.0, 8.0), target=(0.55, 0.45)),
         t_initial=1.0, duration=0.3)
-    cart3 = _cart_scenario(
-        name="cart3",
-        plant=CartesianPlant(((3.0, 0.2, 0.0), (0.2, 2.0, 0.1), (0.0, 0.1, 1.5)),
-                             (0.0, 0.1, -0.2), (0.3, 0.0, -0.1)),
-        gains=PdGains(kp=(4.0, 5.0, 6.0), kd=(2.0, 2.0, 2.0), target=(0.5, -0.5, 0.2)),
-        wrench_script=(WrenchSegment(0.1, 0.2, (0.5, -0.25, 1.0)),),
-        duration=0.3)
     quoted = _cart_scenario(
         name="quoted",
         schedule=_schedule((0.0, 'chest, "upper"', 0.5), (0.1, "hand", 0.4)),
@@ -421,7 +529,7 @@ def _parity_logs():
         name="long", wrench_script=(WrenchSegment(0.2, 0.4, (-0.7,)),),
         duration=(2 * sim_harness._CHUNK + 17) * 1e-3)
     return {"cart1": run(_cart_scenario(duration=0.3)).ticks,
-            "cart3": run(cart3).ticks, "arm": run(arm).ticks,
+            "cart3": run(_cart3_scenario()).ticks, "arm": run(arm).ticks,
             "quoted": run(quoted).ticks, "long": run(long_log).ticks,
             "edges": _edge_ticks()}
 
@@ -453,6 +561,17 @@ def test_csv_writer_matches_the_rowwise_reference(tmp_path):
     for text in (b'"comma, here"', b'"quote ""q"""', b'"cr\rhere"', b'"lf\nhere"',
                  b'"crlf\r\nhere",', b",plain,", b",-0.0,", b",5e-324,", b",1e+308,"):
         assert text in edges, text
+
+
+def test_summarize_matches_the_rowwise_reference():
+    logs = _parity_logs()
+    for name in ("paper_replica", "push_at_floor", "stricter_switch", "budget_starved"):
+        logs[name] = run(load_scenario(name)).ticks
+    for name, ticks in logs.items():
+        rows = list(ticks)
+        # repr tells -0.0 from 0.0
+        assert repr(summarize(ticks).to_dict()) == repr(summarize_rowwise(rows).to_dict()), name
+        assert repr(summarize(rows).to_dict()) == repr(summarize_rowwise(rows).to_dict()), name
 
 
 def _malformed(tmp_path, edit):
@@ -500,6 +619,11 @@ def _non_numeric(lines):
     return lines
 
 
+def _k_overflow(lines):
+    lines[3] = "1" + "0" * 20 + lines[3][lines[3].index(","):]
+    return lines
+
+
 def _blank_line(lines):
     lines.insert(3, "\r\n")
     return lines
@@ -526,8 +650,9 @@ def _not_utf8(lines):
     (_extra_column, "header is not the tick-log header"),
     (_blank_line, "line 4: expected 15 fields, got 0"),
     (_fourth_axis, "header is not the tick-log header"),
+    (_k_overflow, "line 4: Python int too large"),
 ], ids=["missing_column", "short_row", "non_numeric", "not_utf8", "reordered_header",
-        "extra_column", "blank_line", "fourth_axis"])
+        "extra_column", "blank_line", "fourth_axis", "k_overflow"])
 def test_malformed_logs_raise_domain_errors(tmp_path, edit, message):
     path = _malformed(tmp_path, edit)
     with pytest.raises(DomainError) as info:
