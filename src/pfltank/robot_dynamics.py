@@ -13,6 +13,11 @@ wrench enters with a minus sign, i.e. the plant advances
 so that tank bookkeeping and plant work use one sign convention.  The arm's
 gravity compensation cancels its gravity, so the Cartesian port behaves like
 a gravity-free model.
+
+Numpy versus floats: products (ndarray.dot) and the arm's solve run in numpy,
+whose rounding the logged bytes rest on; elementwise + - * / and negation run
+on Python floats, which round alike at a fraction of the cost, except where
+the result is only a product's operand (f_e - f_c, -f_c) and stays an array.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1  # np.linalg.solve's kernel, without its checks
 
 from .errors import DomainError, IntegrationFault
 
@@ -138,13 +144,14 @@ class CartesianPlant:
 
         tau > 0 is checked once where the run is configured, not per step.
         """
-        f = wrench.f_e - wrench.f_c  # the same bits as -f_c + f_e, one temporary less
-        v = self._xdot + tau * self._lam_inv.dot(f)
-        x = self._x + tau * v
-        if not _all_finite(v, x):
+        # f_e - f_c has the bits of -f_c + f_e, and a product's operand stays an array
+        a = self._lam_inv.dot(wrench.f_e - wrench.f_c).tolist()
+        v = [vi + tau * ai for vi, ai in zip(self._xdot.tolist(), a)]
+        x = [xi + tau * vi for xi, vi in zip(self._x.tolist(), v)]
+        if not all(map(math.isfinite, v + x)):
             raise IntegrationFault("non-finite plant state")
-        self._xdot = v
-        self._x = x
+        self._xdot = np.array(v)
+        self._x = np.array(x)
         return self.state()
 
 
@@ -172,28 +179,20 @@ class PlanarArm:
         if (self._q.shape != (2,) or self._qdot.shape != (2,)
                 or not _all_finite(self._q, self._qdot)):
             raise DomainError("q0/qdot0 must have two finite entries")
-        self._update_model()
-
-    def _update_model(self):
         # the model at the current configuration, shared by the port readings
         # and the next step
         self._jac, self._ee, self._grav, self._mass, self._h = self._terms(self._q)
 
     def _terms(self, q) -> tuple:
-        """J, the end-effector point, the gravity torque, M and the Coriolis
-        factor h at q, on Python floats.  math.sin and math.cos give np.sin's
-        and np.cos's bits, so these are the numpy model's values."""
-        q1, q2 = np.asarray(q, dtype=float).tolist()
+        """J, the end-effector point, the gravity torque, M (views of one
+        buffer) and the Coriolis factor h at q, on Python floats: math.sin and
+        math.cos give np.sin's and np.cos's bits, as the numpy model had."""
+        q1, q2 = map(float, q)
         q12 = q1 + q2
         s1, c1, s12, c12 = math.sin(q1), math.cos(q1), math.sin(q12), math.cos(q12)
         c2 = math.cos(q2)
         l1, l2 = self.l1, self.l2
         lc1, lc2 = 0.5 * l1, 0.5 * l2
-        jac = np.array([
-            [-l1 * s1 - l2 * s12, -l2 * s12],
-            [l1 * c1 + l2 * c12, l2 * c12],
-        ])
-        ee = np.array([l1 * c1 + l2 * c12, l1 * s1 + l2 * s12])
         g = GRAVITY
         g1 = (self.m1 * lc1 + self.m2 * l1) * g * c1 + self.m2 * lc2 * g * c12
         g2 = self.m2 * lc2 * g * c12
@@ -202,7 +201,9 @@ class PlanarArm:
         m12 = self.m2 * (lc2 * lc2 + l1 * lc2 * c2) + self.i2
         m22 = self.m2 * lc2 * lc2 + self.i2
         h = -self.m2 * l1 * 0.5 * l2 * math.sin(q2)
-        return jac, ee, np.array([g1, g2]), np.array([[m11, m12], [m12, m22]]), h
+        buf = np.array([-l1 * s1 - l2 * s12, -l2 * s12, l1 * c1 + l2 * c12, l2 * c12,
+                        l1 * c1 + l2 * c12, l1 * s1 + l2 * s12, g1, g2, m11, m12, m12, m22])
+        return buf[:4].reshape(2, 2), buf[4:6], buf[6:8], buf[8:].reshape(2, 2), h
 
     # -- model quantities ----------------------------------------------------
 
@@ -245,20 +246,22 @@ class PlanarArm:
         return _snapshot(self.pose, self.twist, self.kinetic_energy)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
-        q, qdot = self._q, self._qdot
+        qdot = self._qdot
         jt = self._jac.T
-        # gravity and its compensation cancel, but deleting them moves the arm's bytes
-        grav = self._grav
-        torque = jt.dot(-wrench.f_c) + grav
-        rhs = torque + jt.dot(wrench.f_e) - _coriolis(self._h, qdot).dot(qdot) - grav
-        qdd = np.linalg.solve(self._mass, rhs)
-        qdot_new = qdot + tau * qdd
-        q_new = q + tau * qdot_new
-        if not _all_finite(qdot_new, q_new):
+        drive, push = jt.dot(-wrench.f_c).tolist(), jt.dot(wrench.f_e).tolist()
+        coriolis = _coriolis(self._h, qdot).dot(qdot).tolist()
+        # torque J^T (-f_c) + g, then rhs = torque + J^T f_e - C qd - g: gravity
+        # and its compensation cancel, but deleting them moves the arm's bytes
+        rhs = [d + g + p - c - g
+               for d, p, c, g in zip(drive, push, coriolis, self._grav.tolist())]
+        qdd = solve1(self._mass, rhs).tolist()
+        qdot_new = [v + tau * a for v, a in zip(qdot.tolist(), qdd)]
+        q_new = [q + tau * v for q, v in zip(self._q.tolist(), qdot_new)]
+        if not all(map(math.isfinite, qdot_new + q_new)):
             raise IntegrationFault("non-finite arm state")
-        self._qdot = qdot_new
-        self._q = q_new
-        self._update_model()
+        self._qdot = np.array(qdot_new)
+        self._q = np.array(q_new)
+        self._jac, self._ee, self._grav, self._mass, self._h = self._terms(q_new)
         return self.state()
 
 

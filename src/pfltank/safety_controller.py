@@ -17,6 +17,10 @@ trapezoidal velocity once the next sample is available.  Committing the
 previous interval first keeps the ledger within O(tau^2) of the true work,
 which the sampled-velocity form cannot do.  The fixed FEASIBILITY_MARGIN on
 the floor absorbs the half-step difference between the two velocities.
+
+Numpy versus floats: dot products stay ndarray.dot, which a Python-float sum
+would round differently; elementwise arithmetic (the PD force, the trapezoidal
+velocity, f_c and the command) runs on Python floats, which give numpy's bits.
 """
 
 from __future__ import annotations
@@ -67,12 +71,18 @@ class PdGains:
     def __post_init__(self):
         for label in ("kp", "kd", "target"):
             object.__setattr__(self, label, np.array(getattr(self, label), dtype=float))
+            getattr(self, label).flags.writeable = False  # so _axes keeps its values
         if not (self.kp.shape == self.kd.shape == self.target.shape):
             raise ConfigError("kp, kd and target must have matching shapes")
         if not np.all(np.isfinite((self.kp, self.kd, self.target))):
             raise ConfigError("kp, kd and target must be finite")
         if np.any(self.kp < 0) or np.any(self.kd < 0):
             raise ConfigError("PD gains must be non-negative")
+        object.__setattr__(self, "_axes", tuple(zip(  # per axis, as floats for pd_force
+            self.kp.tolist(), self.kd.tolist(), self.target.tolist())))
+
+    def __reduce__(self):  # a copy or unpickled gains rebuild _axes and stay read-only
+        return PdGains, (self.kp, self.kd, self.target)
 
 
 @dataclass(slots=True)
@@ -86,9 +96,9 @@ class PlantObservation:
     f_e: np.ndarray
 
 
-def pd_force(gains: PdGains, x, xdot) -> np.ndarray:
-    """Plain PD attraction kp (target - x) - kd xd, in the plant frame."""
-    return gains.kp * (gains.target - x) - gains.kd * xdot
+def pd_force(gains: PdGains, x: list, xdot: list) -> list:
+    """Plain PD attraction kp (target - x) - kd xd, in the plant frame, on floats."""
+    return [kp * (tg - xi) - kd * vi for (kp, kd, tg), xi, vi in zip(gains._axes, x, xdot)]
 
 
 def solve_alpha(f_des, xdot, t_prev: float, epsilon: float,
@@ -252,8 +262,8 @@ class SafetyController:
         self.damper_band = float(damper_band)
         self._floors = schedule.floors(t_initial, h_initial)
         self.tank = make_tank(t_initial, self._floors[0], h_initial)
-        # the last cycle's (xdot, f_c, f_e, b, floor), booked once the next
-        # velocity sample exists
+        # the last cycle's (xdot as floats, f_c, f_e, b, floor), booked once the
+        # next velocity sample exists
         self._pending: tuple | None = None
         self._deficit = False
         self._k = 0
@@ -262,9 +272,9 @@ class SafetyController:
     def in_deficit(self) -> bool:
         return self._deficit
 
-    def _commit_pending(self, xdot_now: np.ndarray):
+    def _commit_pending(self, xdot_now: list):
         xdot, f_c, f_e, b, floor = self._pending
-        v_mid = 0.5 * (xdot + xdot_now)
+        v_mid = np.array([0.5 * (v + w) for v, w in zip(xdot, xdot_now)])
         self.tank = commit_step(self.tank, float(f_c.dot(v_mid)), f_e, v_mid, b,
                                 self.tau, floor=floor)
         self._pending = None
@@ -283,11 +293,12 @@ class SafetyController:
         t = k * tau
         xdot = obs.xdot
         f_e = obs.f_e
+        v = xdot.tolist()
 
         # settle the previous interval with its trapezoidal velocity first,
         # then let the schedule move the floor for this cycle
         if self._pending is not None:
-            self._commit_pending(xdot)
+            self._commit_pending(v)
         idx = self.schedule.active_index(t, 0.5 * tau)
         self.tank = tank = supervise(self._floors, idx, self.tank)
 
@@ -298,7 +309,8 @@ class SafetyController:
         elif not self._deficit and t_now < eps - FLOOR_TOL:
             self._deficit = True
 
-        f_des = -pd_force(self.gains, obs.x, xdot)
+        des = [-f for f in pd_force(self.gains, obs.x.tolist(), v)]
+        f_des = np.array(des)
         p_in = float(f_e.dot(xdot))
         speed_sq = float(xdot.dot(xdot))
         b = damper_coefficient(p_in, speed_sq, tank, tol_b=self.damper_band)
@@ -311,18 +323,19 @@ class SafetyController:
                 "the damper band is too narrow for this wrench")
 
         alpha = solve_alpha(f_des, xdot, t_now, eps + FEASIBILITY_MARGIN, tau, p_ext)
-        f_c = alpha * f_des
+        scaled = [alpha * f for f in des]
+        f_c = np.array(scaled)
         floor = None if self._deficit else eps - FEASIBILITY_MARGIN
-        self._pending = (xdot, f_c, f_e, b, floor)
+        self._pending = (v, f_c, f_e, b, floor)
 
         tick = ControlTick(k, t, self.schedule.regions[idx].name, alpha, f_des, f_c,
                            f_e, b, p_ext, t_now, eps, tank.capacity - t_now,
                            float(h_truth), obs.x, xdot)
         self._k = k + 1
-        return f_c + b * xdot, tick
+        return np.array([f + b * vi for f, vi in zip(scaled, v)]), tick
 
     def finalize(self, xdot_final: np.ndarray) -> TankState:
         """Commit the last interval once the final velocity sample exists."""
         if self._pending is not None:
-            self._commit_pending(np.asarray(xdot_final, dtype=float))
+            self._commit_pending(np.asarray(xdot_final, dtype=float).tolist())
         return self.tank

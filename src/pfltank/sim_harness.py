@@ -107,6 +107,14 @@ class Scenario:
             if np.shape(seg.force) != (m,):
                 raise ConfigError(f"wrench_script[{i}].force needs one entry per plant "
                                   f"axis ({m}), got shape {np.shape(seg.force)}")
+        # the active set moves only at bounds: sum each as wrench_at does, but on floats
+        for t in sorted({0.0}.union(*((s.t_start, s.t_end) for s in self.wrench_script))):
+            total = [0.0] * m
+            for seg in (s for s in self.wrench_script if s.t_start <= t < s.t_end):
+                total = [a + float(f) for a, f in zip(total, seg.force)]
+            if not all(map(math.isfinite, total)):
+                raise ConfigError(f"wrench_script: the forces active at t = {t!r} s "
+                                  "sum to a non-finite wrench")
         _start(self)  # the controller checks tau
         # n_cycles >= 1 exactly when the ratio exceeds 0.5; a subnormal tau
         # can still overflow it
@@ -181,11 +189,11 @@ class RunResult:
 def run(scenario: Scenario) -> RunResult:
     """Execute the scenario; on a fault, return the partial log instead of raising.
 
-    The scenario was validated when it was built and the loop does not check
-    it again; per cycle only the wrench handed to the plant, the plant's new
-    state and the tank's commit are checked.  Those checks catch every
-    non-finite value, so numpy's floating-point warnings are silenced.  The
-    tick records are packed into the log's columns _CHUNK at a time.
+    The scenario, its wrench script included, was validated when it was built
+    and the loop does not check it again; per cycle only the command, the
+    plant's new state and the tank's commit are checked.  Those checks catch
+    every non-finite value, so numpy's floating-point warnings are silenced.
+    The tick records are packed into the log's columns _CHUNK at a time.
     """
     plant, state, controller = _start(scenario)
     tau = scenario.tau
@@ -204,7 +212,9 @@ def run(scenario: Scenario) -> RunResult:
                     PlantObservation(x=state.x, xdot=state.xdot, f_e=f_e),
                     h_truth=state.kinetic_energy_truth)
                 block.append(tick)
-                state = plant.step(WrenchInput(f_c=command, f_e=f_e), tau)
+                if not all(map(math.isfinite, command.tolist())):
+                    raise IntegrationFault("wrench entries must be finite")
+                state = plant.step(WrenchInput._make((command, f_e)), tau)
                 if len(block) == _CHUNK:
                     ticks._put(written, block)
                     written += _CHUNK
@@ -212,8 +222,7 @@ def run(scenario: Scenario) -> RunResult:
             controller.finalize(state.xdot)
         final_plant = state
     except (IntegrationFault, DomainError) as exc:
-        # a DomainError here is WrenchInput refusing a non-finite command,
-        # e.g. an overflowing PD force; the plant cannot take the step
+        # a non-finite command or plant state, or a kinetic energy rounded below 0
         fault = "integration"
         log.error("scenario %s: integration fault at cycle %d: %s",
                   scenario.name, k, exc)

@@ -3,7 +3,8 @@
 Everything here is derived from first principles (symbolic Lagrangian
 mechanics, brute-force feasibility search, KKT enumeration) without calling
 into the package, so agreement is evidence rather than tautology.  The
-tick-by-tick summary borrows only the package's result types.
+tick-by-tick summary borrows only the package's result types.  The numpy-form
+steps read a plant's private model, the one input they share with it.
 """
 
 import csv
@@ -240,3 +241,42 @@ def summarize_rowwise(ticks) -> Summary:
         damper_energy=damper_energy,
         injection_excess=injection,
     )
+
+
+# -- the hot path in numpy form ----------------------------------------------------
+#
+# The plants and the controller do their elementwise arithmetic on Python
+# floats; these are the same steps with every operation on numpy arrays, as
+# the package once wrote them.  The lean forms must give their bits.
+
+def cartesian_step_numpy(plant, f_c, f_e, tau):
+    """A CartesianPlant's next (xdot, x) from its current state."""
+    v = plant._xdot + tau * plant._lam_inv.dot(-f_c + f_e)
+    return v, plant._x + tau * v
+
+
+def arm_step_numpy(arm, f_c, f_e, tau):
+    """A PlanarArm's next (qdot, q) from its current state, by np.linalg.solve."""
+    q, qdot = arm._q, arm._qdot
+    jt = arm._jac.T
+    coriolis = np.array([[arm._h * qdot[1], arm._h * (qdot[0] + qdot[1])],
+                         [-arm._h * qdot[0], 0.0]])
+    torque = jt.dot(-f_c) + arm._grav
+    rhs = torque + jt.dot(f_e) - coriolis.dot(qdot) - arm._grav
+    qdot_new = qdot + tau * np.linalg.solve(arm._mass, rhs)
+    return qdot_new, q + tau * qdot_new
+
+
+def tank_port_force_numpy(gains, x, xdot):
+    """The controller's f_des, the negated PD force."""
+    return -(gains.kp * (gains.target - x) - gains.kd * xdot)
+
+
+def trapezoidal_velocity_numpy(xdot, xdot_next):
+    return 0.5 * (xdot + xdot_next)
+
+
+def command_numpy(f_des, alpha, b, xdot):
+    """The scaled force f_c and the wrench commanded, f_c + b xd."""
+    f_c = alpha * f_des
+    return f_c, f_c + b * xdot

@@ -244,6 +244,11 @@ RUN_REJECTS = {
         kp=[8.0] * 3, kd=[11.0] * 3, target=[6.0, 0.0, 0.0]),
     "wrench_force_length": lambda doc: doc.update(wrench_script=[
         {"t_start": 0.5, "t_end": 1.0, "force": [1.0, 0.0, 0.0]}]),
+    # each push is finite but their sum on [0.2, 0.3) s is not; run used to
+    # warn from numpy and end in an integration fault at cycle 200
+    "wrench_sum_overflows": lambda doc: doc.update(wrench_script=[
+        {"t_start": 0.1, "t_end": 0.3, "force": [1e308, 0.0]},
+        {"t_start": 0.2, "t_end": 0.4, "force": [1e308, 0.0]}]),
     "four_axes": lambda doc: doc.update(
         plant={"type": "cartesian", "inertia": np.eye(4).tolist(),
                "x0": [0.0] * 4, "v0": [0.0] * 4},

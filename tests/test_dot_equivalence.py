@@ -1,7 +1,13 @@
-"""The hot path computes its small products with ndarray.dot instead of @,
-for the call overhead alone; the tick log's bytes rest on the two giving
-the same bits.  A Python-float sum would not (it rounds differently from
-the BLAS kernel), so the package never uses one for a dot product.
+"""Which arithmetic the hot path may take off numpy without moving a logged byte.
+
+Elementwise + - * / and negation are exact IEEE operations: each result is
+the correctly rounded value, so Python floats give numpy's bits, signed
+zeros included, and the hot path does that arithmetic on floats.  Products
+are not: numpy's small dot products run in the BLAS kernel (on OpenBLAS a
+chain of fused multiply-adds), which a Python-float sum a0*b0 + a1*b1 rounds
+differently from, so every product stays ndarray.dot (chosen over @ for the call
+overhead alone; the log's bytes rest on the two giving the same bits).  So
+does the arm's 2x2 solve, which calls np.linalg.solve's gufunc directly.
 
 The one difference: with one entry, ndarray.dot returns the product itself
 and @ adds it to 0.0, so an exact zero can come out as -0.0 from the first
@@ -20,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pfltank.robot_dynamics import PlanarArm, solve1
 from pfltank.sim_harness import _row_dot
 
 # magnitudes that keep every product and sum finite, so no NaN sign can differ
@@ -66,3 +73,56 @@ def test_stacked_matmul_equals_per_row_dot_bitwise(m, n, data):
 def test_math_trig_equals_numpy_trig_bitwise(x):
     for on_float, on_numpy in ((math.sin, np.sin), (math.cos, np.cos)):
         assert np.float64(on_float(x)).tobytes() == on_numpy(np.float64(x)).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(lengths=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+       masses=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+       q=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+       rhs=arrays(np.float64, 2, elements=ENTRIES))
+def test_solve_gufunc_equals_linalg_solve_bitwise(lengths, masses, q, rhs):
+    # the arm's mass matrix: symmetric positive definite, its conditioning
+    # set by the link lengths and masses and by the elbow angle
+    mass = PlanarArm(*lengths, *masses).mass_matrix(q)
+    assert solve1(mass, rhs).tobytes() == np.linalg.solve(mass, rhs).tobytes()
+    assert solve1(mass, rhs.tolist()).tobytes() == np.linalg.solve(mass, rhs).tobytes()
+
+
+# signed zeros, subnormals, the largest finite magnitudes and anything between
+EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+    st.floats(min_value=-1.7976931348623157e308, max_value=-1e307),
+    st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+def _same_floats(got: list, want: np.ndarray) -> bool:
+    # an overflow can meet its negation (inf - inf); a NaN is written 'nan'
+    # whatever its sign and payload, so only its being NaN must agree
+    want = want.tolist()
+    return all(a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+               or math.isnan(a) and math.isnan(b) for a, b in zip(got, want))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(m=st.integers(min_value=1, max_value=3), data=st.data())
+def test_float_elementwise_forms_equal_numpys_bitwise(m, data):
+    a, b, c, d, e = (data.draw(arrays(np.float64, m, elements=EDGES)) for _ in range(5))
+    s = data.draw(EDGES)
+    fa, fb, fc, fd, fe = a.tolist(), b.tolist(), c.tolist(), d.tolist(), e.tolist()
+    with np.errstate(all="ignore"):
+        # the negated PD force
+        assert _same_floats([-(kp * (t - x) - kd * v) for kp, kd, t, x, v
+                             in zip(fa, fb, fc, fd, fe)], -(a * (c - d) - b * e))
+        # the trapezoidal velocity and the command f_c + b xd
+        assert _same_floats([0.5 * (x + y) for x, y in zip(fa, fb)], 0.5 * (a + b))
+        assert _same_floats([x + s * y for x, y in zip(fa, fb)], a + s * b)
+        # the scaled force, and the arm's right-hand side
+        assert _same_floats([s * x for x in fa], s * a)
+        assert _same_floats([x + y + z - w - y for x, y, z, w in zip(fa, fb, fc, fd)],
+                            a + b + c - d - b)
+        assert _same_floats([x - y for x, y in zip(fa, fb)], a - b)
+        assert _same_floats([-x for x in fa], -a)
+        assert _same_floats([x / y for x, y in zip(fa, fb) if y != 0.0], a[b != 0] / b[b != 0])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfltank.errors import DomainError, IntegrationFault
 from pfltank.robot_dynamics import (
@@ -10,7 +12,12 @@ from pfltank.robot_dynamics import (
     power_balance_residual,
 )
 
-from oracles import ArmOracle, semi_implicit_constant_force
+from oracles import (
+    ArmOracle,
+    arm_step_numpy,
+    cartesian_step_numpy,
+    semi_implicit_constant_force,
+)
 
 ZERO2 = np.zeros(2)
 
@@ -95,6 +102,46 @@ def test_state_snapshots_are_isolated():
         built.x = x
     with pytest.raises(DomainError, match="kinetic energy cannot be negative"):
         PlantState(x, ZERO2, -1e-12)
+
+
+# -- the lean steps against their numpy forms -------------------------------------
+
+# zeros of both signs and magnitudes a run meets, with no overflow
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(min_value=-1e3, max_value=1e3, width=64))
+_TAU = st.floats(min_value=1e-5, max_value=1e-2)
+
+
+def _vector(data, m):
+    return np.array(data.draw(st.lists(_VALUES, min_size=m, max_size=m)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(m=st.integers(min_value=1, max_value=3), tau=_TAU, data=st.data())
+def test_cartesian_step_gives_the_numpy_forms_bits(m, tau, data):
+    rows = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m * m,
+                                       max_size=m * m))).reshape(m, m)
+    plant = CartesianPlant(rows @ rows.T + 0.1 * np.eye(m), _vector(data, m),
+                           _vector(data, m))
+    f_c, f_e = _vector(data, m), _vector(data, m)
+    v, x = cartesian_step_numpy(plant, f_c, f_e, tau)
+    state = plant.step(WrenchInput(f_c, f_e), tau)
+    assert state.xdot.tobytes() == v.tobytes()
+    assert state.x.tobytes() == x.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(lengths=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
+       masses=st.tuples(st.floats(0.1, 20.0), st.floats(0.1, 20.0)),
+       tau=_TAU, data=st.data())
+def test_arm_step_gives_the_numpy_forms_bits(lengths, masses, tau, data):
+    arm = PlanarArm(*lengths, *masses, q0=np.array(data.draw(st.lists(
+        st.floats(-4.0, 4.0), min_size=2, max_size=2))), qdot0=_vector(data, 2) / 100)
+    f_c, f_e = _vector(data, 2), _vector(data, 2)
+    qdot, q = arm_step_numpy(arm, f_c, f_e, tau)
+    arm.step(WrenchInput(f_c, f_e), tau)
+    assert arm._qdot.tobytes() == qdot.tobytes()
+    assert arm._q.tobytes() == q.tobytes()
 
 
 # -- arm dynamics against the symbolic oracle ------------------------------------

@@ -1,5 +1,12 @@
+import contextlib
+import copy
+import pickle
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfltank import safety_controller
 from pfltank.energy_tank import EPSILON_MIN, FLOOR_TOL, commit_step, make_tank
@@ -18,7 +25,13 @@ from pfltank.safety_controller import (
     supervise,
 )
 
-from oracles import alpha_oracle, projection_oracle
+from oracles import (
+    alpha_oracle,
+    command_numpy,
+    projection_oracle,
+    tank_port_force_numpy,
+    trapezoidal_velocity_numpy,
+)
 
 
 def _schedule(*pairs):
@@ -116,6 +129,17 @@ def test_pd_force_hand_value():
     gains = PdGains(kp=(2.0, 0.0), kd=(0.5, 0.0), target=(1.0, 0.0))
     f = pd_force(gains, np.array([0.25, 0.0]), np.array([0.1, 0.0]))
     assert f == pytest.approx([2.0 * 0.75 - 0.5 * 0.1, 0.0])
+
+
+def test_gains_arrays_are_read_only_in_every_copy():
+    # pd_force reads floats cached from the arrays, so no copy may let them drift
+    gains = PdGains(kp=(2.0, 0.0), kd=(0.5, 0.0), target=(1.0, 0.0))
+    for same in (gains, copy.copy(gains), copy.deepcopy(gains),
+                 pickle.loads(pickle.dumps(gains))):
+        with pytest.raises(ValueError, match="read-only"):
+            same.kp[0] = 5.0
+        assert same._axes == ((2.0, 0.5, 1.0), (0.0, 0.0, 0.0))
+        assert pd_force(same, [0.25, 0.0], [0.1, 0.0]) == [2.0 * 0.75 - 0.5 * 0.1, 0.0]
 
 
 def test_gains_validation():
@@ -247,6 +271,47 @@ def test_deferred_commit_uses_trapezoidal_velocity():
     # interval booked at v_mid = 0.35 with f_c = -2: dT = 0.01 * (-0.7)
     assert tick2.tank_T == pytest.approx(1.0 - 0.007, abs=1e-15)
     assert tick2.h_est == pytest.approx(0.007, abs=1e-15)
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(min_value=-10.0, max_value=10.0, width=64))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(m=st.integers(min_value=1, max_value=3), t_initial=st.floats(0.1, 10.0),
+       budget=st.one_of(st.floats(1e-5, 1e-3), st.floats(1e-3, 0.9)), data=st.data())
+def test_cycle_elementwise_arithmetic_gives_the_numpy_forms_bits(m, t_initial, budget, data):
+    def vector(values=_VALUES):
+        return np.array(data.draw(st.lists(values, min_size=m, max_size=m)))
+
+    gains = PdGains(kp=vector(st.floats(0.0, 100.0)), kd=vector(st.floats(0.0, 100.0)),
+                    target=vector())
+    tau = 1e-3
+    # a band this wide arms the damper whenever the push injects power, so no
+    # cycle is infeasible
+    ctl = SafetyController(gains, _schedule((0.0, "zone", budget * t_initial)),
+                           t_initial, 0.0, tau, damper_band=1e6)
+    x, xdot, f_e, xdot_next = vector(), vector(), vector(), vector()
+    command, tick = ctl.control_cycle(PlantObservation(x, xdot, f_e))
+    f_des = tank_port_force_numpy(gains, x, xdot)
+    f_c, wire = command_numpy(f_des, tick.alpha, tick.b, xdot)
+    assert tick.f_des.tobytes() == f_des.tobytes()
+    assert tick.f_c.tobytes() == f_c.tobytes()
+    assert command.tobytes() == wire.tobytes()
+    # the interval is booked at the trapezoidal velocity
+    booked = []
+
+    def spy(tank, p_task, f_e, v_mid, *args, **kwargs):
+        booked.append((p_task, v_mid))
+        return commit_step(tank, p_task, f_e, v_mid, *args, **kwargs)
+
+    with mock.patch.object(safety_controller, "commit_step", spy), \
+            contextlib.suppress(EmergencyFault):
+        ctl.finalize(xdot_next)
+    v_mid = trapezoidal_velocity_numpy(xdot, xdot_next)
+    [(p_task, got)] = booked
+    assert got.tobytes() == v_mid.tobytes()
+    assert p_task == float(f_c.dot(v_mid))
 
 
 def test_finalize_commits_the_last_interval():

@@ -151,6 +151,20 @@ def test_scenario_checks_the_axis_contract(over, message):
         _cart_scenario(**over)
 
 
+def test_scenario_refuses_active_wrenches_whose_sum_overflows():
+    # numpy forces too: the check sums Python floats, so numpy never warns
+    big = np.array([1e308])
+    with pytest.raises(ConfigError, match=r"forces active at t = 0\.2 s sum to a "
+                                          r"non-finite wrench"):
+        _cart_scenario(wrench_script=(WrenchSegment(0.1, 0.3, big),
+                                      WrenchSegment(0.2, 0.4, big)))
+    # the same pushes one after the other, or cancelling, are finite
+    _cart_scenario(wrench_script=(WrenchSegment(0.1, 0.2, big),
+                                  WrenchSegment(0.2, 0.4, big)))
+    _cart_scenario(wrench_script=(WrenchSegment(0.1, 0.3, big),
+                                  WrenchSegment(0.2, 0.4, -big)))
+
+
 def test_run_needs_at_least_one_cycle():
     with pytest.raises(ConfigError, match="at least one cycle"):
         _cart_scenario(duration=1e-4, tau=1e-3)
