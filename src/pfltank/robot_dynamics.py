@@ -115,29 +115,33 @@ class CartesianPlant:
         self.inertia = lam
         self._lam_inv = np.linalg.inv(lam)
         self.m = lam.shape[0]
-        self._x = np.array(x0, dtype=float)
-        self._xdot = np.array(xdot0, dtype=float)
-        if self._x.shape != (self.m,) or self._xdot.shape != (self.m,):
+        x = np.array(x0, dtype=float)
+        xdot = np.array(xdot0, dtype=float)
+        if x.shape != (self.m,) or xdot.shape != (self.m,):
             raise DomainError("x0/xdot0 dimensions do not match the inertia")
-        if not _all_finite(self._x, self._xdot):
+        if not _all_finite(x, xdot):
             raise DomainError("x0/xdot0 must be finite")
+        # pose and twist as the Python floats step computes them; every reading
+        # builds arrays of its own from them
+        self._x, self._xdot = x.tolist(), xdot.tolist()
 
     @property
     def pose(self) -> np.ndarray:
-        return self._x.copy()
+        return np.array(self._x)
 
     @property
     def twist(self) -> np.ndarray:
-        return self._xdot.copy()
+        return np.array(self._xdot)
 
     @property
     def kinetic_energy(self) -> float:
-        # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
-        # call overhead; a Python-float sum would round differently, moving bytes
-        return 0.5 * float(self._xdot.dot(self.inertia).dot(self._xdot))
+        return self.state().kinetic_energy_truth
 
     def state(self) -> PlantState:
-        return _snapshot(self.pose, self.twist, self.kinetic_energy)
+        xdot = self.twist
+        # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
+        # call overhead; a Python-float sum would round differently, moving bytes
+        return _snapshot(self.pose, xdot, 0.5 * float(xdot.dot(self.inertia).dot(xdot)))
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
         """Advance one interval holding the wrenches constant.
@@ -146,12 +150,11 @@ class CartesianPlant:
         """
         # f_e - f_c has the bits of -f_c + f_e, and a product's operand stays an array
         a = self._lam_inv.dot(wrench.f_e - wrench.f_c).tolist()
-        v = [vi + tau * ai for vi, ai in zip(self._xdot.tolist(), a)]
-        x = [xi + tau * vi for xi, vi in zip(self._x.tolist(), v)]
+        v = [vi + tau * ai for vi, ai in zip(self._xdot, a)]
+        x = [xi + tau * vi for xi, vi in zip(self._x, v)]
         if not all(map(math.isfinite, v + x)):
             raise IntegrationFault("non-finite plant state")
-        self._xdot = np.array(v)
-        self._x = np.array(x)
+        self._xdot, self._x = v, x
         return self.state()
 
 
@@ -174,11 +177,11 @@ class PlanarArm:
         self.m1, self.m2 = float(m1), float(m2)
         self.i1 = self.m1 * self.l1 * self.l1 / 12.0
         self.i2 = self.m2 * self.l2 * self.l2 / 12.0
-        self._q = np.array(q0, dtype=float)
+        q = np.array(q0, dtype=float)
         self._qdot = np.array(qdot0, dtype=float)
-        if (self._q.shape != (2,) or self._qdot.shape != (2,)
-                or not _all_finite(self._q, self._qdot)):
+        if q.shape != (2,) or self._qdot.shape != (2,) or not _all_finite(q, self._qdot):
             raise DomainError("q0/qdot0 must have two finite entries")
+        self._q = q.tolist()  # the joint angles as the floats step computes
         # the model at the current configuration, shared by the port readings
         # and the next step
         self._jac, self._ee, self._grav, self._mass, self._h = self._terms(self._q)
@@ -256,11 +259,11 @@ class PlanarArm:
                for d, p, c, g in zip(drive, push, coriolis, self._grav.tolist())]
         qdd = solve1(self._mass, rhs).tolist()
         qdot_new = [v + tau * a for v, a in zip(qdot.tolist(), qdd)]
-        q_new = [q + tau * v for q, v in zip(self._q.tolist(), qdot_new)]
+        q_new = [q + tau * v for q, v in zip(self._q, qdot_new)]
         if not all(map(math.isfinite, qdot_new + q_new)):
             raise IntegrationFault("non-finite arm state")
         self._qdot = np.array(qdot_new)
-        self._q = np.array(q_new)
+        self._q = q_new
         self._jac, self._ee, self._grav, self._mass, self._h = self._terms(q_new)
         return self.state()
 

@@ -84,6 +84,16 @@ class PdGains:
     def __reduce__(self):  # a copy or unpickled gains rebuild _axes and stay read-only
         return PdGains, (self.kp, self.kd, self.target)
 
+    # the generated __eq__ compares the arrays as one truth value, which numpy
+    # refuses for more than one axis; _axes holds the same values as floats
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._axes == other._axes
+
+    def __hash__(self):
+        return hash(self._axes)  # hash(0.0) == hash(-0.0), as 0.0 == -0.0
+
 
 @dataclass(slots=True)
 class PlantObservation:

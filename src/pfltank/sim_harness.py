@@ -199,6 +199,7 @@ def run(scenario: Scenario) -> RunResult:
     tau = scenario.tau
     wrenches = _wrench_table(scenario.wrench_script, scenario.n_cycles, tau, plant.m)
 
+    new_tuple = tuple.__new__
     ticks = TickLog._empty(scenario.n_cycles, plant.m)
     block: list[ControlTick] = []
     written = 0
@@ -208,13 +209,14 @@ def run(scenario: Scenario) -> RunResult:
         with np.errstate(all="ignore"):
             for k, f_e in enumerate(wrenches):
                 # each step's fresh PlantState is the next cycle's observation
+                x, xdot, h_truth = state
                 command, tick = controller.control_cycle(
-                    PlantObservation(x=state.x, xdot=state.xdot, f_e=f_e),
-                    h_truth=state.kinetic_energy_truth)
+                    PlantObservation(x, xdot, f_e), h_truth)
                 block.append(tick)
                 if not all(map(math.isfinite, command.tolist())):
                     raise IntegrationFault("wrench entries must be finite")
-                state = plant.step(WrenchInput._make((command, f_e)), tau)
+                # _make without its length check
+                state = plant.step(new_tuple(WrenchInput, (command, f_e)), tau)
                 if len(block) == _CHUNK:
                     ticks._put(written, block)
                     written += _CHUNK
@@ -372,6 +374,8 @@ _VECTORS = {"f_des", "f_c", "f_e", "x", "xdot"}
 _FIELDS = tuple(f.name for f in fields(ControlTick))
 _INTS = {"k", "active_region"}
 _record = attrgetter(*_FIELDS)
+#: the float fields that follow k, t and active_region in a CSV row
+_REPEATING = _FIELDS[3:]
 
 
 class TickLog:
@@ -504,29 +508,31 @@ def write_ticks_csv(path, ticks):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_tick_columns(ticks.xdot.shape[1])) + "\r\n")
         for start in range(0, len(ticks), _CHUNK):
-            columns = []
-            for name in _FIELDS:
-                # tolist() yields Python ints and floats; str and repr are csv's
-                # format for them
-                values = getattr(ticks, name)[start:start + _CHUNK]
-                if name == "k":
-                    columns.append(map(str, values.tolist()))
-                elif name == "active_region":
-                    columns.append(map(region_fields.__getitem__, values.tolist()))
-                elif name in _VECTORS:
-                    columns += (map(repr, axis) for axis in values.T.tolist())
-                else:
-                    columns.append(map(repr, values.tolist()))
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            rows = slice(start, start + _CHUNK)
+            # tolist() yields Python ints and floats; str and repr are csv's
+            # format for them
+            lead = zip(map(str, ticks.k[rows].tolist()), map(repr, ticks.t[rows].tolist()),
+                       map(region_fields.__getitem__, ticks.active_region[rows].tolist()))
+            # the float fields after them repeat values within a block: repr
+            # each distinct bit pattern once (bits, not ==, so 0.0 and -0.0
+            # stay apart); numpy 1 and 2 shape the inverse differently
+            cells = np.column_stack([getattr(ticks, name)[rows] for name in _REPEATING])
+            bits, where = np.unique(cells.view(np.int64), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+            body = map(",".join, texts[where.reshape(cells.shape)].tolist())
+            fh.write("".join(f"{k},{t},{region},{rest}\r\n"
+                             for (k, t, region), rest in zip(lead, body)))
 
 
 def read_ticks_csv(path) -> TickLog:
     """Inverse of write_ticks_csv; floats round-trip exactly.
 
-    Only what write_ticks_csv writes is accepted: UTF-8 text whose header is
-    exactly the tick-log header for its number of axes, then one row per tick
-    with no blank lines.  Anything else raises DomainError naming the file
-    and the missing columns, the header or the offending line.
+    Checked: the file is UTF-8, its header is exactly the tick-log header for
+    its number of axes, every later line is a row of as many fields (so no
+    blank lines), and every number parses.  Numbers are read by Python's
+    int() and float(), which also take forms write_ticks_csv never writes,
+    such as "0_0" or " 1.0 ".  A failed check raises DomainError naming the
+    file and the missing columns, the header or the offending line.
     """
     path = Path(path)
     blocks, region_names = [], []

@@ -14,7 +14,16 @@ import math
 import numpy as np
 import sympy as sp
 
-from pfltank.sim_harness import SegmentSummary, Summary
+from pfltank.sim_harness import (
+    _CHUNK,
+    _FIELDS,
+    _VECTORS,
+    SegmentSummary,
+    Summary,
+    _as_log,
+    _csv_field,
+    _tick_columns,
+)
 
 
 # -- planar 2R dynamics from the Lagrangian ------------------------------------
@@ -186,6 +195,30 @@ def write_ticks_csv_rowwise(path, ticks):
             for vec in (tk.x, tk.xdot):
                 row += [fmt(v) for v in vec]
             writer.writerow(row)
+
+
+def write_ticks_csv_per_cell(path, ticks):
+    """The block-wise tick log writer that calls repr once per float cell:
+    the reference for the package's writer, which formats each distinct bit
+    pattern of a block once.  It shares the header and the quoting of region
+    names with the package, which the row-by-row writer checks."""
+    ticks = _as_log(ticks)
+    region_fields = list(map(_csv_field, ticks.region_names))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_tick_columns(ticks.xdot.shape[1])) + "\r\n")
+        for start in range(0, len(ticks), _CHUNK):
+            columns = []
+            for name in _FIELDS:
+                values = getattr(ticks, name)[start:start + _CHUNK]
+                if name == "k":
+                    columns.append(map(str, values.tolist()))
+                elif name == "active_region":
+                    columns.append(map(region_fields.__getitem__, values.tolist()))
+                elif name in _VECTORS:
+                    columns += (map(repr, axis) for axis in values.T.tolist())
+                else:
+                    columns.append(map(repr, values.tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 # -- tick-by-tick summary ---------------------------------------------------------

@@ -141,7 +141,7 @@ def test_arm_step_gives_the_numpy_forms_bits(lengths, masses, tau, data):
     qdot, q = arm_step_numpy(arm, f_c, f_e, tau)
     arm.step(WrenchInput(f_c, f_e), tau)
     assert arm._qdot.tobytes() == qdot.tobytes()
-    assert arm._q.tobytes() == q.tobytes()
+    assert np.array(arm._q).tobytes() == q.tobytes()  # the arm keeps q as floats
 
 
 # -- arm dynamics against the symbolic oracle ------------------------------------

@@ -142,6 +142,18 @@ def test_gains_arrays_are_read_only_in_every_copy():
         assert pd_force(same, [0.25, 0.0], [0.1, 0.0]) == [2.0 * 0.75 - 0.5 * 0.1, 0.0]
 
 
+def test_gains_compare_by_value_on_every_axis():
+    gains = PdGains(kp=(2.0, 1.0), kd=(0.5, 0.0), target=(1.0, 0.0))
+    # 0.0 == -0.0 for the gains as for their arrays, and equal gains hash alike
+    same = PdGains(kp=[2.0, 1.0], kd=np.array([0.5, -0.0]), target=(1.0, -0.0))
+    assert gains == same and hash(gains) == hash(same)
+    assert {gains, same, copy.deepcopy(gains)} == {gains}
+    for other in (PdGains(kp=(2.0, 1.0), kd=(0.5, 0.0), target=(1.0, 0.5)),
+                  PdGains(kp=(2.0,), kd=(0.5,), target=(1.0,)),
+                  gains._axes):
+        assert gains != other and not gains == other
+
+
 def test_gains_validation():
     with pytest.raises(ConfigError):
         PdGains(kp=(1.0,), kd=(1.0, 1.0), target=(0.0,))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfltank import sim_harness
 from pfltank.cli import load_scenario
@@ -31,7 +33,7 @@ from pfltank.sim_harness import (
     write_ticks_csv,
 )
 
-from oracles import summarize_rowwise, write_ticks_csv_rowwise
+from oracles import summarize_rowwise, write_ticks_csv_per_cell, write_ticks_csv_rowwise
 
 
 def _region(name, e):
@@ -575,6 +577,43 @@ def test_csv_writer_matches_the_rowwise_reference(tmp_path):
     for text in (b'"comma, here"', b'"quote ""q"""', b'"cr\rhere"', b'"lf\nhere"',
                  b'"crlf\r\nhere",', b",plain,", b",-0.0,", b",5e-324,", b",1e+308,"):
         assert text in edges, text
+
+
+# float bit patterns that repr must keep apart: signed zeros, two NaN payloads,
+# infinities, subnormals and the values where repr switches notation
+_SPECIAL_BITS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -1e-310, 1e16, 1e-5,
+                          9999999999999998.0, 0.0001]).view(np.int64).tolist() + [
+    0x7FF8000000000000, 0x7FF800000000BEEF]
+_CHUNK = sim_harness._CHUNK
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(m=st.integers(min_value=1, max_value=3),
+       n=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+       pool=st.lists(st.sampled_from(_SPECIAL_BITS) | st.floats(width=64).map(
+           lambda v: int(np.array(v).view(np.int64))), min_size=1, max_size=12),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_csv_writer_matches_the_per_cell_reference(tmp_path_factory, m, n, pool, seed):
+    rng = np.random.default_rng(seed)
+
+    def values(*shape):
+        # runs of one pool value, some longer than a block, along each column
+        size = int(np.prod(shape))
+        runs = rng.choice([1, 2, 7, 3 * _CHUNK], size=size)
+        picks = np.repeat(rng.integers(len(pool), size=size), runs)[:size]
+        return np.array(pool, dtype=np.int64)[picks].view(float).reshape(shape).T
+
+    names = ["zone", 'chest, "upper"', "lf\nhere"]
+    columns = {name: values(m, n) if name in sim_harness._VECTORS else values(n)
+               for name in sim_harness._FIELDS}
+    columns["k"] = np.arange(n) - int(rng.integers(-10**6, 10**6))
+    columns["active_region"] = rng.integers(len(names), size=n)
+    log = TickLog(columns, names)
+    ours = tmp_path_factory.mktemp("writer") / "ticks.csv"
+    ref = ours.with_name("per_cell.csv")
+    write_ticks_csv(ours, log)
+    write_ticks_csv_per_cell(ref, log)
+    assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_summarize_matches_the_rowwise_reference():
