@@ -68,8 +68,11 @@ def make_tank(t_initial: float, epsilon: float, h_initial: float = 0.0) -> TankS
     if epsilon > t_initial + FLOOR_TOL:
         raise ConfigError(
             f"initial tank energy {t_initial!r} is below the floor {epsilon!r}")
-    return TankState(x_t=math.sqrt(2.0 * t_initial), epsilon=float(epsilon),
-                     capacity=float(t_initial) + float(h_initial))
+    x_t, capacity = math.sqrt(2.0 * t_initial), float(t_initial) + float(h_initial)
+    if not (math.isfinite(x_t) and math.isfinite(capacity)):
+        raise ConfigError(f"tank charge {t_initial!r} J with {h_initial!r} J of kinetic "
+                          "energy overflows: sqrt(2 T) or T + H is not finite")
+    return TankState(x_t=x_t, epsilon=float(epsilon), capacity=capacity)
 
 
 def damper_coefficient(p_in: float, speed_sq: float, state: TankState,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,39 +61,36 @@ __all__ = [
 FEASIBILITY_MARGIN = 5e-4
 
 
+def _finite_floats(value, label: str) -> tuple:
+    """value as a tuple of floats.  ConfigError unless it is a flat sequence of
+    finite real numbers, so a string, a scalar or a nested list is refused."""
+    floats = None
+    try:
+        items = tuple(value)  # a scalar is not iterable
+        if all(isinstance(v, numbers.Real) for v in items):  # a str's characters are not
+            floats = tuple(map(float, items))  # an int past float's range overflows
+    except (TypeError, OverflowError):
+        pass
+    if floats is None or not all(map(math.isfinite, floats)):
+        raise ConfigError(f"{label} must be a flat sequence of finite numbers, got {value!r}")
+    return floats
+
+
 @dataclass(frozen=True)
 class PdGains:
-    """Per-axis proportional/derivative gains and the pose setpoint."""
+    """Per-axis PD gains and the pose setpoint, each a tuple of floats."""
 
-    kp: np.ndarray
-    kd: np.ndarray
-    target: np.ndarray
+    kp: tuple
+    kd: tuple
+    target: tuple
 
     def __post_init__(self):
         for label in ("kp", "kd", "target"):
-            object.__setattr__(self, label, np.array(getattr(self, label), dtype=float))
-            getattr(self, label).flags.writeable = False  # so _axes keeps its values
-        if not (self.kp.shape == self.kd.shape == self.target.shape):
-            raise ConfigError("kp, kd and target must have matching shapes")
-        if not np.all(np.isfinite((self.kp, self.kd, self.target))):
-            raise ConfigError("kp, kd and target must be finite")
-        if np.any(self.kp < 0) or np.any(self.kd < 0):
+            object.__setattr__(self, label, _finite_floats(getattr(self, label), label))
+        if not len(self.kp) == len(self.kd) == len(self.target):
+            raise ConfigError("kp, kd and target must have matching lengths")
+        if any(g < 0 for g in self.kp + self.kd):
             raise ConfigError("PD gains must be non-negative")
-        object.__setattr__(self, "_axes", tuple(zip(  # per axis, as floats for pd_force
-            self.kp.tolist(), self.kd.tolist(), self.target.tolist())))
-
-    def __reduce__(self):  # a copy or unpickled gains rebuild _axes and stay read-only
-        return PdGains, (self.kp, self.kd, self.target)
-
-    # the generated __eq__ compares the arrays as one truth value, which numpy
-    # refuses for more than one axis; _axes holds the same values as floats
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._axes == other._axes
-
-    def __hash__(self):
-        return hash(self._axes)  # hash(0.0) == hash(-0.0), as 0.0 == -0.0
 
 
 @dataclass(slots=True)
@@ -108,7 +106,8 @@ class PlantObservation:
 
 def pd_force(gains: PdGains, x: list, xdot: list) -> list:
     """Plain PD attraction kp (target - x) - kd xd, in the plant frame, on floats."""
-    return [kp * (tg - xi) - kd * vi for (kp, kd, tg), xi, vi in zip(gains._axes, x, xdot)]
+    return [kp * (tg - xi) - kd * vi
+            for kp, kd, tg, xi, vi in zip(gains.kp, gains.kd, gains.target, x, xdot)]
 
 
 def solve_alpha(f_des, xdot, t_prev: float, epsilon: float,

@@ -17,6 +17,7 @@ import csv
 import io
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from operator import attrgetter
@@ -34,6 +35,7 @@ from .safety_controller import (
     PlantObservation,
     RegionSchedule,
     SafetyController,
+    _finite_floats,
 )
 
 __all__ = [
@@ -57,19 +59,19 @@ _AXES = "xyz"
 
 @dataclass(frozen=True)
 class WrenchSegment:
-    """Constant external wrench active on [t_start, t_end)."""
+    """Constant external wrench, a tuple of floats, active on [t_start, t_end)."""
 
     t_start: float
     t_end: float
     force: tuple
 
     def __post_init__(self):
-        if not self.t_end > self.t_start:
+        times = (self.t_start, self.t_end)
+        if not (all(isinstance(t, numbers.Real) for t in times) and self.t_end > self.t_start):
             raise ConfigError(
-                f"wrench segment must have t_end > t_start, got "
+                f"wrench segment must have t_end > t_start, both numbers, got "
                 f"[{self.t_start!r}, {self.t_end!r})")
-        if not np.all(np.isfinite(np.asarray(self.force, dtype=float))):
-            raise ConfigError(f"wrench force must be finite, got {self.force!r}")
+        object.__setattr__(self, "force", _finite_floats(self.force, "wrench force"))
 
 
 @dataclass(frozen=True)
@@ -100,19 +102,16 @@ class Scenario:
         m = self.plant.m
         if m > len(_AXES):  # the tick log names the axes x, y and z
             raise ConfigError(f"plant: at most {len(_AXES)} axes are supported, got {m}")
-        if self.gains.kp.shape != (m,):
+        if len(self.gains.kp) != m:
             raise ConfigError(f"kp, kd and target need one entry per plant axis ({m}), "
-                              f"got shape {self.gains.kp.shape}")
+                              f"got {len(self.gains.kp)}")
         for i, seg in enumerate(self.wrench_script):
-            if np.shape(seg.force) != (m,):
+            if len(seg.force) != m:
                 raise ConfigError(f"wrench_script[{i}].force needs one entry per plant "
-                                  f"axis ({m}), got shape {np.shape(seg.force)}")
-        # the active set moves only at bounds: sum each as wrench_at does, but on floats
-        for t in sorted({0.0}.union(*((s.t_start, s.t_end) for s in self.wrench_script))):
-            total = [0.0] * m
-            for seg in (s for s in self.wrench_script if s.t_start <= t < s.t_end):
-                total = [a + float(f) for a, f in zip(total, seg.force)]
-            if not all(map(math.isfinite, total)):
+                                  f"axis ({m}), got {len(seg.force)}")
+        # the active set changes only at a segment bound
+        for t in sorted({b for s in self.wrench_script for b in (s.t_start, s.t_end)}):
+            if not all(map(math.isfinite, _sum_active(self.wrench_script, t, m))):
                 raise ConfigError(f"wrench_script: the forces active at t = {t!r} s "
                                   "sum to a non-finite wrench")
         _start(self)  # the controller checks tau
@@ -128,33 +127,32 @@ class Scenario:
         return int(round(self.duration / self.tau))
 
 
-def wrench_at(script, t: float, m: int, slack: float = 0.0) -> np.ndarray:
-    """Sum of all scripted wrenches active at time t (overlaps add)."""
-    total = np.zeros(m)
-    shifted = t + slack
+def _sum_active(script, t: float, m: int) -> list:
+    """The forces of the segments active at time t summed in script order, as
+    floats: the bits of np.zeros(m) with each force added in turn."""
+    total = [0.0] * m
     for seg in script:
-        if seg.t_start <= shifted < seg.t_end:
-            total += seg.force
+        if seg.t_start <= t < seg.t_end:
+            total = [a + f for a, f in zip(total, seg.force)]
     return total
 
 
-def _wrench_table(script, n: int, tau: float, m: int) -> list:
-    """The external wrench of each of n cycles, sampled as run() samples it.
+def wrench_at(script, t: float, m: int) -> np.ndarray:
+    """Sum of all scripted wrenches active at time t (overlaps add)."""
+    return np.array(_sum_active(script, t, m))
 
-    wrench_at runs once per distinct set of active segments, and the cycles
-    that share a set share its array, so no cycle may change it in place.
-    """
-    shifted = np.arange(n) * tau + 0.5 * tau  # k * tau + half, as in wrench_at
-    active = np.array([(seg.t_start <= shifted) & (shifted < seg.t_end)
-                       for seg in script], dtype=bool).reshape(len(script), n)
-    bounds = [0, *(np.flatnonzero((active[:, 1:] != active[:, :-1]).any(axis=0)) + 1)
-              .tolist(), n]
-    table, by_set = [], {}
-    for start, stop in zip(bounds, bounds[1:]):
-        key = tuple(active[:, start].tolist())
-        if key not in by_set:
-            by_set[key] = wrench_at(script, start * tau, m, slack=0.5 * tau)
-        table += [by_set[key]] * (stop - start)
+
+def _wrench_table(script, n: int, tau: float, m: int) -> list:
+    """The external wrench of each of n cycles, sampled at k tau + tau / 2 as
+    run() samples it.  The cycles between the same two segment bounds share
+    one array, so no cycle may change it in place."""
+    samples = np.arange(n) * tau + 0.5 * tau
+    bounds = sorted({b for seg in script for b in (seg.t_start, seg.t_end)})
+    between = np.searchsorted(bounds, samples, side="right")
+    starts = np.flatnonzero(np.diff(between, prepend=-1)).tolist()
+    table = []
+    for start, stop in zip(starts, [*starts[1:], n]):
+        table += [wrench_at(script, samples[start].item(), m)] * (stop - start)
     return table
 
 

@@ -249,6 +249,9 @@ RUN_REJECTS = {
     "wrench_sum_overflows": lambda doc: doc.update(wrench_script=[
         {"t_start": 0.1, "t_end": 0.3, "force": [1e308, 0.0]},
         {"t_start": 0.2, "t_end": 0.4, "force": [1e308, 0.0]}]),
+    # a finite floor sizes a tank of 1e308 J, whose x_t = sqrt(2 T) is inf;
+    # run used to exit 2 with "tank update is not finite" at cycle 1
+    "tank_charge_overflows": lambda doc: doc.update(tank={"epsilon_initial": 1e308}),
     "four_axes": lambda doc: doc.update(
         plant={"type": "cartesian", "inertia": np.eye(4).tolist(),
                "x0": [0.0] * 4, "v0": [0.0] * 4},

@@ -39,6 +39,15 @@ def test_tank_construction_guards():
         make_tank(1.0, 0.5, h_initial=-0.1)
 
 
+def test_tank_refuses_a_charge_that_overflows():
+    # each input is finite, but sqrt(2 T) or the capacity T + H is not
+    with pytest.raises(ConfigError, match="overflows"):
+        make_tank(1e308, 1.0)
+    with pytest.raises(ConfigError, match="overflows"):
+        make_tank(8e307, 1.0, h_initial=1.7e308)
+    assert make_tank(8e307, 1.0, h_initial=1e307).x_t == math.sqrt(1.6e308)
+
+
 def test_commit_books_the_three_channels():
     tank = make_tank(2.0, 0.5)
     xdot = np.array([0.5, -0.5])

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import pickle
 from unittest import mock
 
@@ -131,26 +132,29 @@ def test_pd_force_hand_value():
     assert f == pytest.approx([2.0 * 0.75 - 0.5 * 0.1, 0.0])
 
 
-def test_gains_arrays_are_read_only_in_every_copy():
-    # pd_force reads floats cached from the arrays, so no copy may let them drift
-    gains = PdGains(kp=(2.0, 0.0), kd=(0.5, 0.0), target=(1.0, 0.0))
+def test_gains_are_immutable_in_every_copy():
+    # pd_force reads the gains' tuples, so no copy may let them drift
+    gains = PdGains(kp=[2.0, 0.0], kd=np.array([0.5, 0.0]), target=(1.0, 0.0))
     for same in (gains, copy.copy(gains), copy.deepcopy(gains),
                  pickle.loads(pickle.dumps(gains))):
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError):
             same.kp[0] = 5.0
-        assert same._axes == ((2.0, 0.5, 1.0), (0.0, 0.0, 0.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            same.kp = (5.0, 0.0)
+        assert (same.kp, same.kd, same.target) == ((2.0, 0.0), (0.5, 0.0), (1.0, 0.0))
+        assert all(type(v) is float for v in same.kp + same.kd + same.target)
         assert pd_force(same, [0.25, 0.0], [0.1, 0.0]) == [2.0 * 0.75 - 0.5 * 0.1, 0.0]
 
 
 def test_gains_compare_by_value_on_every_axis():
     gains = PdGains(kp=(2.0, 1.0), kd=(0.5, 0.0), target=(1.0, 0.0))
-    # 0.0 == -0.0 for the gains as for their arrays, and equal gains hash alike
+    # 0.0 == -0.0 for the gains as for their floats, and equal gains hash alike
     same = PdGains(kp=[2.0, 1.0], kd=np.array([0.5, -0.0]), target=(1.0, -0.0))
     assert gains == same and hash(gains) == hash(same)
     assert {gains, same, copy.deepcopy(gains)} == {gains}
     for other in (PdGains(kp=(2.0, 1.0), kd=(0.5, 0.0), target=(1.0, 0.5)),
                   PdGains(kp=(2.0,), kd=(0.5,), target=(1.0,)),
-                  gains._axes):
+                  (gains.kp, gains.kd, gains.target)):
         assert gains != other and not gains == other
 
 

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import gc
+import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -69,28 +72,108 @@ def test_wrench_overlaps_add_and_windows_are_half_open():
     # t_end excluded, t_start included
     assert wrench_at(script, 1.0, 2) == pytest.approx([0.25, 0.5])
     assert wrench_at(script, 2.0, 2) == pytest.approx([0.0, 0.0])
-    # the slack shifts the sampling instant, not the segment
-    assert wrench_at(script, 0.999, 2, slack=0.002) == pytest.approx([0.25, 0.5])
+    # run() samples cycle k at k tau + tau / 2: cycle 1 starts at 1 ms, inside
+    # [0, 1.5 ms), but is sampled at its end
+    table = sim_harness._wrench_table((WrenchSegment(0.0, 1.5e-3, (1.0,)),), 3, 1e-3, 1)
+    assert [f_e.tolist() for f_e in table] == [[1.0], [0.0], [0.0]]
     assert wrench_at((), 0.3, 3) == pytest.approx([0.0, 0.0, 0.0])
 
 
-def test_wrench_table_calls_wrench_at_once_per_active_set():
-    script = (WrenchSegment(0.002, 0.006, (1.0, 0.5)),
-              WrenchSegment(0.004, 0.009, (0.25, -2.0)),
-              WrenchSegment(0.012, 0.013, (3.0, 0.0)))
+# segment bounds on and off the sampling grid, before t = 0 and at -inf
+_SCRIPT_TIMES = st.integers(-4, 40).map(lambda i: i * 5e-4) | st.sampled_from(
+    [-math.inf, -3.3e-3, 1e-12, 2.2e-3, 7.7e-3, 0.1 * 0.3])
+_SCRIPT_FORCES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 3e200])
+
+
+@st.composite
+def _wrench_scripts(draw):
+    """(m, script): overlapping segments, some never ending, with signed
+    zeros among the forces."""
+    m = draw(st.integers(1, 3))
+    script = []
+    for _ in range(draw(st.integers(0, 6))):
+        t_start, t_end = sorted(draw(st.tuples(_SCRIPT_TIMES, _SCRIPT_TIMES)))
+        force = draw(st.lists(_SCRIPT_FORCES, min_size=m, max_size=m))
+        script.append(WrenchSegment(t_start, t_end if t_end > t_start else math.inf, force))
+    return m, tuple(script)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(case=_wrench_scripts(), n=st.integers(1, 40))
+def test_wrench_table_samples_each_cycle_as_wrench_at(case, n):
+    m, script = case
     tau = 1e-3
-    table = sim_harness._wrench_table(script, 16, tau, 2)
-    assert len(table) == 16
+    table = sim_harness._wrench_table(script, n, tau, m)
+    assert len(table) == n
     for k, f_e in enumerate(table):
-        assert f_e.tobytes() == wrench_at(script, k * tau, 2, slack=0.5 * tau).tobytes(), k
-    # the sets none, {0}, {0, 1}, {1}, none, {2}, none: five distinct arrays
-    assert len({id(f_e) for f_e in table}) == 5
-    assert [f_e.tolist() for f_e in sim_harness._wrench_table((), 2, tau, 3)] == [[0.0] * 3] * 2
+        t = k * tau + 0.5 * tau
+        assert f_e.tobytes() == wrench_at(script, t, m).tobytes(), k
+        # the sum's bits are numpy's, forces added in script order
+        total = np.zeros(m)
+        for seg in script:
+            if seg.t_start <= t < seg.t_end:
+                total += seg.force
+        assert f_e.tobytes() == total.tobytes(), k
 
 
 def test_wrench_segment_rejects_empty_window():
     with pytest.raises(ConfigError):
         WrenchSegment(1.0, 1.0, (0.0,))
+
+
+def test_wrench_segment_times_must_be_numbers():
+    # strings compare among themselves, so "0.2" > "0.1" alone would let the
+    # segment build and fail as a TypeError in the Scenario or in run()
+    with pytest.raises(ConfigError, match="t_end > t_start, both numbers"):
+        WrenchSegment("0.1", "0.2", (1.0,))
+
+
+# the two value types that hold tuples of floats, built from one vector
+_VALUE_TYPES = {
+    "gains": lambda v: PdGains(kp=v, kd=v, target=v),
+    "segment": lambda v: WrenchSegment(0.0, 1.0, v),
+}
+
+
+@pytest.mark.parametrize("build", _VALUE_TYPES.values(), ids=_VALUE_TYPES.keys())
+def test_value_types_compare_hash_copy_and_pickle_as_values(build):
+    forms = [build(make([1.5, -0.0])) for make in (list, tuple, np.array)]
+    for value in [*forms, build((1.5, 0.0))]:  # 0.0 == -0.0, so they hash alike
+        assert value == forms[0] and hash(value) == hash(forms[0])
+    assert forms[0] != build((1.5, 1.0))
+    for value in forms:
+        for same in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            # repr tells -0.0 from 0.0
+            assert same == value and hash(same) == hash(value)
+            assert repr(same) == repr(value) == repr(forms[0])
+
+
+@pytest.mark.parametrize("build", _VALUE_TYPES.values(), ids=_VALUE_TYPES.keys())
+@pytest.mark.parametrize("bad", ["1.5", 1.5, [[1.5, 0.0]], ["1.5"], np.array(1.5),
+                                 np.zeros((1, 2))],
+                         ids=["string", "scalar", "nested_list", "list_of_strings",
+                              "0d_array", "2d_array"])
+def test_value_types_refuse_what_is_not_a_flat_sequence_of_numbers(build, bad):
+    with pytest.raises(ConfigError, match="must be a flat sequence of finite numbers"):
+        build(bad)
+
+
+def test_a_scenario_keeps_its_own_copy_of_a_list_force():
+    force = [0.7]
+    scenario = _cart_scenario(wrench_script=(WrenchSegment(0.05, 0.1, force),),
+                              duration=0.2)
+    hash(scenario)
+    # the caller's list is not the segment's: changing it after the build
+    # reaches neither the scenario nor run()
+    force[0] = math.inf
+    got = run(scenario)
+    want = run(_cart_scenario(wrench_script=(WrenchSegment(0.05, 0.1, [0.7]),),
+                              duration=0.2))
+    assert got.fault is None
+    for name in sim_harness._FIELDS:
+        assert getattr(got.ticks, name).tobytes() == getattr(want.ticks, name).tobytes()
+    assert repr(got.summary.to_dict()) == repr(want.summary.to_dict())
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -139,7 +222,7 @@ def test_scenario_validation():
 
 @pytest.mark.parametrize("over, message", [
     (dict(gains=PdGains(kp=(4.0, 4.0), kd=(6.0, 6.0), target=(2.0, 0.0))),
-     r"kp, kd and target need one entry per plant axis \(1\), got shape \(2,\)"),
+     r"kp, kd and target need one entry per plant axis \(1\), got 2$"),
     (dict(wrench_script=(WrenchSegment(0.0, 0.1, (1.0,)),
                          WrenchSegment(0.2, 0.3, (1.0, 0.0)))),
      r"wrench_script\[1\]\.force needs one entry per plant axis \(1\)"),
