@@ -18,7 +18,8 @@ import io
 import logging
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from functools import partial
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
@@ -105,6 +106,7 @@ class Scenario:
         if len(self.gains.kp) != m:
             raise ConfigError(f"kp, kd and target need one entry per plant axis ({m}), "
                               f"got {len(self.gains.kp)}")
+        object.__setattr__(self, "wrench_script", tuple(self.wrench_script))
         for i, seg in enumerate(self.wrench_script):
             if len(seg.force) != m:
                 raise ConfigError(f"wrench_script[{i}].force needs one entry per plant "
@@ -279,7 +281,10 @@ class Summary:
     fault: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every value is a str, a number, a bool or None: nothing to deep-copy
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "segments": [{f.name: getattr(seg, f.name) for f in fields(seg)}
+                             for seg in self.segments]}
 
 
 def summarize(ticks) -> Summary:
@@ -288,9 +293,8 @@ def summarize(ticks) -> Summary:
 
     It reads the log's columns and gives the bits the tick-by-tick reduction
     gives: per-row products by stacked matmul, which rounds as ndarray.dot
-    does; min and max by Python over .tolist(), so NaN and the sign of a zero
-    land as they would; and the damper and injection sums added one term at
-    a time in tick order, as no numpy or math reduction does.
+    does; min and max by numpy, mended by _extreme where a NaN or a zero's
+    sign differs; sums by np.add.accumulate, adding left to right as += does.
     """
     ticks = _as_log(ticks)
     n = len(ticks)
@@ -312,8 +316,8 @@ def summarize(ticks) -> Summary:
             t_start=times[start].item(),
             t_end=times[stop - 1].item() + tau,
             ticks=stop - start,
-            h_max=max(h[start:stop].tolist()),
-            speed_max=math.sqrt(max(speed_sq[start:stop].tolist())),
+            h_max=_max(h[start:stop]),
+            speed_max=math.sqrt(_max(speed_sq[start:stop])),
             energy_bound=bound,
             time_above_bound=above * tau,
         ))
@@ -321,12 +325,10 @@ def summarize(ticks) -> Summary:
     # the damper's share of each armed interval, at its trapezoidal velocity
     armed = np.flatnonzero(ticks.b[:-1] > 0.0)
     v_mid = 0.5 * (ticks.xdot[armed] + ticks.xdot[armed + 1])
-    damper_energy = 0.0
-    injection = 0.0
-    for b, vv, fv in zip(ticks.b[armed].tolist(), _row_dot(v_mid, v_mid).tolist(),
-                         _row_dot(ticks.f_e[armed], v_mid).tolist()):
-        damper_energy += tau * b * vv
-        injection += tau * fv
+    terms = np.zeros((len(armed) + 1, 2))
+    terms[1:, 0] = tau * ticks.b[armed] * _row_dot(v_mid, v_mid)
+    terms[1:, 1] = tau * _row_dot(ticks.f_e[armed], v_mid)
+    damper_energy, injection = np.add.accumulate(terms)[-1].tolist()
 
     return Summary(
         scenario="",
@@ -334,13 +336,25 @@ def summarize(ticks) -> Summary:
         tau=tau,
         t_final=times[-1].item(),
         segments=segments,
-        min_tank=min(tank.tolist()),
-        min_tank_minus_epsilon=min((tank - ticks.epsilon).tolist()),
-        conservation_residual=max(np.abs(h + tank - budget).tolist()),
-        h_est_error_max=max(np.abs(ticks.h_est - h).tolist()),
+        min_tank=_min(tank),
+        min_tank_minus_epsilon=_min(tank - ticks.epsilon),
+        conservation_residual=_max(np.abs(h + tank - budget)),
+        h_est_error_max=_max(np.abs(ticks.h_est - h)),
         damper_energy=damper_energy,
         injection_excess=injection,
     )
+
+
+def _extreme(python, a: np.ndarray) -> float:
+    """python(a.tolist()) for python max or min.  That is numpy's answer unless
+    it is NaN (Python skips a NaN after a[0]) or a zero (Python keeps the first)."""
+    m = a.max() if python is max else a.min()
+    if m != m:
+        return python(a.tolist())
+    return a[(a == m).argmax()].item() if m == 0.0 else m.item()
+
+
+_max, _min = partial(_extreme, max), partial(_extreme, min)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -476,7 +490,8 @@ def _region_codes(values, names: list) -> list[int]:
 #
 # The CSV columns follow ControlTick's fields in order; each vector field
 # spreads over one column per axis.  Both directions work on blocks of
-# _CHUNK rows, so the extra memory they hold stays bounded by the block.
+# _CHUNK rows; the reader joins its blocks one field at a time, dropping each
+# block's array as it goes, so the blocks and the whole log never coexist.
 # The writer formats the fields itself, exactly as csv.writer's default
 # dialect would: floats by repr, k by str, commas between fields, "\r\n"
 # after each row, and the region name quoted where csv quotes it.
@@ -557,7 +572,7 @@ def read_ticks_csv(path) -> TickLog:
             raise DomainError(f"{path}: not UTF-8: {exc}") from None
     if not blocks:
         raise DomainError(f"{path}: empty tick log")
-    return TickLog({name: np.concatenate([block[name] for block in blocks])
+    return TickLog({name: np.concatenate([block.pop(name) for block in blocks])
                     for name in _FIELDS}, region_names)
 
 

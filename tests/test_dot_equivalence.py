@@ -17,7 +17,9 @@ or a sum with a term that is never -0.0, so that sign cannot reach the log.
 summarize takes its per-row products over a whole log at once with stacked
 matmul, which must give each row's ndarray.dot bits; so must a batched
 controller.  The arm computes its model on Python floats with math.sin and
-math.cos, which must give np.sin's and np.cos's bits."""
+math.cos, which must give np.sin's and np.cos's bits.  summarize sums the
+damper's and the injection's terms with np.add.accumulate, which must give a
+loop of += its bits: a reduction such as np.sum may add pairwise instead."""
 
 import math
 
@@ -126,3 +128,18 @@ def test_float_elementwise_forms_equal_numpys_bitwise(m, data):
         assert _same_floats([x - y for x, y in zip(fa, fb)], a - b)
         assert _same_floats([-x for x in fa], -a)
         assert _same_floats([x / y for x, y in zip(fa, fb) if y != 0.0], a[b != 0] / b[b != 0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(terms=arrays(np.float64, st.tuples(st.integers(min_value=0, max_value=40), st.just(2)),
+                    elements=EDGES))
+def test_add_accumulate_equals_a_plus_equals_loop_bitwise(terms):
+    # as summarize lays them out: a row of zeros, then one row of the two
+    # terms per armed interval, summed down each column
+    with np.errstate(all="ignore"):
+        got = np.add.accumulate(np.vstack([np.zeros((1, 2)), terms]))[-1]
+    damper = injection = 0.0
+    for d, i in terms.tolist():
+        damper += d
+        injection += i
+    assert _same_floats([damper, injection], got)

@@ -159,6 +159,13 @@ def test_value_types_refuse_what_is_not_a_flat_sequence_of_numbers(build, bad):
         build(bad)
 
 
+def _assert_same_run(got, want):
+    assert got.fault is None
+    for name in sim_harness._FIELDS:
+        assert getattr(got.ticks, name).tobytes() == getattr(want.ticks, name).tobytes()
+    assert repr(got.summary.to_dict()) == repr(want.summary.to_dict())
+
+
 def test_a_scenario_keeps_its_own_copy_of_a_list_force():
     force = [0.7]
     scenario = _cart_scenario(wrench_script=(WrenchSegment(0.05, 0.1, force),),
@@ -167,13 +174,20 @@ def test_a_scenario_keeps_its_own_copy_of_a_list_force():
     # the caller's list is not the segment's: changing it after the build
     # reaches neither the scenario nor run()
     force[0] = math.inf
-    got = run(scenario)
-    want = run(_cart_scenario(wrench_script=(WrenchSegment(0.05, 0.1, [0.7]),),
-                              duration=0.2))
-    assert got.fault is None
-    for name in sim_harness._FIELDS:
-        assert getattr(got.ticks, name).tobytes() == getattr(want.ticks, name).tobytes()
-    assert repr(got.summary.to_dict()) == repr(want.summary.to_dict())
+    _assert_same_run(run(scenario), run(_cart_scenario(
+        wrench_script=(WrenchSegment(0.05, 0.1, [0.7]),), duration=0.2)))
+
+
+def test_a_scenario_keeps_its_own_copy_of_a_list_script():
+    script = [WrenchSegment(0.05, 0.1, (0.7,))]
+    scenario = _cart_scenario(wrench_script=script, duration=0.2)
+    assert scenario.wrench_script == tuple(script)
+    hash(scenario)
+    # segments appended after the build skip the overflow check, so they
+    # must not reach run(): these two would end it in an emergency fault
+    script += [WrenchSegment(0.05, 0.1, (1e308,))] * 2
+    _assert_same_run(run(scenario), run(_cart_scenario(
+        wrench_script=(WrenchSegment(0.05, 0.1, (0.7,)),), duration=0.2)))
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -603,6 +617,24 @@ def test_tick_log_memory_per_tick():
     assert held / len(ticks) < 400
 
 
+def test_reading_a_log_holds_little_beyond_its_columns(tmp_path):
+    # 34 copies of a 300-tick run: beside 10,200 ticks the reader's block of
+    # parsed text weighs little, so the join's share of the peak shows
+    one = run(_cart_scenario(duration=0.3)).ticks
+    path = tmp_path / "ticks.csv"
+    write_ticks_csv(path, TickLog({name: np.concatenate([getattr(one, name)] * 34)
+                                   for name in sim_harness._FIELDS}, one.region_names))
+    tracemalloc.start()
+    try:
+        ticks = read_ticks_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ticks) == 10200
+    # the blocks and the joined log never coexist whole; holding both reads 2.1x
+    assert peak < 1.6 * sum(getattr(ticks, name).nbytes for name in sim_harness._FIELDS)
+
+
 def _assert_same_ticks(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -708,6 +740,47 @@ def test_summarize_matches_the_rowwise_reference():
         # repr tells -0.0 from 0.0
         assert repr(summarize(ticks).to_dict()) == repr(summarize_rowwise(rows).to_dict()), name
         assert repr(summarize(rows).to_dict()) == repr(summarize_rowwise(rows).to_dict()), name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(m=st.integers(min_value=1, max_value=3), n=st.integers(min_value=1, max_value=40),
+       pool=st.lists(st.sampled_from(_SPECIAL_BITS) | st.floats(width=64).map(
+           lambda v: int(np.array(v).view(np.int64))), min_size=1, max_size=6),
+       first=st.none() | st.sampled_from(_SPECIAL_BITS),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_summarize_matches_the_rowwise_reference_on_special_values(m, n, pool, first, seed):
+    # numpy's min and max give any NaN and either signed zero where Python's
+    # keep the first; the sums must add from 0.0 in tick order
+    rng = np.random.default_rng(seed)
+
+    def values(*shape):
+        # runs of one pool value, so zeros of both signs tie
+        size = int(np.prod(shape))
+        picks = np.repeat(rng.integers(len(pool), size=size), rng.choice([1, 3], size=size))
+        column = np.array(pool, dtype=np.int64)[picks[:size]].view(float).reshape(shape)
+        if first is not None:  # a NaN, a zero or an infinity on the first row
+            column[0] = np.array(first).view(float)
+        return column
+
+    names = ["zone", "chest", "hand"]
+    columns = {name: values(n, m) if name in sim_harness._VECTORS else values(n)
+               for name in sim_harness._FIELDS}
+    columns["k"] = np.arange(n)
+    columns["active_region"] = np.repeat(rng.integers(len(names), size=n),
+                                         rng.choice([1, 4], size=n))[:n]
+    columns["b"][rng.random(n) < 0.5] = 1.5  # the damper armed on some rows
+    log = TickLog(columns, names)
+    with np.errstate(all="ignore"):
+        summary, reference = summarize(log), summarize_rowwise(list(log))
+    assert repr(summary.to_dict()) == repr(reference.to_dict())
+
+    # to_dict is asdict without the deep copy, ISO comparison unset and set
+    assert repr(summary.to_dict()) == repr(dataclasses.asdict(summary))
+    summary.scenario, summary.fault = "unit", "emergency"
+    for i, seg in enumerate(summary.segments):
+        seg.v_max_quasi_static, seg.v_max_transient = 0.25 * i, -0.0
+        seg.exceeded_quasi_static, seg.exceeded_transient = True, i % 2 == 0
+    assert repr(summary.to_dict()) == repr(dataclasses.asdict(summary))
 
 
 def _malformed(tmp_path, edit):
