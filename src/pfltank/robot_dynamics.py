@@ -41,27 +41,21 @@ __all__ = [
 GRAVITY = 9.81
 
 
-# PlantState and WrenchInput, built every cycle, are named tuples with a checking
-# __new__: as immutable as a frozen dataclass, at a fraction of the cost to build.
+# PlantState and WrenchInput, built every cycle, are named tuples: as immutable
+# as a frozen dataclass, at a fraction of the cost to build.  Only the plants
+# build a PlantState, by _snapshot; callers build a WrenchInput to step a plant,
+# so it keeps a checking __new__.
 
-class _PlantStateFields(NamedTuple):
+class PlantState(NamedTuple):
+    """Immutable snapshot of a plant: pose, twist, true kinetic energy.
+
+    A plant builds it by _snapshot from arrays it keeps no reference to, so
+    its arrays are its own.
+    """
+
     x: np.ndarray
     xdot: np.ndarray
     kinetic_energy_truth: float
-
-
-class PlantState(_PlantStateFields):
-    """Immutable snapshot of a plant: pose, twist, true kinetic energy.
-
-    Its arrays are its own: the constructor copies what it is given, and a
-    plant hands _snapshot arrays it keeps no reference to.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x, xdot, kinetic_energy_truth):
-        return _snapshot(np.array(x, dtype=float), np.array(xdot, dtype=float),
-                         kinetic_energy_truth)
 
 
 def _snapshot(x: np.ndarray, xdot: np.ndarray, kinetic_energy_truth: float) -> PlantState:

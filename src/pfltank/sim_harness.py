@@ -287,62 +287,63 @@ class Summary:
                              for seg in self.segments]}
 
 
-def summarize(ticks) -> Summary:
-    """Reduce a tick log, a TickLog or a sequence of ControlTick records, to
-    the run summary.  Pure; raises on an empty log.
+def summarize(ticks: TickLog) -> Summary:
+    """Reduce a tick log to the run summary.  Pure; raises on an empty log.
 
     It reads the log's columns and gives the bits the tick-by-tick reduction
     gives: per-row products by stacked matmul, which rounds as ndarray.dot
     does; min and max by numpy, mended by _extreme where a NaN or a zero's
     sign differs; sums by np.add.accumulate, adding left to right as += does.
+    A log may hold infinities and NaNs, which read_ticks_csv accepts, so
+    numpy's floating-point warnings are silenced.
     """
-    ticks = _as_log(ticks)
     n = len(ticks)
     if not n:
         raise DomainError("cannot summarize an empty tick log")
-    h, tank, times = ticks.h_truth, ticks.tank_T, ticks.t
-    budget = h[0].item() + tank[0].item()
-    tau = times[1].item() - times[0].item() if n > 1 else 0.0
+    with np.errstate(all="ignore"):
+        h, tank, times = ticks.h_truth, ticks.tank_T, ticks.t
+        budget = h[0].item() + tank[0].item()
+        tau = times[1].item() - times[0].item() if n > 1 else 0.0
 
-    codes = ticks.active_region
-    cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
-    speed_sq = _row_dot(ticks.xdot, ticks.xdot)
-    segments = []
-    for start, stop in zip([0, *cuts], [*cuts, n]):
-        bound = budget - ticks.epsilon[start].item()
-        above = int(np.count_nonzero(h[start:stop] > bound + 1e-9))
-        segments.append(SegmentSummary(
-            region=ticks.region_names[codes[start]],
-            t_start=times[start].item(),
-            t_end=times[stop - 1].item() + tau,
-            ticks=stop - start,
-            h_max=_max(h[start:stop]),
-            speed_max=math.sqrt(_max(speed_sq[start:stop])),
-            energy_bound=bound,
-            time_above_bound=above * tau,
-        ))
+        codes = ticks.active_region
+        cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+        speed_sq = _row_dot(ticks.xdot, ticks.xdot)
+        segments = []
+        for start, stop in zip([0, *cuts], [*cuts, n]):
+            bound = budget - ticks.epsilon[start].item()
+            above = int(np.count_nonzero(h[start:stop] > bound + 1e-9))
+            segments.append(SegmentSummary(
+                region=ticks.region_names[codes[start]],
+                t_start=times[start].item(),
+                t_end=times[stop - 1].item() + tau,
+                ticks=stop - start,
+                h_max=_max(h[start:stop]),
+                speed_max=math.sqrt(_max(speed_sq[start:stop])),
+                energy_bound=bound,
+                time_above_bound=above * tau,
+            ))
 
-    # the damper's share of each armed interval, at its trapezoidal velocity
-    armed = np.flatnonzero(ticks.b[:-1] > 0.0)
-    v_mid = 0.5 * (ticks.xdot[armed] + ticks.xdot[armed + 1])
-    terms = np.zeros((len(armed) + 1, 2))
-    terms[1:, 0] = tau * ticks.b[armed] * _row_dot(v_mid, v_mid)
-    terms[1:, 1] = tau * _row_dot(ticks.f_e[armed], v_mid)
-    damper_energy, injection = np.add.accumulate(terms)[-1].tolist()
+        # the damper's share of each armed interval, at its trapezoidal velocity
+        armed = np.flatnonzero(ticks.b[:-1] > 0.0)
+        v_mid = 0.5 * (ticks.xdot[armed] + ticks.xdot[armed + 1])
+        terms = np.zeros((len(armed) + 1, 2))
+        terms[1:, 0] = tau * ticks.b[armed] * _row_dot(v_mid, v_mid)
+        terms[1:, 1] = tau * _row_dot(ticks.f_e[armed], v_mid)
+        damper_energy, injection = np.add.accumulate(terms)[-1].tolist()
 
-    return Summary(
-        scenario="",
-        n_ticks=n,
-        tau=tau,
-        t_final=times[-1].item(),
-        segments=segments,
-        min_tank=_min(tank),
-        min_tank_minus_epsilon=_min(tank - ticks.epsilon),
-        conservation_residual=_max(np.abs(h + tank - budget)),
-        h_est_error_max=_max(np.abs(ticks.h_est - h)),
-        damper_energy=damper_energy,
-        injection_excess=injection,
-    )
+        return Summary(
+            scenario="",
+            n_ticks=n,
+            tau=tau,
+            t_final=times[-1].item(),
+            segments=segments,
+            min_tank=_min(tank),
+            min_tank_minus_epsilon=_min(tank - ticks.epsilon),
+            conservation_residual=_max(np.abs(h + tank - budget)),
+            h_est_error_max=_max(np.abs(ticks.h_est - h)),
+            damper_energy=damper_energy,
+            injection_excess=injection,
+        )
 
 
 def _extreme(python, a: np.ndarray) -> float:
@@ -419,18 +420,6 @@ class TickLog:
                                    dtype=np.int64 if name in _INTS else float)
                     for name in _FIELDS}, [])
 
-    @classmethod
-    def from_ticks(cls, ticks) -> "TickLog":
-        """The log of a sequence of ControlTick records; a vector field may be
-        any sequence of m numbers."""
-        ticks = list(ticks)
-        log = cls._empty(len(ticks), len(ticks[0].xdot) if ticks else 0)
-        for name, values in zip(_FIELDS, zip(*map(_record, ticks))):
-            if name == "active_region":
-                values = _region_codes(values, log.region_names)
-            getattr(log, name)[:] = values
-        return log
-
     def _put(self, start: int, ticks: list):
         """Store run()'s records ``ticks`` as rows start, start + 1, ...
 
@@ -472,10 +461,6 @@ class TickLog:
         return list(map(ControlTick, *values))
 
 
-def _as_log(ticks) -> TickLog:
-    return ticks if isinstance(ticks, TickLog) else TickLog.from_ticks(ticks)
-
-
 def _region_codes(values, names: list) -> list[int]:
     """Each region name's index in ``names``, which gains the names it lacks."""
     index = {name: i for i, name in enumerate(names)}
@@ -511,10 +496,8 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]  # the empty field's "," and the "\r\n"
 
 
-def write_ticks_csv(path, ticks):
-    """Write the tick log, a TickLog or a sequence of ControlTick records;
-    every float as its shortest exact repr."""
-    ticks = _as_log(ticks)
+def write_ticks_csv(path, ticks: TickLog):
+    """Write the tick log, every float as its shortest exact repr."""
     if not ticks:
         raise DomainError("refusing to write an empty tick log")
     region_fields = list(map(_csv_field, ticks.region_names))

@@ -20,7 +20,7 @@ from pfltank.sim_harness import (
     _VECTORS,
     SegmentSummary,
     Summary,
-    _as_log,
+    TickLog,
     _csv_field,
     _tick_columns,
 )
@@ -202,7 +202,6 @@ def write_ticks_csv_per_cell(path, ticks):
     the reference for the package's writer, which formats each distinct bit
     pattern of a block once.  It shares the header and the quoting of region
     names with the package, which the row-by-row writer checks."""
-    ticks = _as_log(ticks)
     region_fields = list(map(_csv_field, ticks.region_names))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_tick_columns(ticks.xdot.shape[1])) + "\r\n")
@@ -219,6 +218,20 @@ def write_ticks_csv_per_cell(path, ticks):
                 else:
                     columns.append(map(repr, values.tolist()))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+# -- tick logs from records ------------------------------------------------------
+
+def tick_log(rows) -> TickLog:
+    """The TickLog of a nonempty list of ControlTick records, its regions
+    numbered in order of first appearance."""
+    names = list(dict.fromkeys(tk.active_region for tk in rows))
+    columns = {name: np.array([getattr(tk, name) for tk in rows],
+                              dtype=np.int64 if name == "k" else float)
+               for name in _FIELDS if name != "active_region"}
+    columns["active_region"] = np.array([names.index(tk.active_region) for tk in rows],
+                                        dtype=np.int64)
+    return TickLog(columns, names)
 
 
 # -- tick-by-tick summary ---------------------------------------------------------
