@@ -18,6 +18,7 @@ import io
 import logging
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import islice
@@ -474,12 +475,12 @@ def _region_codes(values, names: list) -> list[int]:
 # -- tick log I/O -------------------------------------------------------------
 #
 # The CSV columns follow ControlTick's fields in order; each vector field
-# spreads over one column per axis.  Both directions work on blocks of
-# _CHUNK rows; the reader joins its blocks one field at a time, dropping each
-# block's array as it goes, so the blocks and the whole log never coexist.
-# The writer formats the fields itself, exactly as csv.writer's default
+# spreads over one column per axis.  The writer works on blocks of _CHUNK
+# rows and formats the fields itself, exactly as csv.writer's default
 # dialect would: floats by repr, k by str, commas between fields, "\r\n"
-# after each row, and the region name quoted where csv quotes it.
+# after each row, and the region name quoted where csv quotes it.  The
+# reader parses the whole body into one record array with a field per
+# column of the log, so the log it returns holds no more than those bytes.
 
 
 def _tick_columns(m: int) -> list[str]:
@@ -525,38 +526,33 @@ def read_ticks_csv(path) -> TickLog:
 
     Checked: the file is UTF-8, its header is exactly the tick-log header for
     its number of axes, every later line is a row of as many fields (so no
-    blank lines), and every number parses.  Numbers are read by Python's
-    int() and float(), which also take forms write_ticks_csv never writes,
-    such as "0_0" or " 1.0 ".  A failed check raises DomainError naming the
-    file and the missing columns, the header or the offending line.
+    blank lines), and every number parses.  The body is parsed in one
+    np.loadtxt call into one record array, whose fields are the log's
+    columns.  A file that numpy refuses is read again by csv.reader and
+    Python's int() and float(), which also take forms write_ticks_csv never
+    writes, such as "0_0" or "1_0.5".  A failed check raises DomainError
+    naming the file and the missing columns, the header or the first
+    offending line.
     """
     path = Path(path)
-    blocks, region_names = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            m = _axis_count(header, path)
-            while True:
-                rows, lines = [], []
-                for row in islice(reader, _CHUNK):
-                    if len(row) != len(header):
-                        raise DomainError(
-                            f"{path}: line {reader.line_num}: expected "
-                            f"{len(header)} fields, got {len(row)}")
-                    rows.append(row)
-                    lines.append(reader.line_num)
-                if not rows:
-                    break
-                blocks.append(_parse_rows(rows, lines, m, region_names, path))
+            m = _axis_count(next(reader, None), path)
+            try:
+                records, region_names = _load_records(fh, m)
+            except (ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                records, region_names = _parse_records(reader, m, path)
         except csv.Error as exc:
             raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: not UTF-8: {exc}") from None
-    if not blocks:
+    if not len(records):
         raise DomainError(f"{path}: empty tick log")
-    return TickLog({name: np.concatenate([block.pop(name) for block in blocks])
-                    for name in _FIELDS}, region_names)
+    return TickLog({name: records[name] for name in _FIELDS}, region_names)
 
 
 def _axis_count(header, path) -> int:
@@ -575,31 +571,68 @@ def _axis_count(header, path) -> int:
     return m
 
 
-def _parse_rows(rows, lines, m, region_names, path) -> dict:
-    try:
-        return _columns_from_rows(rows, m, region_names)
-    except (ValueError, OverflowError):
-        # find the row that failed, for the message; k overflows int64 as an
-        # OverflowError
-        for line, row in zip(lines, rows):
+def _record_dtype(m: int) -> np.dtype:
+    """One CSV row as a record: a field per ControlTick field, in CSV order."""
+    return np.dtype([(name, np.int64) if name in _INTS else
+                     (name, float, (m,)) if name in _VECTORS else (name, float)
+                     for name in _FIELDS])
+
+
+class _RegionCodes(dict):
+    """Each region name's code, numbered in order of first appearance."""
+
+    def __missing__(self, name):
+        self[name] = code = len(self)
+        return code
+
+
+def _body_lines(fh):
+    """The rest of fh's lines.  np.loadtxt skips a blank line where csv.reader
+    reads a row of no fields, so a blank line raises instead."""
+    for line in fh:
+        if line in ("\r\n", "\n", "\r"):
+            raise ValueError("blank line")
+        yield line
+
+
+def _load_records(fh, m: int):
+    """The records and region names of the rows left in fh, by numpy's C
+    parser.  Where numpy refuses a row this raises ValueError, OverflowError
+    or a warning turned error (numpy 1.x warns where it parses k as a float).
+    encoding="utf-8" keeps numpy 1.x from handing the converter bytes."""
+    codes = _RegionCodes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = np.loadtxt(_body_lines(fh), _record_dtype(m), delimiter=",",
+                             quotechar='"', comments=None, ndmin=1, encoding="utf-8",
+                             converters={_FIELDS.index("active_region"): codes.__getitem__})
+    return records, list(codes)
+
+
+def _parse_records(reader, m: int, path):
+    """The records and region names of the rows left in reader, by int() and
+    float().  Each block of _CHUNK rows is checked for its field count before
+    its rows are parsed in turn, so the DomainError names the block's first
+    short or long row, or else its first row that does not parse."""
+    codes, records = _RegionCodes(), []
+    width = len(_tick_columns(m))
+    while True:
+        block = []
+        for row in islice(reader, _CHUNK):
+            if len(row) != width:
+                raise DomainError(f"{path}: line {reader.line_num}: expected "
+                                  f"{width} fields, got {len(row)}")
+            block.append((reader.line_num, row))
+        if not block:
+            return np.array(records, _record_dtype(m)), list(codes)
+        for line, row in block:
+            cells = iter(row)
             try:
-                _columns_from_rows([row], m, region_names)
+                # np.int64 raises the OverflowError of a k past int64
+                records.append(tuple(
+                    tuple(map(float, islice(cells, m))) if name in _VECTORS else
+                    np.int64(int(next(cells))) if name == "k" else
+                    codes[next(cells)] if name == "active_region" else float(next(cells))
+                    for name in _FIELDS))
             except (ValueError, OverflowError) as exc:
                 raise DomainError(f"{path}: line {line}: {exc}") from None
-        raise
-
-
-def _columns_from_rows(rows, m, region_names) -> dict:
-    columns = iter(zip(*rows))  # in header order, so in field order
-    values = {}
-    for name in _FIELDS:
-        if name in _VECTORS:
-            values[name] = np.array([list(map(float, c)) for c in islice(columns, m)]).T
-        elif name == "k":
-            values[name] = np.array(list(map(int, next(columns))), dtype=np.int64)
-        elif name == "active_region":
-            values[name] = np.array(_region_codes(next(columns), region_names),
-                                    dtype=np.int64)
-        else:
-            values[name] = np.array(list(map(float, next(columns))))
-    return values

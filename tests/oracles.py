@@ -10,10 +10,13 @@ steps read a plant's private model, the one input they share with it.
 import csv
 import functools
 import math
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import sympy as sp
 
+from pfltank.errors import DomainError
 from pfltank.sim_harness import (
     _CHUNK,
     _FIELDS,
@@ -21,7 +24,9 @@ from pfltank.sim_harness import (
     SegmentSummary,
     Summary,
     TickLog,
+    _axis_count,
     _csv_field,
+    _region_codes,
     _tick_columns,
 )
 
@@ -218,6 +223,72 @@ def write_ticks_csv_per_cell(path, ticks):
                 else:
                     columns.append(map(repr, values.tolist()))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+# -- block-wise tick log reader ---------------------------------------------------
+
+def read_ticks_csv_blockwise(path) -> TickLog:
+    """The tick log read by csv.reader and Python's int() and float(), a
+    block of _CHUNK rows at a time, each field joined from its blocks: the
+    reference that the package's np.loadtxt reader must match in every
+    column bit and every error message."""
+    path = Path(path)
+    blocks, region_names = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            m = _axis_count(header, path)
+            while True:
+                rows, lines = [], []
+                for row in islice(reader, _CHUNK):
+                    if len(row) != len(header):
+                        raise DomainError(
+                            f"{path}: line {reader.line_num}: expected "
+                            f"{len(header)} fields, got {len(row)}")
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                if not rows:
+                    break
+                blocks.append(_parse_rows(rows, lines, m, region_names, path))
+        except csv.Error as exc:
+            raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8: {exc}") from None
+    if not blocks:
+        raise DomainError(f"{path}: empty tick log")
+    return TickLog({name: np.concatenate([block.pop(name) for block in blocks])
+                    for name in _FIELDS}, region_names)
+
+
+def _parse_rows(rows, lines, m, region_names, path) -> dict:
+    try:
+        return _columns_from_rows(rows, m, region_names)
+    except (ValueError, OverflowError):
+        # find the row that failed, for the message; k overflows int64 as an
+        # OverflowError
+        for line, row in zip(lines, rows):
+            try:
+                _columns_from_rows([row], m, region_names)
+            except (ValueError, OverflowError) as exc:
+                raise DomainError(f"{path}: line {line}: {exc}") from None
+        raise
+
+
+def _columns_from_rows(rows, m, region_names) -> dict:
+    columns = iter(zip(*rows))  # in header order, so in field order
+    values = {}
+    for name in _FIELDS:
+        if name in _VECTORS:
+            values[name] = np.array([list(map(float, c)) for c in islice(columns, m)]).T
+        elif name == "k":
+            values[name] = np.array(list(map(int, next(columns))), dtype=np.int64)
+        elif name == "active_region":
+            values[name] = np.array(_region_codes(next(columns), region_names),
+                                    dtype=np.int64)
+        else:
+            values[name] = np.array(list(map(float, next(columns))))
+    return values
 
 
 # -- tick logs from records ------------------------------------------------------

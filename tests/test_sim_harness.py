@@ -1,8 +1,12 @@
 import copy
+import csv
 import dataclasses
 import gc
+import json
 import math
 import pickle
+import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfltank import robot_dynamics, sim_harness
-from pfltank.cli import load_scenario
+from pfltank.cli import load_scenario, scenario_from_config
 from pfltank.energy_tank import make_tank
 from pfltank.errors import ConfigError, DomainError
 from pfltank.iso15066 import BodyRegion, RobotMassSpec, v_max
@@ -37,6 +41,7 @@ from pfltank.sim_harness import (
 )
 
 from oracles import (
+    read_ticks_csv_blockwise,
     summarize_rowwise,
     tick_log,
     write_ticks_csv_per_cell,
@@ -642,21 +647,26 @@ def test_tick_log_memory_per_tick():
 
 
 def test_reading_a_log_holds_little_beyond_its_columns(tmp_path):
-    # 34 copies of a 300-tick run: beside 10,200 ticks the reader's block of
-    # parsed text weighs little, so the join's share of the peak shows
+    # 34 copies of a 300-tick run, where a join of parsed blocks would show,
+    # and 2,000-tick logs at one and three axes, where a block of parsed text
+    # would weigh more than the columns; the reader holds one record array
     one = run(_cart_scenario(duration=0.3)).ticks
-    path = tmp_path / "ticks.csv"
-    write_ticks_csv(path, TickLog({name: np.concatenate([getattr(one, name)] * 34)
-                                   for name in sim_harness._FIELDS}, one.region_names))
-    tracemalloc.start()
-    try:
-        ticks = read_ticks_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(ticks) == 10200
-    # the blocks and the joined log never coexist whole; holding both reads 2.1x
-    assert peak < 1.6 * sum(getattr(ticks, name).nbytes for name in sim_harness._FIELDS)
+    logs = {"34x300": TickLog({name: np.concatenate([getattr(one, name)] * 34)
+                               for name in sim_harness._FIELDS}, one.region_names),
+            "2000x1": run(_cart_scenario(duration=2.0)).ticks,
+            "2000x3": run(_cart3_scenario(duration=2.0)).ticks}
+    for name, log in logs.items():
+        path = tmp_path / f"{name}.csv"
+        write_ticks_csv(path, log)
+        tracemalloc.start()
+        try:
+            ticks = read_ticks_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ticks) == len(log), name
+        # copying the fields out of the record array reads 2.0x
+        assert peak < 1.6 * sum(getattr(ticks, f).nbytes for f in sim_harness._FIELDS), name
 
 
 def _assert_same_ticks(got, want):
@@ -726,13 +736,9 @@ _SPECIAL_BITS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -1e-310, 1e16, 1e-
 _CHUNK = sim_harness._CHUNK
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(m=st.integers(min_value=1, max_value=3),
-       n=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
-       pool=st.lists(st.sampled_from(_SPECIAL_BITS) | st.floats(width=64).map(
-           lambda v: int(np.array(v).view(np.int64))), min_size=1, max_size=12),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_csv_writer_matches_the_per_cell_reference(tmp_path_factory, m, n, pool, seed):
+def _pool_log(m, n, pool, seed, names) -> TickLog:
+    """An n-tick, m-axis log of values drawn from a pool of float bit patterns,
+    and region names drawn from names."""
     rng = np.random.default_rng(seed)
 
     def values(*shape):
@@ -742,17 +748,180 @@ def test_csv_writer_matches_the_per_cell_reference(tmp_path_factory, m, n, pool,
         picks = np.repeat(rng.integers(len(pool), size=size), runs)[:size]
         return np.array(pool, dtype=np.int64)[picks].view(float).reshape(shape).T
 
-    names = ["zone", 'chest, "upper"', "lf\nhere"]
     columns = {name: values(m, n) if name in sim_harness._VECTORS else values(n)
                for name in sim_harness._FIELDS}
     columns["k"] = np.arange(n) - int(rng.integers(-10**6, 10**6))
     columns["active_region"] = rng.integers(len(names), size=n)
-    log = TickLog(columns, names)
+    return TickLog(columns, names)
+
+
+_POOLS = st.lists(st.sampled_from(_SPECIAL_BITS) | st.floats(width=64).map(
+    lambda v: int(np.array(v).view(np.int64))), min_size=1, max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(m=st.integers(min_value=1, max_value=3),
+       n=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+       pool=_POOLS, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_csv_writer_matches_the_per_cell_reference(tmp_path_factory, m, n, pool, seed):
+    log = _pool_log(m, n, pool, seed, ["zone", 'chest, "upper"', "lf\nhere"])
     ours = tmp_path_factory.mktemp("writer") / "ticks.csv"
     ref = ours.with_name("per_cell.csv")
     write_ticks_csv(ours, log)
     write_ticks_csv_per_cell(ref, log)
     assert ours.read_bytes() == ref.read_bytes()
+
+
+# region names that csv quotes, one holding a blank line, and a NUL, which
+# the csv module reads from Python 3.11 on
+_READER_NAMES = ["zone", "a,b", 'q"q', "cr\rx", "lf\nx", "crlf\r\nx", "\r\n\r\n"] + (
+    ["nul\0x"] if sys.version_info >= (3, 11) else [])
+
+
+def _row_spans(text) -> list:
+    """(start, end) of each row's text before its terminator.  A row starts
+    where a "\r\n" is followed by k's first character, which no name in
+    _READER_NAMES puts after its own "\r\n"."""
+    starts = [match.end() for match in re.finditer(r"\r\n(?=-?\d)", text)]
+    return [(start, stop - 2) for start, stop in zip(starts, [*starts[1:], len(text)])]
+
+
+def _edit_field(text, span, field, edit):
+    """text with the field-th field of the row at span (k, t or, at -1, the
+    last) replaced by edit(field)."""
+    start, end = span
+    row = text[start:end]
+    if field < 0:
+        head, cell = row.rsplit(",", 1)
+        row = f"{head},{edit(cell)}"
+    else:
+        cells = row.split(",", 2)  # k and t hold no comma
+        cells[field] = edit(cells[field])
+        row = ",".join(cells)
+    return text[:start] + row + text[end:]
+
+
+def _insert(text, at, what):
+    return text[:at] + what + text[at:]
+
+
+def _in_a_number(edit):
+    """A mutation that edits k, t or the last field of one row."""
+    return lambda text, spans, pick: _edit_field(text, spans[pick % len(spans)],
+                                                 (0, 1, -1)[pick % 3], edit)
+
+
+def _in_k(new):
+    return lambda text, spans, pick: _edit_field(text, spans[pick % len(spans)], 0,
+                                                 lambda _: new[pick % len(new)])
+
+
+def _in_body(text, spans, pick) -> int:
+    """An offset in text past the header."""
+    return spans[0][0] + pick % (len(text) - spans[0][0])
+
+
+def _lone_cr(text, spans, pick):
+    """A row's "\r\n" cut to "\r", or a "\r" put anywhere past the header."""
+    if pick % 2:
+        end = spans[pick % len(spans)][1]
+        return text[:end] + "\r" + text[end + 2:]
+    return _insert(text, _in_body(text, spans, pick), "\r")
+
+
+_MUTATIONS = {
+    "none": lambda text, spans, pick: text,
+    "blank_first": lambda text, spans, pick: _insert(text, spans[0][0], "\r\n"),
+    "blank_middle": lambda text, spans, pick: _insert(
+        text, spans[len(spans) // 2][1] + 2, ("\r\n", "\n", "\r")[pick % 3]),
+    "blank_last": lambda text, spans, pick: text + ("\r\n", "\n", "\r")[pick % 3],
+    "spaces_around_number": _in_a_number(lambda cell: f" {cell}\t "),
+    "quoted_number": _in_a_number(lambda cell: f'"{cell}"'),
+    "k_with_underscore": _in_k(["0_0", "1_000"]),
+    "k_as_float": _in_k(["1.0", "1e3"]),
+    "k_past_int64": _in_k([str(2**63), str(-2**63 - 1), "1" + "0" * 20]),
+    "minus_nan": lambda text, spans, pick: _edit_field(
+        text, spans[pick % len(spans)], (1, -1)[pick % 2], lambda _: "-nan"),
+    "lone_cr": _lone_cr,
+    "no_last_terminator": lambda text, spans, pick: text[:-2],
+    "unterminated_quote": lambda text, spans, pick: _edit_field(
+        text, spans[pick % len(spans)], (1, -1)[pick % 2], lambda cell: '"' + cell),
+    "stray_quote": lambda text, spans, pick: _insert(text, _in_body(text, spans, pick), '"'),
+    # a row of one field too many, which np.loadtxt's usecols would let through
+    "extra_field": lambda text, spans, pick: _insert(
+        text, spans[pick % len(spans)][1], (",0.0", ",")[pick % 2]),
+}
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(m=st.integers(min_value=1, max_value=3),
+       n=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+       pool=_POOLS, seed=st.integers(min_value=0, max_value=2**32 - 1),
+       names=st.lists(st.sampled_from(_READER_NAMES), min_size=1, max_size=4, unique=True),
+       pick=st.integers(min_value=0, max_value=2**20))
+def test_reader_matches_the_blockwise_reference(tmp_path_factory, mutation, m, n, pool,
+                                                 seed, names, pick):
+    # on every log the writer writes, and on each edit of one, np.loadtxt and
+    # its csv.reader fallback refuse with the reference's message or read
+    # the reference's bits; a name that holds a blank line sends the whole
+    # file to the fallback
+    path = tmp_path_factory.mktemp("reader") / "ticks.csv"
+    write_ticks_csv(path, _pool_log(m, n, pool, seed, names))
+    text = path.read_bytes().decode("utf-8")
+    path.write_bytes(_MUTATIONS[mutation](text, _row_spans(text), pick).encode("utf-8"))
+    want = _outcome(read_ticks_csv_blockwise, path)
+    got = _outcome(read_ticks_csv, path)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.region_names == want.region_names
+    for name in sim_harness._FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    # every column a field of one record array, not a copy
+    records = got.k.base
+    assert records is not None and records.dtype.names == sim_harness._FIELDS
+    assert all(getattr(got, name).base is records for name in sim_harness._FIELDS)
+    assert repr(summarize(got).to_dict()) == repr(summarize(want).to_dict())
+
+
+def test_writing_a_read_log_gives_its_bytes(tmp_path, bundled_runs):
+    # the reader's columns are strided views of one record array
+    arm = run(load_scenario(str(Path(__file__).parents[1] / "perfbench" / "arm_reach.json")))
+    for name, result in [*bundled_runs.items(), ("arm_reach", arm)]:
+        first, again = tmp_path / f"{name}.csv", tmp_path / f"{name}_again.csv"
+        write_ticks_csv(first, result.ticks)
+        write_ticks_csv(again, read_ticks_csv(first))
+        assert again.read_bytes() == first.read_bytes(), name
+
+
+def test_a_region_name_past_the_csv_field_limit_replays(tmp_path):
+    # csv.reader refuses a field of more than csv.field_size_limit() characters
+    name = "c" * 140_000
+    assert len(name) > csv.field_size_limit()
+    doc = json.loads((Path(sim_harness.__file__).parent / "scenarios"
+                      / "paper_replica.json").read_text())
+    doc["regions"][name] = doc["regions"].pop("chest")
+    doc["schedule"][0]["region"] = name
+    doc["duration"] = 0.01
+    result = run(scenario_from_config(doc))
+    path = tmp_path / "ticks.csv"
+    write_ticks_csv(path, result.ticks)
+    assert path.stat().st_size > 1_000_000
+    ticks = read_ticks_csv(path)
+    assert ticks.region_names == [name]
+    again = summarize(ticks)
+    again.scenario, again.fault = result.summary.scenario, result.summary.fault
+    sim_harness._attach_iso_comparison(again, result.scenario)
+    assert repr(again.to_dict()) == repr(result.summary.to_dict())
 
 
 def test_summarize_matches_the_rowwise_reference(bundled_runs):
