@@ -118,6 +118,6 @@ def commit_step(state: TankState, p_task: float, f_e, xdot, b: float,
             "the optimizer or the damper band is mis-sized")
     if t_new <= 0.0:
         raise EmergencyFault(f"tank depleted: committed energy {t_new!r}")
-    return TankState(math.sqrt(2.0 * t_new), state.epsilon, state.capacity,
-                     state.discarded + discard)
+    return tuple.__new__(TankState, (math.sqrt(2.0 * t_new), state.epsilon,
+                                     state.capacity, state.discarded + discard))
 

@@ -21,6 +21,8 @@ the floor absorbs the half-step difference between the two velocities.
 Numpy versus floats: dot products stay ndarray.dot, which a Python-float sum
 would round differently; elementwise arithmetic (the PD force, the trapezoidal
 velocity, f_c and the command) runs on Python floats, which give numpy's bits.
+Nothing that depends only on the schedule is looked up per cycle, and at
+alpha 1, f_c is f_des: 1.0 * f is f bit for bit, -0.0 included.
 """
 
 from __future__ import annotations
@@ -275,7 +277,9 @@ class SafetyController:
         # next velocity sample exists
         self._pending: tuple | None = None
         self._deficit = False
-        self._k = 0
+        self._k = self._idx = 0  # the cycle and the active region's index only grow
+        self._switches = (*schedule.times[1:], math.nan)  # no probe passes the NaN
+        self._names = tuple(region.name for region in schedule.regions)
 
     @property
     def in_deficit(self) -> bool:
@@ -292,10 +296,10 @@ class SafetyController:
                       h_truth: float = float("nan")) -> tuple[np.ndarray, ControlTick]:
         """Run one cycle; returns the wrench to command and the tick record.
 
-        The returned wrench already includes the damper share b xd, so the
-        plant applies -(f_c + b xd) + f_e in total.  The observation's arrays
-        are kept, not copied, in the tick record and in the interval booked
-        next cycle, so the caller must not change them afterwards.
+        The returned wrench includes the damper share b xd, so the plant applies
+        -(f_c + b xd) + f_e in total.  The observation's arrays are kept, not
+        copied, in the tick and in the interval booked next cycle, so the caller
+        must not change them.  At alpha 1 the tick's f_c and f_des may be one array.
         """
         k = self._k
         tau = self.tau
@@ -308,8 +312,9 @@ class SafetyController:
         # then let the schedule move the floor for this cycle
         if self._pending is not None:
             self._commit_pending(v)
-        idx = self.schedule.active_index(t, 0.5 * tau)
-        self.tank = tank = supervise(self._floors, idx, self.tank)
+        while self._switches[self._idx] <= t + 0.5 * tau:  # as schedule.active_index
+            self._idx += 1
+        self.tank = tank = supervise(self._floors, self._idx, self.tank)
 
         t_now = tank.energy
         eps = tank.epsilon
@@ -332,12 +337,12 @@ class SafetyController:
                 "the damper band is too narrow for this wrench")
 
         alpha = solve_alpha(f_des, xdot, t_now, eps + FEASIBILITY_MARGIN, tau, p_ext)
-        scaled = [alpha * f for f in des]
-        f_c = np.array(scaled)
+        scaled = des if alpha == 1.0 else [alpha * f for f in des]
+        f_c = f_des if scaled is des else np.array(scaled)
         floor = None if self._deficit else eps - FEASIBILITY_MARGIN
         self._pending = (v, f_c, f_e, b, floor)
 
-        tick = ControlTick(k, t, self.schedule.regions[idx].name, alpha, f_des, f_c,
+        tick = ControlTick(k, t, self._names[self._idx], alpha, f_des, f_c,
                            f_e, b, p_ext, t_now, eps, tank.capacity - t_now,
                            float(h_truth), obs.x, xdot)
         self._k = k + 1

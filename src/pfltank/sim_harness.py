@@ -545,7 +545,12 @@ def read_ticks_csv(path) -> TickLog:
                 fh.seek(0)
                 reader = csv.reader(fh)
                 next(reader)
-                records, region_names = _parse_records(reader, m, path)
+                # no field is longer than the file
+                limit = csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
+                try:
+                    records, region_names = _parse_records(reader, m, path)
+                finally:
+                    csv.field_size_limit(limit)
         except csv.Error as exc:
             raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:

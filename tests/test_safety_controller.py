@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import math
 import pickle
 from unittest import mock
 
@@ -291,29 +292,67 @@ def test_deferred_commit_uses_trapezoidal_velocity():
 
 _VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
                     st.floats(min_value=-10.0, max_value=10.0, width=64))
+#: PD targets whose f_des = -(kp target) is a signed zero, subnormal or near overflow
+_EDGE_TARGETS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
+                                 1.7976931348623157e308, -1e308, 1.5, -3.25])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(m=st.integers(min_value=1, max_value=3), t_initial=st.floats(0.1, 10.0),
-       budget=st.one_of(st.floats(1e-5, 1e-3), st.floats(1e-3, 0.9)), data=st.data())
-def test_cycle_elementwise_arithmetic_gives_the_numpy_forms_bits(m, t_initial, budget, data):
+       budget=st.one_of(st.floats(1e-5, 1e-3), st.floats(1e-3, 0.9)),
+       scale=st.sampled_from(["solved", "unit", "just_under_unit"]), data=st.data())
+def test_cycle_elementwise_arithmetic_gives_the_numpy_forms_bits(m, t_initial, budget, scale,
+                                                                   data):
     def vector(values=_VALUES):
         return np.array(data.draw(st.lists(values, min_size=m, max_size=m)))
 
-    gains = PdGains(kp=vector(st.floats(0.0, 100.0)), kd=vector(st.floats(0.0, 100.0)),
-                    target=vector())
     tau = 1e-3
+    energy = budget * t_initial
+    if scale == "solved":
+        gains = PdGains(kp=vector(st.floats(0.0, 100.0)), kd=vector(st.floats(0.0, 100.0)),
+                        target=vector())
+        x, xdot, f_e, xdot_next = vector(), vector(), vector(), vector()
+    else:
+        # kd = 0 and x = +-0 give f_des = -(kp target) at any velocity
+        zero = np.zeros(m)
+        x = data.draw(st.sampled_from([zero, -zero]))
+        speeds = vector(st.floats(0.1, 10.0))
+        if scale == "unit":
+            gains = PdGains(kp=vector(st.sampled_from([0.0, 0.5, 1.0])), kd=zero,
+                            target=vector(_EDGE_TARGETS))
+            f_des = tank_port_force_numpy(gains, x, zero)
+            # moving along f_des books c >= 0, so alpha is 1; at c = 0 only
+            # with the margin's headroom above the floor
+            xdot, f_e = np.copysign(speeds, f_des), vector()
+            energy += FEASIBILITY_MARGIN
+        else:
+            gains = PdGains(kp=vector(st.floats(1.0, 10.0)), kd=zero,
+                            target=vector(st.floats(0.1, 10.0)))
+            f_des = tank_port_force_numpy(gains, x, zero)
+            # moving against f_des with no push drains the tank, and this
+            # budget puts the floor where alpha_target meets it
+            xdot, f_e = -np.copysign(speeds, f_des), zero
+            alpha_target = data.draw(st.floats(0.9991, 0.99999))
+            energy = FEASIBILITY_MARGIN - alpha_target * tau * float(f_des.dot(xdot))
+        xdot_next = xdot  # no inf - inf in the booked power
+        t_initial += energy  # the floor stays at the drawn t_initial
     # a band this wide arms the damper whenever the push injects power, so no
     # cycle is infeasible
-    ctl = SafetyController(gains, _schedule((0.0, "zone", budget * t_initial)),
+    ctl = SafetyController(gains, _schedule((0.0, "zone", energy)),
                            t_initial, 0.0, tau, damper_band=1e6)
-    x, xdot, f_e, xdot_next = vector(), vector(), vector(), vector()
-    command, tick = ctl.control_cycle(PlantObservation(x, xdot, f_e))
+    with np.errstate(all="ignore"):  # as run(): a product near overflow is inf
+        command, tick = ctl.control_cycle(PlantObservation(x, xdot, f_e))
+    if scale == "unit":
+        assert tick.alpha == 1.0
+    elif scale == "just_under_unit":
+        assert 0.999 < tick.alpha < 1.0
     f_des = tank_port_force_numpy(gains, x, xdot)
     f_c, wire = command_numpy(f_des, tick.alpha, tick.b, xdot)
     assert tick.f_des.tobytes() == f_des.tobytes()
     assert tick.f_c.tobytes() == f_c.tobytes()
     assert command.tobytes() == wire.tobytes()
+    # at alpha 1 the scaled force is the desired one, array and all
+    assert (tick.f_c is tick.f_des) == (tick.alpha == 1.0)
     # the interval is booked at the trapezoidal velocity
     booked = []
 
@@ -322,12 +361,36 @@ def test_cycle_elementwise_arithmetic_gives_the_numpy_forms_bits(m, t_initial, b
         return commit_step(tank, p_task, f_e, v_mid, *args, **kwargs)
 
     with mock.patch.object(safety_controller, "commit_step", spy), \
-            contextlib.suppress(EmergencyFault):
+            contextlib.suppress(EmergencyFault), np.errstate(all="ignore"):
         ctl.finalize(xdot_next)
     v_mid = trapezoidal_velocity_numpy(xdot, xdot_next)
     [(p_task, got)] = booked
     assert got.tobytes() == v_mid.tobytes()
-    assert p_task == float(f_c.dot(v_mid))
+    with np.errstate(all="ignore"):
+        assert p_task == float(f_c.dot(v_mid))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(tau=st.sampled_from([5e-4, 1e-3, 2e-3]),
+       switches=st.lists(st.tuples(st.integers(1, 30),
+                                   st.sampled_from(["at", "below", "above", "twice"])),
+                         min_size=1, max_size=6))
+def test_region_cursor_gives_what_active_index_gives(tau, switches):
+    times = {0.0}
+    for k, where in switches:
+        probe = k * tau + 0.5 * tau  # what cycle k hands active_index
+        if where == "twice":  # two switches after cycle k - 1's probe
+            times |= {probe - 0.75 * tau, probe - 0.25 * tau}
+        else:
+            times.add({"at": probe, "below": math.nextafter(probe, 0.0),
+                       "above": math.nextafter(probe, math.inf)}[where])
+    sched = _schedule(*((t, f"r{i}", 0.1 + 0.01 * i) for i, t in enumerate(sorted(times))))
+    floors = sched.floors(1.0, 0.0)
+    ctl = SafetyController(PdGains(kp=(0.0,), kd=(0.0,), target=(0.0,)), sched, 1.0, 0.0, tau)
+    for k in range(33):
+        _, tick = ctl.control_cycle(_obs(0.0, 0.0))
+        idx = sched.active_index(k * tau, 0.5 * tau)
+        assert (tick.active_region, tick.epsilon) == (sched.regions[idx].name, floors[idx]), k
 
 
 def test_finalize_commits_the_last_interval():

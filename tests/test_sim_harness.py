@@ -904,24 +904,28 @@ def test_writing_a_read_log_gives_its_bytes(tmp_path, bundled_runs):
 
 
 def test_a_region_name_past_the_csv_field_limit_replays(tmp_path):
-    # csv.reader refuses a field of more than csv.field_size_limit() characters
-    name = "c" * 140_000
-    assert len(name) > csv.field_size_limit()
-    doc = json.loads((Path(sim_harness.__file__).parent / "scenarios"
-                      / "paper_replica.json").read_text())
-    doc["regions"][name] = doc["regions"].pop("chest")
-    doc["schedule"][0]["region"] = name
-    doc["duration"] = 0.01
-    result = run(scenario_from_config(doc))
-    path = tmp_path / "ticks.csv"
-    write_ticks_csv(path, result.ticks)
-    assert path.stat().st_size > 1_000_000
-    ticks = read_ticks_csv(path)
-    assert ticks.region_names == [name]
-    again = summarize(ticks)
-    again.scenario, again.fault = result.summary.scenario, result.summary.fault
-    sim_harness._attach_iso_comparison(again, result.scenario)
-    assert repr(again.to_dict()) == repr(result.summary.to_dict())
+    # csv.reader refuses a field of more than csv.field_size_limit() characters;
+    # a blank line inside the quoted name sends the file to the csv.reader pass
+    limit = csv.field_size_limit()
+    long = "c" * 140_000
+    assert len(long) > limit
+    for name, duration in [(long, 0.01), ("z\r\n\r\n" + long, 0.005)]:
+        doc = json.loads((Path(sim_harness.__file__).parent / "scenarios"
+                          / "paper_replica.json").read_text())
+        doc["regions"][name] = doc["regions"].pop("chest")
+        doc["schedule"][0]["region"] = name
+        doc["duration"] = duration
+        result = run(scenario_from_config(doc))
+        path = tmp_path / "ticks.csv"
+        write_ticks_csv(path, result.ticks)
+        assert path.stat().st_size > len(name) * len(result.ticks)  # a name per row
+        ticks = read_ticks_csv(path)
+        assert ticks.region_names == [name]
+        assert csv.field_size_limit() == limit
+        again = summarize(ticks)
+        again.scenario, again.fault = result.summary.scenario, result.summary.fault
+        sim_harness._attach_iso_comparison(again, result.scenario)
+        assert repr(again.to_dict()) == repr(result.summary.to_dict())
 
 
 def test_summarize_matches_the_rowwise_reference(bundled_runs):
