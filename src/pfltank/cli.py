@@ -342,19 +342,18 @@ def cmd_iso(args) -> int:
     if args.sweep_mr is not None:
         masses = _parse_sweep(args.sweep_mr)
         print("m_r,mu,v_max_quasi_static,v_max_transient")
-        for m_r in masses:
-            mu = reduced_mass(args.mh, float(m_r))
-            print(f"{float(m_r)!r},{mu!r},{v_max(region, float(m_r), 'quasi_static')!r},"
-                  f"{v_max(region, float(m_r), 'transient')!r}")
+        for m_r in masses.tolist():
+            quasi_static, transient = v_max(region, m_r)
+            print(f"{m_r!r},{reduced_mass(args.mh, m_r)!r},{quasi_static!r},{transient!r}")
         return EXIT_OK
     if args.mr is None:
         raise ConfigError("iso: give --mr, or --sweep-mr for a range")
-    mu = reduced_mass(args.mh, args.mr)
+    quasi_static, transient = v_max(region, args.mr)
     rows = [
         ("E_max", e_max, "J"),
-        ("mu", mu, "kg"),
-        ("v_max quasi-static", v_max(region, args.mr, "quasi_static"), "m/s"),
-        ("v_max transient", v_max(region, args.mr, "transient"), "m/s"),
+        ("mu", reduced_mass(args.mh, args.mr), "kg"),
+        ("v_max quasi-static", quasi_static, "m/s"),
+        ("v_max transient", transient, "m/s"),
     ]
     print(f"f_max {args.fmax:g} N, k {args.k:g} {args.k_unit}, m_h {args.mh:g} kg, "
           f"m_r {args.mr:g} kg, transient x{args.transient_mult:g}")

@@ -117,26 +117,21 @@ def reduced_mass(m_h: float, m_r: float) -> float:
     return 1.0 / (1.0 / m_h + 1.0 / m_r)
 
 
-def v_max(region: BodyRegion, m_r: float, force_mode: str) -> float:
-    """Relative-speed limit f / sqrt(mu k) in m/s for the given robot mass.
+def v_max(region: BodyRegion, m_r: float) -> tuple[float, float]:
+    """Relative-speed limits f / sqrt(mu k) in m/s for the given robot mass,
+    as (quasi_static, transient).
 
-    force_mode selects which force enters the numerator: "quasi_static" uses
-    f_max as published, "transient" uses transient_multiplier * f_max.  The
-    choice is left to the caller because published worked examples are not
-    consistent about it; the CLI prints both.
+    The quasi-static limit uses f_max as published, the transient one
+    transient_multiplier * f_max.  Both are returned because published worked
+    examples are not consistent about which applies; the CLI prints both.
     """
     if region.f_max is None or region.k is None:
         raise DomainError(f"region {region.name!r} has no contact-model data")
     if region.m_h is None:
         raise DomainError(f"region {region.name!r} has no body mass m_h")
-    if force_mode == "quasi_static":
-        f = region.f_max
-    elif force_mode == "transient":
-        f = region.transient_multiplier * region.f_max
-    else:
-        raise DomainError(f"force_mode must be quasi_static or transient, got {force_mode!r}")
-    mu = reduced_mass(region.m_h, m_r)
-    return float(f / np.sqrt(mu * region.k))
+    root = np.sqrt(reduced_mass(region.m_h, m_r) * region.k)
+    return (float(region.f_max / root),
+            float(region.transient_multiplier * region.f_max / root))
 
 
 def apparent_mass(n, mobility) -> float:

@@ -27,7 +27,6 @@ alpha 1, f_c is f_des: 1.0 * f is f bit for bit, -0.0 included.
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -191,12 +190,6 @@ class RegionSchedule:
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "energies", tuple(max_energy(r) for r in regions))
 
-    def active_index(self, time: float, slack: float = 0.0) -> int:
-        """Index of the region governing ``time``; ``slack`` forgives float
-        dust so a switch scripted at a tick boundary lands on that tick."""
-        idx = bisect.bisect_right(self.times, time + slack) - 1
-        return max(idx, 0)
-
     def floors(self, t_initial: float, h_initial: float) -> tuple:
         """The tank floor each region implies for a tank that started with
         t_initial and a robot that started with h_initial of kinetic energy.
@@ -257,7 +250,8 @@ class SafetyController:
     h_initial of kinetic energy.  Reads only PlantObservation fields, never
     the plant; the kinetic-energy estimate it logs comes from the tank ledger
     alone.  Every scheduled region's floor is derived and checked when the
-    controller is built, so a cycle only picks one.
+    controller is built, so cycle k only picks the floor of the region in force
+    at k tau + tau / 2: half a tick of slack for a switch time's float dust.
     """
 
     def __init__(self, gains: PdGains, schedule: RegionSchedule, t_initial: float,
@@ -268,7 +262,6 @@ class SafetyController:
             raise ConfigError(
                 f"damper band must be non-negative and finite, got {damper_band!r}")
         self.gains = gains
-        self.schedule = schedule
         self.tau = float(tau)
         self.damper_band = float(damper_band)
         self._floors = schedule.floors(t_initial, h_initial)
@@ -312,7 +305,7 @@ class SafetyController:
         # then let the schedule move the floor for this cycle
         if self._pending is not None:
             self._commit_pending(v)
-        while self._switches[self._idx] <= t + 0.5 * tau:  # as schedule.active_index
+        while self._switches[self._idx] <= t + 0.5 * tau:
             self._idx += 1
         self.tank = tank = supervise(self._floors, self._idx, self.tank)
 

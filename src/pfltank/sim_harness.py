@@ -202,6 +202,7 @@ def run(scenario: Scenario) -> RunResult:
 
     new_tuple = tuple.__new__
     ticks = TickLog._empty(scenario.n_cycles, plant.m)
+    codes = _RegionCodes()
     block: list[ControlTick] = []
     written = 0
     fault = None
@@ -219,7 +220,7 @@ def run(scenario: Scenario) -> RunResult:
                 # _make without its length check
                 state = plant.step(new_tuple(WrenchInput, (command, f_e)), tau)
                 if len(block) == _CHUNK:
-                    ticks._put(written, block)
+                    ticks._put(written, block, codes)
                     written += _CHUNK
                     block = []
             controller.finalize(state.xdot)
@@ -232,8 +233,9 @@ def run(scenario: Scenario) -> RunResult:
     except EmergencyFault as exc:
         fault = "emergency"
         log.error("scenario %s: emergency fault at cycle %d: %s", scenario.name, k, exc)
-    ticks._put(written, block)
+    ticks._put(written, block, codes)
     ticks = ticks[:written + len(block)]
+    ticks.region_names = list(codes)
 
     summary = None
     if ticks:
@@ -375,8 +377,7 @@ def _attach_iso_comparison(summary: Summary, scenario: Scenario):
         if region is None or region.f_max is None or region.k is None \
                 or region.m_h is None:
             continue
-        seg.v_max_quasi_static = v_max(region, m_r, "quasi_static")
-        seg.v_max_transient = v_max(region, m_r, "transient")
+        seg.v_max_quasi_static, seg.v_max_transient = v_max(region, m_r)
         seg.exceeded_quasi_static = seg.speed_max > seg.v_max_quasi_static
         seg.exceeded_transient = seg.speed_max > seg.v_max_transient
 
@@ -421,8 +422,9 @@ class TickLog:
                                    dtype=np.int64 if name in _INTS else float)
                     for name in _FIELDS}, [])
 
-    def _put(self, start: int, ticks: list):
-        """Store run()'s records ``ticks`` as rows start, start + 1, ...
+    def _put(self, start: int, ticks: list, codes: "_RegionCodes"):
+        """Store run()'s records ``ticks`` as rows start, start + 1, ...,
+        their regions numbered by ``codes``, which run() keeps for the run.
 
         run() makes every vector a float64 array of m entries, so their bytes
         are joined as they stand, at a third of np.concatenate's cost.
@@ -432,7 +434,7 @@ class TickLog:
             if name in _VECTORS:
                 values = np.frombuffer(b"".join(values)).reshape(len(ticks), -1)
             elif name == "active_region":
-                values = _region_codes(values, self.region_names)
+                values = list(map(codes.__getitem__, values))
             getattr(self, name)[start:stop] = values
 
     def __len__(self) -> int:
@@ -462,14 +464,12 @@ class TickLog:
         return list(map(ControlTick, *values))
 
 
-def _region_codes(values, names: list) -> list[int]:
-    """Each region name's index in ``names``, which gains the names it lacks."""
-    index = {name: i for i, name in enumerate(names)}
-    for name in dict.fromkeys(values):
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-    return list(map(index.__getitem__, values))
+class _RegionCodes(dict):
+    """Each region name's code, numbered in order of first appearance."""
+
+    def __missing__(self, name):
+        self[name] = code = len(self)
+        return code
 
 
 # -- tick log I/O -------------------------------------------------------------
@@ -581,14 +581,6 @@ def _record_dtype(m: int) -> np.dtype:
     return np.dtype([(name, np.int64) if name in _INTS else
                      (name, float, (m,)) if name in _VECTORS else (name, float)
                      for name in _FIELDS])
-
-
-class _RegionCodes(dict):
-    """Each region name's code, numbered in order of first appearance."""
-
-    def __missing__(self, name):
-        self[name] = code = len(self)
-        return code
 
 
 def _body_lines(fh):

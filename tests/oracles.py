@@ -7,6 +7,7 @@ tick-by-tick summary borrows only the package's result types.  The numpy-form
 steps read a plant's private model, the one input they share with it.
 """
 
+import bisect
 import csv
 import functools
 import math
@@ -26,7 +27,6 @@ from pfltank.sim_harness import (
     TickLog,
     _axis_count,
     _csv_field,
-    _region_codes,
     _tick_columns,
 )
 
@@ -159,6 +159,14 @@ def projection_oracle(f_des, xdot, committed, epsilon, tau):
     return f_des + lam * xdot
 
 
+# -- region schedule lookup by bisection -------------------------------------------
+
+def region_index(schedule, time: float) -> int:
+    """Index of the region that a RegionSchedule has in force at ``time``:
+    the last whose switch time is at most ``time``."""
+    return max(bisect.bisect_right(schedule.times, time) - 1, 0)
+
+
 # -- constant-force kinematics ---------------------------------------------------
 
 def semi_implicit_constant_force(mass, force, tau, n_steps):
@@ -289,6 +297,16 @@ def _columns_from_rows(rows, m, region_names) -> dict:
         else:
             values[name] = np.array(list(map(float, next(columns))))
     return values
+
+
+def _region_codes(values, names: list) -> list[int]:
+    """Each region name's index in ``names``, which gains the names it lacks."""
+    index = {name: i for i, name in enumerate(names)}
+    for name in dict.fromkeys(values):
+        if name not in index:
+            index[name] = len(names)
+            names.append(name)
+    return list(map(index.__getitem__, values))
 
 
 # -- tick logs from records ------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfltank.errors import DomainError
 from pfltank.iso15066 import (
@@ -88,19 +90,34 @@ def test_robot_effective_mass():
 def test_v_max_both_modes():
     chest = BUILTIN_REGIONS["chest"]
     mu = reduced_mass(40.0, 8.0)
-    assert v_max(chest, 8.0, "quasi_static") == pytest.approx(140.0 / np.sqrt(mu * 25_000.0))
-    assert v_max(chest, 8.0, "transient") == pytest.approx(280.0 / np.sqrt(mu * 25_000.0))
-    with pytest.raises(DomainError):
-        v_max(chest, 8.0, "both")
+    assert v_max(chest, 8.0)[0] == pytest.approx(140.0 / np.sqrt(mu * 25_000.0))
+    assert v_max(chest, 8.0)[1] == pytest.approx(280.0 / np.sqrt(mu * 25_000.0))
     shoulders = BUILTIN_REGIONS["shoulders"]
     with pytest.raises(DomainError):
-        v_max(shoulders, 8.0, "transient")  # no force/stiffness table data
+        v_max(shoulders, 8.0)  # no force/stiffness table data
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(f_max=st.floats(10.0, 500.0), k=st.floats(1e3, 1e6), m_h=st.floats(0.5, 80.0),
+       multiplier=st.floats(1.0, 5.0), m_r=st.floats(0.1, 100.0))
+def test_v_max_gives_each_limit_as_its_own_quotient(f_max, k, m_h, multiplier, m_r):
+    # the bits of f / sqrt(mu k) for f = f_max and f = multiplier * f_max;
+    # multiplier * (f_max / root) rounds differently for most multipliers
+    drawn = BodyRegion(name="drawn", f_max=f_max, k=k, m_h=m_h,
+                       transient_multiplier=multiplier)
+    for region, mass in ((BUILTIN_REGIONS["chest"], 8.0), (drawn, m_r)):
+        root = np.sqrt(reduced_mass(region.m_h, mass) * region.k)
+        want = (float(region.f_max / root),
+                float(region.transient_multiplier * region.f_max / root))
+        got = v_max(region, mass)
+        assert got == want
+        assert tuple(map(type, got)) == (float, float)
 
 
 def test_v_max_decreases_with_robot_mass():
     chest = BUILTIN_REGIONS["chest"]
     masses = [2.0, 4.0, 8.0, 16.0, 32.0]
-    speeds = [v_max(chest, m, "transient") for m in masses]
+    speeds = [v_max(chest, m)[1] for m in masses]
     assert all(a > b for a, b in zip(speeds, speeds[1:]))
 
 

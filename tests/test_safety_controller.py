@@ -31,6 +31,7 @@ from oracles import (
     alpha_oracle,
     command_numpy,
     projection_oracle,
+    region_index,
     tank_port_force_numpy,
     trapezoidal_velocity_numpy,
 )
@@ -192,23 +193,24 @@ def test_schedule_derives_its_budgets():
         RegionSchedule((0.0,), (chest,), (100.0,))
 
 
-def test_schedule_active_index_and_slack():
-    sched = _schedule((0.0, "a", 1.0), (4.0, "b", 2.0))
-    assert sched.active_index(0.0) == 0
-    assert sched.active_index(3.9995) == 0
-    assert sched.active_index(4.0) == 1
-    # a switch scripted on a tick boundary lands on that tick despite float dust
-    assert sched.active_index(3.9999999999, slack=5e-4) == 1
-    assert sched.active_index(10.0) == 1
+def test_a_switch_on_a_tick_boundary_governs_that_tick_on():
+    # float dust either side of the boundary does not move the switch by a cycle
+    gains = PdGains(kp=(0.0,), kd=(0.0,), target=(0.0,))
+    for switch in (4e-3, 4e-3 - 1e-13, 4e-3 + 1e-13):
+        sched = _schedule((0.0, "a", 1.0), (switch, "b", 2.0))
+        ctl = SafetyController(gains, sched, 3.0, 0.0, 1e-3)
+        ticks = [ctl.control_cycle(_obs(0.0, 0.0))[1] for _ in range(10)]
+        assert [tk.active_region for tk in ticks] == ["a"] * 4 + ["b"] * 6, switch
+        assert [tk.epsilon for tk in ticks] == [2.0] * 4 + [1.0] * 6, switch
 
 
 def test_supervise_moves_floor_only_on_change():
     sched = _schedule((0.0, "a", 1.6), (4.0, "b", 2.5))
     tank = make_tank(5.0, 3.4)
     floors = sched.floors(5.0, 0.0)
-    same = supervise(floors, sched.active_index(1.0), tank)
+    same = supervise(floors, 0, tank)
     assert same is tank  # no churn inside a segment
-    moved = supervise(floors, sched.active_index(4.0), tank)
+    moved = supervise(floors, 1, tank)
     assert moved.epsilon == pytest.approx(2.5)
 
 
@@ -375,10 +377,10 @@ def test_cycle_elementwise_arithmetic_gives_the_numpy_forms_bits(m, t_initial, b
        switches=st.lists(st.tuples(st.integers(1, 30),
                                    st.sampled_from(["at", "below", "above", "twice"])),
                          min_size=1, max_size=6))
-def test_region_cursor_gives_what_active_index_gives(tau, switches):
+def test_region_cursor_gives_what_bisection_gives(tau, switches):
     times = {0.0}
     for k, where in switches:
-        probe = k * tau + 0.5 * tau  # what cycle k hands active_index
+        probe = k * tau + 0.5 * tau  # the time cycle k looks the schedule up at
         if where == "twice":  # two switches after cycle k - 1's probe
             times |= {probe - 0.75 * tau, probe - 0.25 * tau}
         else:
@@ -389,7 +391,7 @@ def test_region_cursor_gives_what_active_index_gives(tau, switches):
     ctl = SafetyController(PdGains(kp=(0.0,), kd=(0.0,), target=(0.0,)), sched, 1.0, 0.0, tau)
     for k in range(33):
         _, tick = ctl.control_cycle(_obs(0.0, 0.0))
-        idx = sched.active_index(k * tau, 0.5 * tau)
+        idx = region_index(sched, k * tau + 0.5 * tau)
         assert (tick.active_region, tick.epsilon) == (sched.regions[idx].name, floors[idx]), k
 
 

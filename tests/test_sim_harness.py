@@ -529,8 +529,8 @@ def test_iso_comparison_attaches_only_where_data_exists():
         duration=0.05,
         iso_mass=RobotMassSpec(moving_mass=16.0))
     seg = run(scenario).summary.segments[0]
-    assert seg.v_max_quasi_static == pytest.approx(v_max(chest, 8.0, "quasi_static"))
-    assert seg.v_max_transient == pytest.approx(v_max(chest, 8.0, "transient"))
+    assert seg.v_max_quasi_static == pytest.approx(v_max(chest, 8.0)[0])
+    assert seg.v_max_transient == pytest.approx(v_max(chest, 8.0)[1])
     assert seg.exceeded_quasi_static is False
     assert seg.exceeded_transient is False
 
@@ -567,6 +567,23 @@ def test_csv_round_trip_is_exact(tmp_path):
     again.scenario = res.summary.scenario
     again.fault = res.summary.fault
     assert again.to_dict() == res.summary.to_dict()
+
+
+def test_a_region_seen_again_in_a_later_block_keeps_its_code(tmp_path):
+    # wide governs ticks 0-99, in the log's first block of 256 ticks, and
+    # returns at tick 400, in the second block, which narrow opens
+    assert sim_harness._CHUNK == 256
+    schedule = _schedule((0.0, "wide", 0.5), (0.1, "narrow", 0.3), (0.4, "wide", 0.5))
+    res = run(_cart_scenario(schedule=schedule, duration=0.6))
+    assert res.fault is None
+    path = tmp_path / "ticks.csv"
+    write_ticks_csv(path, res.ticks)
+    for log in (res.ticks, read_ticks_csv(path)):
+        assert log.region_names == ["wide", "narrow"]
+        assert log.active_region.tolist() == [0] * 100 + [1] * 300 + [0] * 200
+        segments = summarize(log).segments
+        assert [(s.region, s.ticks) for s in segments] == [
+            ("wide", 100), ("narrow", 300), ("wide", 200)]
 
 
 def _cart3_scenario(**over):
