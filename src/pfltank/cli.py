@@ -298,9 +298,10 @@ def cmd_run(args) -> int:
     if result.ticks:
         with _at(ticks_path):
             write_ticks_csv(ticks_path, result.ticks)
-    if result.summary is not None:
         payload = result.summary.to_dict()
-    else:
+    else:  # a log an earlier run left in --out must not pass for this run's
+        with _at(ticks_path):
+            ticks_path.unlink(missing_ok=True)
         payload = {"scenario": scenario.name, "n_ticks": 0, "fault": result.fault}
     if result.discarded_energy:
         log.info("tank overflow discarded %.6g J", result.discarded_energy)
@@ -309,8 +310,9 @@ def cmd_run(args) -> int:
         fh.write("\n")
 
     if result.fault is not None:
+        where = f"partial log in {ticks_path}" if result.ticks else "no tick logged"
         print(f"{scenario.name}: FAULT ({result.fault}) after {len(result.ticks)} "
-              f"cycles; partial log in {ticks_path}", file=sys.stderr)
+              f"cycles; {where}", file=sys.stderr)
         return EXIT_FAULT
     print(f"{scenario.name}: {len(result.ticks)} cycles -> {ticks_path}, {summary_path}")
     return EXIT_OK

@@ -324,13 +324,17 @@ def test_names_that_do_not_encode_as_utf8_exit_3(tmp_path, capsys, edit):
 
 # -- run -----------------------------------------------------------------------
 
-@pytest.mark.parametrize("flag", ["--duration", "--tau"])
-def test_non_finite_overrides_exit_3(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag, message", [
+    # the cycle-count check refuses the duration, naming tau as well
+    ("--duration", "duration must cover at least one cycle and finitely many, "
+                   "got inf s at tau = 0.001 s"),
+    ("--tau", "tau must be positive and finite, got inf"),
+], ids=["--duration", "--tau"])
+def test_non_finite_overrides_exit_3(tmp_path, capsys, flag, message):
     # an infinite duration or cycle time would ask for an unbounded cycle count
     rc = main(["run", "paper_replica", "--out", str(tmp_path / "out"), flag, "inf"])
     assert rc == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"{flag[2:]} must be positive and finite, got inf" in err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -403,8 +407,34 @@ def test_faulting_run_exits_2_with_partial_log(tmp_path, capsys):
     assert summary["fault"] == "emergency"
 
 
+def test_a_run_that_logs_no_tick_leaves_no_log_behind(tmp_path, capsys):
+    # a ticks.csv an earlier run left in --out would pass for this run's log
+    out = str(tmp_path / "out")
+    assert main(["run", "paper_replica", "--out", out, "--duration", "0.05"]) == EXIT_OK
+    # 1 J of motion, a budget 1e-4 J above it and no damper band: the 100 N
+    # push feeds the robot 100 W, which the tank cannot book on cycle 0
+    doc = _doc(
+        plant={"type": "cartesian", "inertia": [[2.0]], "x0": [0.0], "v0": [1.0]},
+        controller={"kp": [0.0], "kd": [0.0], "target": [0.0], "damper_band": 0.0},
+        regions={"zone": {"e_max_override": 1.0001}},
+        tank={"t_initial": 1.0},
+        wrench_script=[{"t_start": 0.0, "t_end": 1.0, "force": [100.0]}])
+    path = _write(tmp_path, doc)
+    capsys.readouterr()
+    for _ in range(2):  # a leftover log, then none
+        assert main(["run", path, "--out", out]) == EXIT_FAULT
+        err = capsys.readouterr().err
+        assert "tiny: FAULT (emergency) after 0 cycles; no tick logged\n" in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["summary.json"]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary == {"scenario": "tiny", "n_ticks": 0, "fault": "emergency"}
+
+
 def test_non_finite_command_is_an_integration_fault(tmp_path, capsys, caplog):
-    # every number is finite, but the PD force overflows on the first cycle
+    # every number is finite, but the PD force overflows on the first cycle.
+    # run() does not test the command: the plant multiplies it by its inverse
+    # inertia, so the plant's new state is non-finite on that same cycle and
+    # the plant's state check, the loop's only finiteness check, ends the run
     doc = _replica(lambda doc: doc["controller"].update(kp=[1e308, 1e308]))
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
@@ -414,7 +444,7 @@ def test_non_finite_command_is_an_integration_fault(tmp_path, capsys, caplog):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert rc == EXIT_FAULT
     assert "FAULT (integration) after 1 cycles" in capsys.readouterr().err
-    assert "integration fault at cycle 0: wrench entries must be finite" in caplog.text
+    assert "integration fault at cycle 0: non-finite plant state" in caplog.text
     assert len((out / "ticks.csv").read_text().splitlines()) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["fault"] == "integration"

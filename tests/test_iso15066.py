@@ -97,6 +97,19 @@ def test_v_max_both_modes():
         v_max(shoulders, 8.0)  # no force/stiffness table data
 
 
+@pytest.mark.parametrize("region, message", [
+    (BUILTIN_REGIONS["shoulders"], "region 'shoulders' has no contact-model data"),
+    (BodyRegion(name="no_k", f_max=140.0, m_h=40.0, e_max_override=1.0),
+     "region 'no_k' has no contact-model data"),
+    (BodyRegion(name="no_m_h", f_max=140.0, k=25_000.0),
+     "region 'no_m_h' has no body mass m_h"),
+], ids=["table_region", "no_k", "no_m_h"])
+def test_v_max_refuses_a_region_without_its_data(region, message):
+    with pytest.raises(DomainError) as info:
+        v_max(region, 8.0)
+    assert str(info.value) == message
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(f_max=st.floats(10.0, 500.0), k=st.floats(1e3, 1e6), m_h=st.floats(0.5, 80.0),
        multiplier=st.floats(1.0, 5.0), m_r=st.floats(0.1, 100.0))

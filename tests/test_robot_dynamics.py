@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +73,53 @@ def test_integration_fault_on_overflow():
     with pytest.raises(IntegrationFault):
         for _ in range(10):
             plant.step(WrenchInput(f_c=np.zeros(1), f_e=np.array([1e300])), 1.0)
+
+
+def _arm_and_step(q0, f_c):
+    """An arm at q0 and a step of it with command f_c, built as run() builds
+    it: through tuple.__new__, so WrenchInput checks nothing."""
+    arm = PlanarArm(q0=q0, qdot0=(0.4, -0.3))
+    wrench = tuple.__new__(WrenchInput, (np.array(f_c), ZERO2))
+    return arm, lambda: arm.step(wrench, 1e-3)
+
+
+def _arm_bits(arm) -> tuple:
+    """The arm's joint state and port readings, as bytes."""
+    return tuple(np.array(value).tobytes() for value in
+                 (arm._q, arm._qdot, arm.pose, arm.twist, arm.kinetic_energy))
+
+
+def _refused(build):
+    return lambda: (None, build)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    # the arm's state check is its only per-cycle finiteness check; at
+    # q = (0, 0) the first row of J is zero, and 0 * inf is NaN
+    (lambda: _arm_and_step((0.3, 0.8), (math.inf, 0.0)), IntegrationFault,
+     "non-finite arm state"),
+    (lambda: _arm_and_step((0.3, 0.8), (1.0, math.nan)), IntegrationFault,
+     "non-finite arm state"),
+    (lambda: _arm_and_step((0.0, 0.0), (-math.inf, 0.0)), IntegrationFault,
+     "non-finite arm state"),
+    (lambda: _arm_and_step((0.0, 0.0), (0.0, math.inf)), IntegrationFault,
+     "non-finite arm state"),
+    (_refused(lambda: CartesianPlant([[1.0, 0.0]], (0.0,), (0.0,))), DomainError,
+     "inertia must be square, got (1, 2)"),
+    (_refused(lambda: CartesianPlant([[2.0, 0.5], [0.0, 2.0]], (0.0, 0.0), (0.0, 0.0))),
+     DomainError, "inertia must be symmetric"),
+    (_refused(lambda: CartesianPlant([[2.0]], (0.0, 1.0), (0.0,))), DomainError,
+     "x0/xdot0 dimensions do not match the inertia"),
+], ids=["arm_inf", "arm_nan", "arm_inf_at_zero_row", "arm_inf_at_q0", "not_square",
+        "asymmetric", "x0_length"])
+def test_plants_fault_and_refuse_with_their_messages(case, error, message):
+    arm, act = case()
+    before = None if arm is None else _arm_bits(arm)
+    # run() steps a plant with numpy's floating-point warnings silenced
+    with pytest.raises(error, match=re.escape(message)), np.errstate(all="ignore"):
+        act()
+    if arm is not None:  # the arm raised before its state changed
+        assert _arm_bits(arm) == before
 
 
 def test_wrench_validation():

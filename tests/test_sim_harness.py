@@ -382,6 +382,69 @@ def test_a_negative_kinetic_energy_is_an_integration_fault(monkeypatch, caplog):
             "negative") in caplog.text
 
 
+# a moderate gain, and one a PD force overflows through: kp by 200 m or more,
+# kd by 1.6 m/s or more
+_MILD_GAIN = st.floats(0.0, 50.0)
+_HUGE_GAIN = st.floats(1.2e308, 1.79e308)
+
+
+@st.composite
+def _overflowing_runs(draw):
+    """(scenario, cycle): a Cartesian run of 1-3 axes, coupled through its
+    inertia, whose PD force on axis j overflows first on ``cycle``.  On cycle
+    0 through kp, kd or both (inf - inf is NaN); on cycle 1 through kd, once a
+    push from rest has moved axis j at 1.8-3 m/s."""
+    m = draw(st.integers(1, 3))
+    j = draw(st.integers(0, m - 1))
+    way = draw(st.sampled_from(["kp", "kd", "both", "push"]))
+    coupling = draw(st.floats(-0.2, 0.2))
+    # diagonally dominant, so symmetric positive definite
+    inertia = [[draw(st.floats(0.5, 4.0)) if r == c else coupling for c in range(m)]
+               for r in range(m)]
+    kp, kd = (draw(st.lists(_MILD_GAIN, min_size=m, max_size=m)) for _ in "pd")
+    target = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    x0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    v0 = draw(st.lists(st.floats(-0.5, 0.5), min_size=m, max_size=m))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if way in ("kp", "both"):
+        kp[j] = draw(_HUGE_GAIN)
+        x0[j] = target[j] + sign * draw(st.floats(200.0, 1e3))
+    if way in ("kd", "both", "push"):
+        kd[j] = draw(_HUGE_GAIN)
+        v0[j] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.6, 2.0))
+    script = ()
+    if way == "push":
+        x0[j], v0[j] = target[j], 0.0
+        push = [0.0] * m
+        push[j] = sign * draw(st.floats(2.0, 3.0)) / (1e-3 * np.linalg.inv(inertia)[j, j])
+        script = (WrenchSegment(0.0, 1.0, push),)
+    scenario = _cart_scenario(
+        plant=CartesianPlant(inertia, x0, v0), gains=PdGains(kp, kd, target),
+        schedule=_schedule((0.0, "zone", 100.0)), t_initial=110.0,
+        wrench_script=script, duration=0.01)
+    return scenario, 1 if way == "push" else 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=_overflowing_runs())
+def test_a_non_finite_command_faults_on_its_own_cycle(case):
+    # run() does not test the command: a non-finite entry makes the plant's
+    # new velocity non-finite, so the plant's state check ends the run on the
+    # command's own cycle.  Without that check the NaN state would reach the
+    # tank a cycle later, as an emergency fault.
+    scenario, cycle = case
+    result = run(scenario)
+    ticks = result.ticks
+    with np.errstate(all="ignore"):
+        command = ticks.f_c + ticks.b[:, None] * ticks.xdot  # as control_cycle forms it
+    finite = np.isfinite(command).all(axis=1)
+    assert finite.tolist() == [True] * cycle + [False]
+    assert result.fault == "integration" and result.summary.fault == "integration"
+    assert result.final_plant is None
+    # the faulting cycle's decision is the tank's last
+    assert result.final_tank_energy == ticks.tank_T[-1].item()
+
+
 def test_arm_scenario_conserves_through_the_cartesian_port():
     scenario = _cart_scenario(
         name="arm",
@@ -1051,6 +1114,11 @@ def _blank_line(lines):
     return lines
 
 
+def _no_velocity(lines):
+    lines[0] = lines[0].replace("xdot_", "v_")
+    return lines
+
+
 def _fourth_axis(lines):
     lines[0] = ",".join(sim_harness._tick_columns(3)) + ",xdot_w\r\n"
     return lines
@@ -1073,8 +1141,9 @@ def _not_utf8(lines):
     (_blank_line, "line 4: expected 15 fields, got 0"),
     (_fourth_axis, "header is not the tick-log header"),
     (_k_overflow, "line 4: Python int too large"),
+    (_no_velocity, "no velocity columns found"),
 ], ids=["missing_column", "short_row", "non_numeric", "not_utf8", "reordered_header",
-        "extra_column", "blank_line", "fourth_axis", "k_overflow"])
+        "extra_column", "blank_line", "fourth_axis", "k_overflow", "no_velocity"])
 def test_malformed_logs_raise_domain_errors(tmp_path, edit, message):
     path = _malformed(tmp_path, edit)
     with pytest.raises(DomainError) as info:
@@ -1084,10 +1153,15 @@ def test_malformed_logs_raise_domain_errors(tmp_path, edit, message):
 
 
 def test_csv_refuses_empty_logs(tmp_path):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="refusing to write an empty tick log"):
         write_ticks_csv(tmp_path / "none.csv", run(_cart_scenario(duration=0.005)).ticks[:0])
-    headers_only = tmp_path / "bare.csv"
-    headers_only.write_text("k,t,active_region,alpha,b,p_ext,tank_T,"
-                            "epsilon,h_est,h_truth,x_x,xdot_x\n")
-    with pytest.raises(DomainError):
-        read_ticks_csv(headers_only)
+    # the whole header and no row: numpy warns that it read no data, and the
+    # csv.reader pass finds no row either.  A zero-byte file has no header.
+    header_only = tmp_path / "header.csv"
+    header_only.write_bytes((",".join(sim_harness._tick_columns(1)) + "\r\n").encode())
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    for path in (header_only, empty):
+        with pytest.raises(DomainError) as info:
+            read_ticks_csv(path)
+        assert str(info.value) == f"{path}: empty tick log"
