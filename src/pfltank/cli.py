@@ -83,8 +83,8 @@ def _at(path):
 
 
 def _name(value, path: str) -> str:
-    """A non-empty string that encodes as UTF-8, as ticks.csv and the console
-    need; JSON's escapes can spell a lone surrogate, which does not."""
+    """A non-empty string that encodes as UTF-8, as the console needs; JSON's
+    escapes can spell a lone surrogate, which does not."""
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{path}: expected a non-empty string")
     try:
@@ -188,8 +188,9 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         raise ConfigError("regions: expected a non-empty mapping")
     regions = {}
     for rname, rcfg in regions_doc.items():
-        _name(rname, "regions")
-        regions[rname] = _region_from_config(rname, rcfg, f"regions.{rname}")
+        # BodyRegion checks the name; the path shows one that may not print by repr
+        label = rname if rname.isprintable() else repr(rname)
+        regions[rname] = _region_from_config(rname, rcfg, f"regions.{label}")
 
     sched_doc = _need(doc, "schedule", "scenario")
     if not isinstance(sched_doc, list) or not sched_doc:

@@ -55,6 +55,7 @@ class BodyRegion:
     e_max_override: float | None = None
 
     def __post_init__(self):
+        _check_region_name(self.name)
         if self.e_max_override is None and (self.f_max is None or self.k is None):
             raise DomainError(
                 f"region {self.name!r}: give f_max and k, or an e_max_override")
@@ -66,6 +67,16 @@ class BodyRegion:
         if not 1.0 <= self.transient_multiplier < math.inf:
             raise DomainError(
                 f"region {self.name!r}: transient_multiplier must be >= 1 and finite")
+
+
+def _check_region_name(name):
+    """Refuse a region name that ticks.csv cannot hold as a bare field: it must
+    be a non-empty printable str with no ',' or '"'.  isprintable() refuses
+    line breaks, NUL and lone surrogates."""
+    if not (isinstance(name, str) and name and name.isprintable()
+            and "," not in name and '"' not in name):
+        raise DomainError("a region name must be a non-empty printable string "
+                          f"without ',' or '\"', got {name!r}")
 
 
 @dataclass(frozen=True)

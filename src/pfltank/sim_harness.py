@@ -13,15 +13,12 @@ bit-exactly.
 from __future__ import annotations
 
 import copy
-import csv
-import io
 import logging
 import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -29,7 +26,7 @@ import numpy as np
 
 from .energy_tank import DAMPER_BAND
 from .errors import ConfigError, DomainError, EmergencyFault, IntegrationFault
-from .iso15066 import RobotMassSpec, robot_effective_mass, v_max
+from .iso15066 import RobotMassSpec, _check_region_name, robot_effective_mass, v_max
 from .robot_dynamics import CartesianPlant, PlanarArm, PlantState, WrenchInput
 from .safety_controller import (
     ControlTick,
@@ -475,8 +472,9 @@ class _RegionCodes(dict):
 # spreads over one column per axis.  The writer works on blocks of _CHUNK
 # rows and formats the fields itself, exactly as csv.writer's default
 # dialect would: floats by repr, k by str, commas between fields, "\r\n"
-# after each row, and the region name quoted where csv quotes it.  The
-# reader parses the whole body into one record array with a field per
+# after each row.  Region names hold no comma, quote or line break
+# (BodyRegion's rule), so no field is quoted.  The reader parses the whole
+# body in one np.loadtxt call into one record array with a field per
 # column of the log, so the log it returns holds no more than those bytes.
 
 
@@ -487,18 +485,14 @@ def _tick_columns(m: int) -> list[str]:
     return columns
 
 
-def _csv_field(text: str) -> str:
-    """text as csv.writer writes it between other fields of a row."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow((text, ""))
-    return buf.getvalue()[:-3]  # the empty field's "," and the "\r\n"
-
-
 def write_ticks_csv(path, ticks: TickLog):
-    """Write the tick log, every float as its shortest exact repr."""
+    """Write the tick log, every float as its shortest exact repr.  A name
+    outside BodyRegion's rule, which a hand-built log may hold and the reader
+    would refuse, is refused before the file is created."""
     if not ticks:
         raise DomainError("refusing to write an empty tick log")
-    region_fields = list(map(_csv_field, ticks.region_names))
+    for name in ticks.region_names:
+        _check_region_name(name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_tick_columns(ticks.xdot.shape[1])) + "\r\n")
         for start in range(0, len(ticks), _CHUNK):
@@ -506,7 +500,7 @@ def write_ticks_csv(path, ticks: TickLog):
             # tolist() yields Python ints and floats; str and repr are csv's
             # format for them
             lead = zip(map(str, ticks.k[rows].tolist()), map(repr, ticks.t[rows].tolist()),
-                       map(region_fields.__getitem__, ticks.active_region[rows].tolist()))
+                       map(ticks.region_names.__getitem__, ticks.active_region[rows].tolist()))
             # the float fields after them repeat values within a block: repr
             # each distinct bit pattern once (bits, not ==, so 0.0 and -0.0
             # stay apart); numpy 1 and 2 shape the inverse differently
@@ -521,46 +515,50 @@ def write_ticks_csv(path, ticks: TickLog):
 def read_ticks_csv(path) -> TickLog:
     """Inverse of write_ticks_csv; floats round-trip exactly.
 
-    Checked: the file is UTF-8, its header is exactly the tick-log header for
-    its number of axes, every later line is a row of as many fields (so no
-    blank lines), and every number parses.  The body is parsed in one
-    np.loadtxt call into one record array, whose fields are the log's
-    columns.  A file that numpy refuses is read again by csv.reader and
-    Python's int() and float(), which also take forms write_ticks_csv never
-    writes, such as "0_0" or "1_0.5".  A failed check raises DomainError
-    naming the file and the missing columns, the header or the first
-    offending line.
+    The file must be UTF-8, its header exactly the tick-log header for its
+    number of axes, every later line a row of as many fields (so no blank
+    lines) whose numbers numpy parses, and every region name one that
+    BodyRegion takes.  The body is parsed in one np.loadtxt call, with no
+    quoting, into one record array whose fields are the log's columns.  A
+    failed check raises DomainError naming the file and the missing columns,
+    the header, the region name or, for a row numpy refuses, numpy's own
+    message, whose row numbers are not the file's line numbers.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            m = _axis_count(next(reader, None), path)
-            try:
-                records, region_names = _load_records(fh, m)
-            except (ValueError, OverflowError, Warning):  # UnicodeDecodeError is a ValueError
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-                # no field is longer than the file
-                limit = csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
-                try:
-                    records, region_names = _parse_records(reader, m, path)
-                finally:
-                    csv.field_size_limit(limit)
-        except csv.Error as exc:
-            raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
+            header = fh.readline()
         except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: not UTF-8: {exc}") from None
+            raise DomainError(f"{path}: {exc}") from None
+        # DomainError is a ValueError, so the header is checked outside the
+        # handler of numpy's errors
+        m = _axis_count(header, path)
+        codes = _RegionCodes()
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.x warns where it parses k as a float, and without
+                # encoding hands the converter bytes; no rows is answered below
+                warnings.simplefilter("error")
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                records = np.loadtxt(_body_lines(fh), _record_dtype(m), delimiter=",",
+                                     comments=None, ndmin=1, encoding="utf-8",
+                                     converters={_FIELDS.index("active_region"):
+                                                 codes.__getitem__})
+            for name in codes:  # numpy takes any text, '"' included
+                _check_region_name(name)
+        # UnicodeDecodeError and the name check's DomainError are ValueErrors
+        except (ValueError, OverflowError, Warning) as exc:
+            raise DomainError(f"{path}: {exc}") from None
     if not len(records):
         raise DomainError(f"{path}: empty tick log")
-    return TickLog({name: records[name] for name in _FIELDS}, region_names)
+    return TickLog({name: records[name] for name in _FIELDS}, list(codes))
 
 
-def _axis_count(header, path) -> int:
-    """The number of axes of a header that is exactly the tick-log header."""
-    if header is None:
+def _axis_count(line: str, path) -> int:
+    """The number of axes of a header line that is exactly the tick-log header."""
+    if not line:
         raise DomainError(f"{path}: empty tick log")
+    header = line.rstrip("\r\n").split(",")
     m = sum(1 for c in header if c.startswith("xdot_"))
     if m == 0:
         raise DomainError(f"{path}: no velocity columns found")
@@ -581,52 +579,9 @@ def _record_dtype(m: int) -> np.dtype:
 
 
 def _body_lines(fh):
-    """The rest of fh's lines.  np.loadtxt skips a blank line where csv.reader
-    reads a row of no fields, so a blank line raises instead."""
+    """The rest of fh's lines.  np.loadtxt skips a blank line, which
+    write_ticks_csv never writes, so a blank line raises instead."""
     for line in fh:
         if line in ("\r\n", "\n", "\r"):
             raise ValueError("blank line")
         yield line
-
-
-def _load_records(fh, m: int):
-    """The records and region names of the rows left in fh, by numpy's C
-    parser.  Where numpy refuses a row this raises ValueError, OverflowError
-    or a warning turned error (numpy 1.x warns where it parses k as a float).
-    encoding="utf-8" keeps numpy 1.x from handing the converter bytes."""
-    codes = _RegionCodes()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        records = np.loadtxt(_body_lines(fh), _record_dtype(m), delimiter=",",
-                             quotechar='"', comments=None, ndmin=1, encoding="utf-8",
-                             converters={_FIELDS.index("active_region"): codes.__getitem__})
-    return records, list(codes)
-
-
-def _parse_records(reader, m: int, path):
-    """The records and region names of the rows left in reader, by int() and
-    float().  Each block of _CHUNK rows is checked for its field count before
-    its rows are parsed in turn, so the DomainError names the block's first
-    short or long row, or else its first row that does not parse."""
-    codes, records = _RegionCodes(), []
-    width = len(_tick_columns(m))
-    while True:
-        block = []
-        for row in islice(reader, _CHUNK):
-            if len(row) != width:
-                raise DomainError(f"{path}: line {reader.line_num}: expected "
-                                  f"{width} fields, got {len(row)}")
-            block.append((reader.line_num, row))
-        if not block:
-            return np.array(records, _record_dtype(m)), list(codes)
-        for line, row in block:
-            cells = iter(row)
-            try:
-                # np.int64 raises the OverflowError of a k past int64
-                records.append(tuple(
-                    tuple(map(float, islice(cells, m))) if name in _VECTORS else
-                    np.int64(int(next(cells))) if name == "k" else
-                    codes[next(cells)] if name == "active_region" else float(next(cells))
-                    for name in _FIELDS))
-            except (ValueError, OverflowError) as exc:
-                raise DomainError(f"{path}: line {line}: {exc}") from None

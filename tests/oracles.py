@@ -11,13 +11,10 @@ import bisect
 import csv
 import functools
 import math
-from itertools import islice
-from pathlib import Path
 
 import numpy as np
 import sympy as sp
 
-from pfltank.errors import DomainError
 from pfltank.sim_harness import (
     _CHUNK,
     _FIELDS,
@@ -25,10 +22,18 @@ from pfltank.sim_harness import (
     SegmentSummary,
     Summary,
     TickLog,
-    _axis_count,
-    _csv_field,
     _tick_columns,
 )
+
+
+# region names outside the name rule, by the class each stands for: ticks.csv
+# holds a name as a bare field, so none may be empty, break a line, hold a
+# field or quote character, or fail to print
+REFUSED_REGION_NAMES = {
+    "empty": "", "not_str": 5, "comma": "a,b", "quote": 'q"q', "cr": "a\rb",
+    "lf": "a\nb", "nul": "a\0b", "surrogate": "a\ud800", "nbsp": "a\u00a0b",
+    "blank_line": "z\r\n\r\n" + "c" * 140_000,
+}
 
 
 # -- planar 2R dynamics from the Lagrangian ------------------------------------
@@ -213,9 +218,8 @@ def write_ticks_csv_rowwise(path, ticks):
 def write_ticks_csv_per_cell(path, ticks):
     """The block-wise tick log writer that calls repr once per float cell:
     the reference for the package's writer, which formats each distinct bit
-    pattern of a block once.  It shares the header and the quoting of region
-    names with the package, which the row-by-row writer checks."""
-    region_fields = list(map(_csv_field, ticks.region_names))
+    pattern of a block once.  It shares the header with the package, which
+    the row-by-row writer checks."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_tick_columns(ticks.xdot.shape[1])) + "\r\n")
         for start in range(0, len(ticks), _CHUNK):
@@ -225,88 +229,12 @@ def write_ticks_csv_per_cell(path, ticks):
                 if name == "k":
                     columns.append(map(str, values.tolist()))
                 elif name == "active_region":
-                    columns.append(map(region_fields.__getitem__, values.tolist()))
+                    columns.append(map(ticks.region_names.__getitem__, values.tolist()))
                 elif name in _VECTORS:
                     columns += (map(repr, axis) for axis in values.T.tolist())
                 else:
                     columns.append(map(repr, values.tolist()))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
-
-
-# -- block-wise tick log reader ---------------------------------------------------
-
-def read_ticks_csv_blockwise(path) -> TickLog:
-    """The tick log read by csv.reader and Python's int() and float(), a
-    block of _CHUNK rows at a time, each field joined from its blocks: the
-    reference that the package's np.loadtxt reader must match in every
-    column bit and every error message."""
-    path = Path(path)
-    blocks, region_names = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            m = _axis_count(header, path)
-            while True:
-                rows, lines = [], []
-                for row in islice(reader, _CHUNK):
-                    if len(row) != len(header):
-                        raise DomainError(
-                            f"{path}: line {reader.line_num}: expected "
-                            f"{len(header)} fields, got {len(row)}")
-                    rows.append(row)
-                    lines.append(reader.line_num)
-                if not rows:
-                    break
-                blocks.append(_parse_rows(rows, lines, m, region_names, path))
-        except csv.Error as exc:
-            raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: not UTF-8: {exc}") from None
-    if not blocks:
-        raise DomainError(f"{path}: empty tick log")
-    return TickLog({name: np.concatenate([block.pop(name) for block in blocks])
-                    for name in _FIELDS}, region_names)
-
-
-def _parse_rows(rows, lines, m, region_names, path) -> dict:
-    try:
-        return _columns_from_rows(rows, m, region_names)
-    except (ValueError, OverflowError):
-        # find the row that failed, for the message; k overflows int64 as an
-        # OverflowError
-        for line, row in zip(lines, rows):
-            try:
-                _columns_from_rows([row], m, region_names)
-            except (ValueError, OverflowError) as exc:
-                raise DomainError(f"{path}: line {line}: {exc}") from None
-        raise
-
-
-def _columns_from_rows(rows, m, region_names) -> dict:
-    columns = iter(zip(*rows))  # in header order, so in field order
-    values = {}
-    for name in _FIELDS:
-        if name in _VECTORS:
-            values[name] = np.array([list(map(float, c)) for c in islice(columns, m)]).T
-        elif name == "k":
-            values[name] = np.array(list(map(int, next(columns))), dtype=np.int64)
-        elif name == "active_region":
-            values[name] = np.array(_region_codes(next(columns), region_names),
-                                    dtype=np.int64)
-        else:
-            values[name] = np.array(list(map(float, next(columns))))
-    return values
-
-
-def _region_codes(values, names: list) -> list[int]:
-    """Each region name's index in ``names``, which gains the names it lacks."""
-    index = {name: i for i, name in enumerate(names)}
-    for name in dict.fromkeys(values):
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-    return list(map(index.__getitem__, values))
 
 
 # -- tick logs from records ------------------------------------------------------

@@ -12,6 +12,8 @@ from pfltank import cli
 from pfltank.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, load_scenario, main
 from pfltank.iso15066 import BodyRegion, max_energy, reduced_mass, v_max
 
+from oracles import REFUSED_REGION_NAMES
+
 BUNDLED = ["paper_replica", "push_at_floor", "stricter_switch", "budget_starved"]
 
 
@@ -304,12 +306,15 @@ def test_bundled_scenario_wins_over_a_directory_of_its_name(tmp_path, monkeypatc
     assert capsys.readouterr().out.startswith("OK: paper_replica ")
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc.update(regions={"a\ud800": {"e_max_override": 0.5}},
-                           schedule=[{"t": 0.0, "region": "a\ud800"}]),
-    lambda doc: doc.update(name="a\ud800"),
+@pytest.mark.parametrize("edit, message", [
+    # BodyRegion's name rule refuses it, as it refuses every unprintable name
+    (lambda doc: doc.update(regions={"a\ud800": {"e_max_override": 0.5}},
+                            schedule=[{"t": 0.0, "region": "a\ud800"}]),
+     "a region name must be a non-empty printable string without ',' or '\"', "
+     "got 'a\\ud800'"),
+    (lambda doc: doc.update(name="a\ud800"), "'a\\ud800' does not encode as UTF-8"),
 ], ids=["region", "scenario"])
-def test_names_that_do_not_encode_as_utf8_exit_3(tmp_path, capsys, edit):
+def test_names_that_do_not_encode_as_utf8_exit_3(tmp_path, capsys, edit, message):
     # a JSON escape can spell a lone surrogate, which ticks.csv and the
     # console cannot hold; run used to die writing ticks.csv
     doc = _doc()
@@ -318,8 +323,20 @@ def test_names_that_do_not_encode_as_utf8_exit_3(tmp_path, capsys, edit):
     out = tmp_path / "out"
     for argv in (["validate", path], ["run", path, "--out", str(out)]):
         assert main(argv) == EXIT_CONFIG
-        assert "'a\\ud800' does not encode as UTF-8" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+_STR_NAMES = {i: name for i, name in REFUSED_REGION_NAMES.items() if isinstance(name, str)}
+
+
+@pytest.mark.parametrize("name", list(_STR_NAMES.values()), ids=list(_STR_NAMES))
+def test_region_names_outside_the_rule_exit_3(tmp_path, capsys, name):
+    # BodyRegion checks the name; a JSON key is always a string
+    path = _write(tmp_path, _doc(regions={name: {"e_max_override": 0.5}},
+                                 schedule=[{"t": 0.0, "region": name}]))
+    assert main(["validate", path]) == EXIT_CONFIG
+    assert f"got {name!r}" in capsys.readouterr().err
 
 
 # -- run -----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pfltank.iso15066 import (
 )
 from pfltank.robot_dynamics import PlanarArm
 
-from oracles import ArmOracle
+from oracles import REFUSED_REGION_NAMES, ArmOracle
 
 
 def test_chest_energy_limit_value():
@@ -64,6 +64,17 @@ def test_region_rejects_non_finite_values(field, value):
     values[field] = value
     with pytest.raises(DomainError, match=field):
         BodyRegion(name="bad", **values)
+
+
+@pytest.mark.parametrize("name", REFUSED_REGION_NAMES.values(), ids=REFUSED_REGION_NAMES)
+def test_region_refuses_a_name_outside_the_rule(name):
+    with pytest.raises(DomainError, match="a region name must be a non-empty printable"):
+        BodyRegion(name=name, e_max_override=1.0)
+
+
+def test_region_takes_a_printable_name_without_comma_or_quote():
+    for name in ("a b", " padded ", "quote'q", "#hash", "é ü", "c" * 140_000):
+        assert BodyRegion(name=name, e_max_override=1.0).name == name
 
 
 def test_reduced_mass_hand_values():
