@@ -13,7 +13,7 @@ catch its errors and read or write its log; everything else imports from its
 module.
 """
 
-from .errors import ConfigError, DomainError, EmergencyFault, IntegrationFault
+from .errors import DomainError, EmergencyFault, IntegrationFault
 from .iso15066 import BodyRegion, RobotMassSpec
 from .robot_dynamics import CartesianPlant, PlanarArm
 from .safety_controller import PdGains, RegionSchedule
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BodyRegion",
     "CartesianPlant",
-    "ConfigError",
     "DomainError",
     "EmergencyFault",
     "IntegrationFault",

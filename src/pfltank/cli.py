@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy_tank import DAMPER_BAND
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .iso15066 import (
     BodyRegion,
     RobotMassSpec,
@@ -66,55 +66,43 @@ class _Parser(argparse.ArgumentParser):
 def _mapping(value, path: str, keys: set | None = None) -> dict:
     """``value``, checked to be a JSON object with no keys outside ``keys``."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping")
+        raise DomainError(f"{path}: expected a mapping")
     if keys is not None and not keys.issuperset(value):
-        raise ConfigError(f"{path}: unknown keys {sorted(set(value) - keys)}")
+        raise DomainError(f"{path}: unknown keys {sorted(set(value) - keys)}")
     return value
 
 
 @contextmanager
 def _at(path):
-    """Prefix a constructor's ConfigError or DomainError with its document
-    path, and turn a failure to read or write the file ``path`` into one."""
+    """Prefix a constructor's DomainError with its document path, and turn a
+    failure to read or write the file ``path`` into one."""
     try:
         yield
-    except (ConfigError, DomainError, OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
-
-
-def _name(value, path: str) -> str:
-    """A non-empty string that encodes as UTF-8, as the console needs; JSON's
-    escapes can spell a lone surrogate, which does not."""
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{path}: expected a non-empty string")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ConfigError(f"{path}: {value!r} does not encode as UTF-8") from None
-    return value
+    except (DomainError, OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _need(mapping: dict, key: str, path: str):
     if key not in mapping:
-        raise ConfigError(f"{path}: missing required key {key!r}")
+        raise DomainError(f"{path}: missing required key {key!r}")
     return mapping[key]
 
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        raise DomainError(f"{path}: expected a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        raise DomainError(f"{path}: expected a finite number, got {value!r}")
     return value
 
 
 def _vector(value, path: str, length: int | None = None) -> tuple:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of numbers")
+        raise DomainError(f"{path}: expected a non-empty list of numbers")
     vec = tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
     if length is not None and len(vec) != length:
-        raise ConfigError(f"{path}: expected {length} entries, got {len(vec)}")
+        raise DomainError(f"{path}: expected {length} entries, got {len(vec)}")
     return vec
 
 
@@ -125,11 +113,11 @@ def _region_from_config(name: str, cfg, path: str) -> BodyRegion:
     if "k" in cfg:
         unit = _need(cfg, "stiffness_unit", path)
         if not isinstance(unit, str) or unit not in STIFFNESS_UNITS:
-            raise ConfigError(f"{path}.stiffness_unit: expected "
+            raise DomainError(f"{path}.stiffness_unit: expected "
                               f"{' or '.join(map(repr, STIFFNESS_UNITS))}, got {unit!r}")
         k = _number(cfg["k"], f"{path}.k") * STIFFNESS_UNITS[unit]
     elif "stiffness_unit" in cfg:
-        raise ConfigError(f"{path}: stiffness_unit given without k")
+        raise DomainError(f"{path}: stiffness_unit given without k")
     kwargs = {}
     for key in ("f_max", "m_h", "transient_multiplier", "e_max_override"):
         if key in cfg:
@@ -145,7 +133,7 @@ def _plant_from_config(cfg, path: str):
         _mapping(cfg, path, {"type", "inertia", "x0", "v0"})
         rows = _need(cfg, "inertia", path)
         if not isinstance(rows, list) or not rows:
-            raise ConfigError(f"{path}.inertia: expected a list of rows")
+            raise DomainError(f"{path}.inertia: expected a list of rows")
         m = len(rows)
         args = ([_vector(r, f"{path}.inertia[{i}]", m) for i, r in enumerate(rows)],
                 _vector(_need(cfg, "x0", path), f"{path}.x0"),
@@ -160,17 +148,16 @@ def _plant_from_config(cfg, path: str):
                  _vector(_need(cfg, "qd0", path), f"{path}.qd0")]
         with _at(path):
             return PlanarArm(*args)
-    raise ConfigError(f"{path}.type: expected 'cartesian' or 'planar_arm', got {kind!r}")
+    raise DomainError(f"{path}.type: expected 'cartesian' or 'planar_arm', got {kind!r}")
 
 
 def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario:
     """Build a Scenario from a parsed JSON document, validating strictly."""
     if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be a JSON object")
+        raise DomainError("scenario document must be a JSON object")
     _mapping(doc, "scenario", {"name", "plant", "controller", "regions", "schedule",
                                "tank", "wrench_script", "tau", "duration",
                                "iso_comparison"})
-    name = _name(doc.get("name", fallback_name), "scenario.name")
 
     plant = _plant_from_config(_need(doc, "plant", "scenario"), "plant")
 
@@ -185,7 +172,7 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
 
     regions_doc = _need(doc, "regions", "scenario")
     if not isinstance(regions_doc, dict) or not regions_doc:
-        raise ConfigError("regions: expected a non-empty mapping")
+        raise DomainError("regions: expected a non-empty mapping")
     regions = {}
     for rname, rcfg in regions_doc.items():
         # BodyRegion checks the name; the path shows one that may not print by repr
@@ -194,14 +181,14 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
 
     sched_doc = _need(doc, "schedule", "scenario")
     if not isinstance(sched_doc, list) or not sched_doc:
-        raise ConfigError("schedule: expected a non-empty list")
+        raise DomainError("schedule: expected a non-empty list")
     times, scheduled = [], []
     for i, entry in enumerate(sched_doc):
         path = f"schedule[{i}]"
         _mapping(entry, path, {"t", "region"})
         rname = _need(entry, "region", path)
         if not isinstance(rname, str) or rname not in regions:
-            raise ConfigError(f"{path}.region: {rname!r} is not defined under regions")
+            raise DomainError(f"{path}.region: {rname!r} is not defined under regions")
         times.append(_number(_need(entry, "t", path), f"{path}.t"))
         scheduled.append(regions[rname])
     with _at("schedule"):
@@ -223,7 +210,7 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     tank_doc = _mapping(_need(doc, "tank", "scenario"), "tank",
                         {"t_initial", "epsilon_initial"})
     if ("t_initial" in tank_doc) == ("epsilon_initial" in tank_doc):
-        raise ConfigError("tank: give exactly one of t_initial or epsilon_initial")
+        raise DomainError("tank: give exactly one of t_initial or epsilon_initial")
     if "t_initial" in tank_doc:
         t_initial = _number(tank_doc["t_initial"], "tank.t_initial")
     else:
@@ -242,9 +229,9 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         with _at("iso_comparison"):
             iso_mass = RobotMassSpec(moving_mass=moving_mass, payload=payload)
 
-    return Scenario(name=name, plant=plant, gains=gains, schedule=schedule,
-                    t_initial=t_initial, wrench_script=tuple(wrench), tau=tau,
-                    duration=duration, damper_band=damper_band, iso_mass=iso_mass)
+    return Scenario(name=doc.get("name", fallback_name), plant=plant, gains=gains,
+                    schedule=schedule, t_initial=t_initial, wrench_script=tuple(wrench),
+                    tau=tau, duration=duration, damper_band=damper_band, iso_mass=iso_mass)
 
 
 def _read_config_text(spec: str) -> tuple[str, str]:
@@ -257,7 +244,7 @@ def _read_config_text(spec: str) -> tuple[str, str]:
             return path.read_text(encoding="utf-8"), str(path)
     if res.is_file():
         return res.read_text(), f"bundled scenario {name}"
-    raise ConfigError(f"no such file or bundled scenario: {spec!r}")
+    raise DomainError(f"no such file or bundled scenario: {spec!r}")
 
 
 def load_scenario(spec: str) -> Scenario:
@@ -266,7 +253,7 @@ def load_scenario(spec: str) -> Scenario:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{origin}: invalid JSON: {exc}") from None
+        raise DomainError(f"{origin}: invalid JSON: {exc}") from None
     with _at(origin):
         return scenario_from_config(doc, fallback_name=Path(origin).stem)
 
@@ -275,12 +262,9 @@ def load_scenario(spec: str) -> Scenario:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.config)
-    if args.tau is not None or args.duration is not None:
-        overrides = {}
-        if args.tau is not None:
-            overrides["tau"] = args.tau
-        if args.duration is not None:
-            overrides["duration"] = args.duration
+    overrides = {key: value for key in ("tau", "duration")
+                 if (value := getattr(args, key)) is not None}
+    if overrides:
         scenario = replace(scenario, **overrides)
 
     out_dir = Path(args.out)
@@ -291,7 +275,7 @@ def cmd_run(args) -> int:
         result = run(scenario)
     except MemoryError:
         # run() allocates the whole log's columns before the first cycle
-        raise ConfigError(f"{scenario.name}: the log of {scenario.n_cycles} cycles "
+        raise DomainError(f"{scenario.name}: the log of {scenario.n_cycles} cycles "
                           "does not fit in memory") from None
 
     ticks_path = out_dir / "ticks.csv"
@@ -322,17 +306,17 @@ def cmd_run(args) -> int:
 def _parse_sweep(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"--sweep-mr expects LO:HI:STEP, got {text!r}")
+        raise DomainError(f"--sweep-mr expects LO:HI:STEP, got {text!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"--sweep-mr expects numbers, got {text!r}") from None
+        raise DomainError(f"--sweep-mr expects numbers, got {text!r}") from None
     if not (0 < lo <= hi < math.inf and 0 < step < math.inf):
-        raise ConfigError(f"--sweep-mr needs finite 0 < LO <= HI and STEP > 0, got {text!r}")
+        raise DomainError(f"--sweep-mr needs finite 0 < LO <= HI and STEP > 0, got {text!r}")
     # checked before anything is allocated; the quotient may be infinite
     span = (hi - lo) / step + 1e-12
     if not span < MAX_SWEEP_POINTS:
-        raise ConfigError(f"--sweep-mr gives more than {MAX_SWEEP_POINTS} points, "
+        raise DomainError(f"--sweep-mr gives more than {MAX_SWEEP_POINTS} points, "
                           f"got {text!r}")
     return lo + step * np.arange(math.floor(span) + 1)
 
@@ -350,7 +334,7 @@ def cmd_iso(args) -> int:
             print(f"{m_r!r},{reduced_mass(args.mh, m_r)!r},{quasi_static!r},{transient!r}")
         return EXIT_OK
     if args.mr is None:
-        raise ConfigError("iso: give --mr, or --sweep-mr for a range")
+        raise DomainError("iso: give --mr, or --sweep-mr for a range")
     quasi_static, transient = v_max(region, args.mr)
     rows = [
         ("E_max", e_max, "J"),
@@ -378,8 +362,7 @@ def _build_parser() -> _Parser:
                      description="Energy-tank speed limiting for PFL collaboration")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a scenario and write ticks.csv + summary.json",
-                           parents=[], add_help=True)
+    p_run = sub.add_parser("run", help="run a scenario and write ticks.csv + summary.json")
     p_run.add_argument("config", help="scenario JSON path or bundled scenario name")
     p_run.add_argument("--out", default=".", help="output directory (default: .)")
     p_run.add_argument("--tau", type=float, default=None, help="override cycle time, s")
@@ -414,7 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

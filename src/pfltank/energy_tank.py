@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConfigError, EmergencyFault
+from .errors import DomainError, EmergencyFault
 
 __all__ = [
     "TankState",
@@ -58,19 +58,19 @@ def make_tank(t_initial: float, epsilon: float, h_initial: float = 0.0) -> TankS
     """A tank charged with t_initial and floored at epsilon, for a robot that
     starts with h_initial of kinetic energy; the one place a tank is checked."""
     if not 0 < t_initial < math.inf:
-        raise ConfigError(
+        raise DomainError(
             f"initial tank energy must be positive and finite, got {t_initial!r}")
     if not 0 <= h_initial < math.inf:
-        raise ConfigError(
+        raise DomainError(
             f"initial kinetic energy must be non-negative and finite, got {h_initial!r}")
     if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon!r}")
+        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if epsilon > t_initial + FLOOR_TOL:
-        raise ConfigError(
+        raise DomainError(
             f"initial tank energy {t_initial!r} is below the floor {epsilon!r}")
     x_t, capacity = math.sqrt(2.0 * t_initial), float(t_initial) + float(h_initial)
     if not (math.isfinite(x_t) and math.isfinite(capacity)):
-        raise ConfigError(f"tank charge {t_initial!r} J with {h_initial!r} J of kinetic "
+        raise DomainError(f"tank charge {t_initial!r} J with {h_initial!r} J of kinetic "
                           "energy overflows: sqrt(2 T) or T + H is not finite")
     return TankState(x_t=x_t, epsilon=float(epsilon), capacity=capacity)
 

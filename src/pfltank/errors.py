@@ -2,12 +2,9 @@
 
 
 class DomainError(ValueError):
-    """An argument violates a mathematical precondition (non-positive mass,
-    non-unit direction vector, singular inertia, ...)."""
-
-
-class ConfigError(ValueError):
-    """A scenario document or body-region table is invalid."""
+    """Input breaks a rule: a scenario document, a constructor argument (a
+    non-positive mass, a non-finite gain, an unprintable name, ...) or a tick
+    log.  The one error for bad input."""
 
 
 class IntegrationFault(RuntimeError):

@@ -43,7 +43,7 @@ from .energy_tank import (
     damper_coefficient,
     make_tank,
 )
-from .errors import ConfigError, EmergencyFault
+from .errors import DomainError, EmergencyFault
 from .iso15066 import BodyRegion, max_energy
 
 __all__ = [
@@ -63,7 +63,7 @@ FEASIBILITY_MARGIN = 5e-4
 
 
 def _finite_floats(value, label: str) -> tuple:
-    """value as a tuple of floats.  ConfigError unless it is a flat sequence of
+    """value as a tuple of floats.  DomainError unless it is a flat sequence of
     finite real numbers, so a string, a scalar or a nested list is refused."""
     floats = None
     try:
@@ -73,7 +73,7 @@ def _finite_floats(value, label: str) -> tuple:
     except (TypeError, OverflowError):
         pass
     if floats is None or not all(map(math.isfinite, floats)):
-        raise ConfigError(f"{label} must be a flat sequence of finite numbers, got {value!r}")
+        raise DomainError(f"{label} must be a flat sequence of finite numbers, got {value!r}")
     return floats
 
 
@@ -89,9 +89,9 @@ class PdGains:
         for label in ("kp", "kd", "target"):
             object.__setattr__(self, label, _finite_floats(getattr(self, label), label))
         if not len(self.kp) == len(self.kd) == len(self.target):
-            raise ConfigError("kp, kd and target must have matching lengths")
+            raise DomainError("kp, kd and target must have matching lengths")
         if any(g < 0 for g in self.kp + self.kd):
-            raise ConfigError("PD gains must be non-negative")
+            raise DomainError("PD gains must be non-negative")
 
 
 @dataclass(slots=True)
@@ -174,18 +174,18 @@ class RegionSchedule:
         times = tuple(float(t) for t in self.times)
         regions = tuple(self.regions)
         if len(times) != len(regions):
-            raise ConfigError(
+            raise DomainError(
                 f"schedule has {len(times)} switch times but {len(regions)} regions")
         if not times:
-            raise ConfigError("schedule cannot be empty")
+            raise DomainError("schedule cannot be empty")
         if times[0] != 0.0:
-            raise ConfigError(f"first schedule entry must be at t = 0, got {times[0]!r}")
+            raise DomainError(f"first schedule entry must be at t = 0, got {times[0]!r}")
         for a, b in zip(times, times[1:]):
             if not b > a:
-                raise ConfigError("switch times must be strictly increasing")
+                raise DomainError("switch times must be strictly increasing")
         for region in regions:
             if not isinstance(region, BodyRegion):
-                raise ConfigError(f"schedule entries need BodyRegion values, got {region!r}")
+                raise DomainError(f"schedule entries need BodyRegion values, got {region!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "energies", tuple(max_energy(r) for r in regions))
@@ -193,12 +193,12 @@ class RegionSchedule:
     def floors(self, t_initial: float, h_initial: float) -> tuple:
         """The tank floor each region implies for a tank that started with
         t_initial and a robot that started with h_initial of kinetic energy.
-        Raises ConfigError, naming the region, for a floor under EPSILON_MIN."""
+        Raises DomainError, naming the region, for a floor under EPSILON_MIN."""
         floors = []
         for region, energy in zip(self.regions, self.energies):
             eps = t_initial - energy + h_initial
             if eps < EPSILON_MIN:
-                raise ConfigError(
+                raise DomainError(
                     f"region {region.name!r} needs {energy!r} J of budget but the tank "
                     f"holds {t_initial!r} J; floor would be {eps!r} J, "
                     f"under the minimum {EPSILON_MIN!r} J")
@@ -257,9 +257,9 @@ class SafetyController:
     def __init__(self, gains: PdGains, schedule: RegionSchedule, t_initial: float,
                  h_initial: float, tau: float, *, damper_band: float = DAMPER_BAND):
         if not 0 < tau < math.inf:
-            raise ConfigError(f"tau must be positive and finite, got {tau!r}")
+            raise DomainError(f"tau must be positive and finite, got {tau!r}")
         if not 0 <= damper_band < math.inf:
-            raise ConfigError(
+            raise DomainError(
                 f"damper band must be non-negative and finite, got {damper_band!r}")
         self.gains = gains
         self.tau = float(tau)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy_tank import DAMPER_BAND
-from .errors import ConfigError, DomainError, EmergencyFault, IntegrationFault
+from .errors import DomainError, EmergencyFault, IntegrationFault
 from .iso15066 import RobotMassSpec, _check_region_name, robot_effective_mass, v_max
 from .robot_dynamics import CartesianPlant, PlanarArm, PlantState, WrenchInput
 from .safety_controller import (
@@ -67,7 +67,7 @@ class WrenchSegment:
     def __post_init__(self):
         times = (self.t_start, self.t_end)
         if not (all(isinstance(t, numbers.Real) for t in times) and self.t_end > self.t_start):
-            raise ConfigError(
+            raise DomainError(
                 f"wrench segment must have t_end > t_start, both numbers, got "
                 f"[{self.t_start!r}, {self.t_end!r})")
         object.__setattr__(self, "force", _finite_floats(self.force, "wrench force"))
@@ -79,8 +79,9 @@ class Scenario:
 
     ``plant`` is the plant at its initial state; run() steps a copy of it, so
     a scenario runs again byte for byte.  Building a Scenario checks that the
-    gains and wrench forces have one entry per plant axis and runs run()'s
-    set-up, so every scenario that builds is one that run() can start.
+    name is a non-empty printable str, that the gains and wrench forces have
+    one entry per plant axis, and runs run()'s set-up, so every scenario that
+    builds is one that run() can start.
     """
 
     name: str
@@ -95,27 +96,31 @@ class Scenario:
     iso_mass: RobotMassSpec | None = None
 
     def __post_init__(self):
+        # printed and logged as it is, so a line break must not forge a line
+        if not (isinstance(self.name, str) and self.name and self.name.isprintable()):
+            raise DomainError("a scenario name must be a non-empty printable string, "
+                              f"got {self.name!r}")
         m = self.plant.m
         if m > len(_AXES):  # the tick log names the axes x, y and z
-            raise ConfigError(f"plant: at most {len(_AXES)} axes are supported, got {m}")
+            raise DomainError(f"plant: at most {len(_AXES)} axes are supported, got {m}")
         if len(self.gains.kp) != m:
-            raise ConfigError(f"kp, kd and target need one entry per plant axis ({m}), "
+            raise DomainError(f"kp, kd and target need one entry per plant axis ({m}), "
                               f"got {len(self.gains.kp)}")
         object.__setattr__(self, "wrench_script", tuple(self.wrench_script))
         for i, seg in enumerate(self.wrench_script):
             if len(seg.force) != m:
-                raise ConfigError(f"wrench_script[{i}].force needs one entry per plant "
+                raise DomainError(f"wrench_script[{i}].force needs one entry per plant "
                                   f"axis ({m}), got {len(seg.force)}")
         # the active set changes only at a segment bound
         for t in sorted({b for s in self.wrench_script for b in (s.t_start, s.t_end)}):
             if not all(map(math.isfinite, _sum_active(self.wrench_script, t, m))):
-                raise ConfigError(f"wrench_script: the forces active at t = {t!r} s "
+                raise DomainError(f"wrench_script: the forces active at t = {t!r} s "
                                   "sum to a non-finite wrench")
         _start(self)  # the controller checks tau
         # n_cycles >= 1 exactly when the ratio exceeds 0.5, which also refuses
         # a duration <= 0 or NaN; an infinite one, or a subnormal tau, overflows
         if not 0.5 < self.duration / self.tau < math.inf:
-            raise ConfigError(
+            raise DomainError(
                 f"duration must cover at least one cycle and finitely many, got "
                 f"{self.duration!r} s at tau = {self.tau!r} s")
 
@@ -161,7 +166,7 @@ def initial_epsilons(scenario: Scenario, h_initial: float) -> list[float]:
 def _start(scenario: Scenario):
     """run()'s set-up: a copy of the plant, its initial state, and the
     controller, which sizes its tank for every scheduled region's floor.
-    Raises ConfigError where the scenario cannot start."""
+    Raises DomainError where the scenario cannot start."""
     plant = copy.deepcopy(scenario.plant)
     state = plant.state()
     controller = SafetyController(

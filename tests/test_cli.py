@@ -312,7 +312,8 @@ def test_bundled_scenario_wins_over_a_directory_of_its_name(tmp_path, monkeypatc
                             schedule=[{"t": 0.0, "region": "a\ud800"}]),
      "a region name must be a non-empty printable string without ',' or '\"', "
      "got 'a\\ud800'"),
-    (lambda doc: doc.update(name="a\ud800"), "'a\\ud800' does not encode as UTF-8"),
+    (lambda doc: doc.update(name="a\ud800"),
+     "a scenario name must be a non-empty printable string, got 'a\\ud800'"),
 ], ids=["region", "scenario"])
 def test_names_that_do_not_encode_as_utf8_exit_3(tmp_path, capsys, edit, message):
     # a JSON escape can spell a lone surrogate, which ticks.csv and the
@@ -324,6 +325,19 @@ def test_names_that_do_not_encode_as_utf8_exit_3(tmp_path, capsys, edit, message
     for argv in (["validate", path], ["run", path, "--out", str(out)]):
         assert main(argv) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_forged_name_exits_3_and_prints_no_ok_line(tmp_path, capsys):
+    # a line break in the name used to print a second, forged "OK:" line
+    path = _write(tmp_path, _doc(name="fake\nOK: paper_replica"))
+    out = tmp_path / "out"
+    for argv in (["validate", path], ["run", path, "--out", str(out)]):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: {path}: a scenario name must be a non-empty printable string, "
+                "got 'fake\\nOK: paper_replica'") in captured.err
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from pfltank.energy_tank import (
     damper_coefficient,
     make_tank,
 )
-from pfltank.errors import ConfigError, EmergencyFault
+from pfltank.errors import DomainError, EmergencyFault
 
 
 def test_energy_reading():
@@ -29,21 +29,21 @@ def test_energy_reading():
 
 
 def test_tank_construction_guards():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         make_tank(0.0, 0.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         make_tank(1.0, 2.0)  # starts under its own floor
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         make_tank(1.0, 0.0)  # floor must be positive
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         make_tank(1.0, 0.5, h_initial=-0.1)
 
 
 def test_tank_refuses_a_charge_that_overflows():
     # each input is finite, but sqrt(2 T) or the capacity T + H is not
-    with pytest.raises(ConfigError, match="overflows"):
+    with pytest.raises(DomainError, match="overflows"):
         make_tank(1e308, 1.0)
-    with pytest.raises(ConfigError, match="overflows"):
+    with pytest.raises(DomainError, match="overflows"):
         make_tank(8e307, 1.0, h_initial=1.7e308)
     assert make_tank(8e307, 1.0, h_initial=1e307).x_t == math.sqrt(1.6e308)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pfltank import safety_controller
 from pfltank.energy_tank import EPSILON_MIN, FLOOR_TOL, commit_step, make_tank
-from pfltank.errors import ConfigError, EmergencyFault
+from pfltank.errors import DomainError, EmergencyFault
 from pfltank.iso15066 import BUILTIN_REGIONS, BodyRegion, max_energy
 from pfltank.safety_controller import (
     FEASIBILITY_MARGIN,
@@ -161,25 +161,25 @@ def test_gains_compare_by_value_on_every_axis():
 
 
 def test_gains_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         PdGains(kp=(1.0,), kd=(1.0, 1.0), target=(0.0,))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         PdGains(kp=(-1.0,), kd=(1.0,), target=(0.0,))
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _schedule((1.0, "late", 1.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _schedule((0.0, "a", 1.0), (0.0, "b", 2.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         RegionSchedule((0.0,), ("not-a-region",))
     chest = BUILTIN_REGIONS["chest"]
-    with pytest.raises(ConfigError, match="first schedule entry must be at t = 0"):
+    with pytest.raises(DomainError, match="first schedule entry must be at t = 0"):
         RegionSchedule((0.5,), (chest,))
-    with pytest.raises(ConfigError, match="1 switch times but 2 regions"):
+    with pytest.raises(DomainError, match="1 switch times but 2 regions"):
         RegionSchedule((0.0,), (chest, chest))
-    with pytest.raises(ConfigError, match="empty"):
+    with pytest.raises(DomainError, match="empty"):
         RegionSchedule((), ())
 
 
@@ -262,7 +262,7 @@ def test_controller_sizes_its_tank_from_the_charge():
     assert ctl.tank.energy == pytest.approx(2.0)
     assert ctl.tank.epsilon == 2.0 - 0.5 + 0.25  # the first region's floor
     assert ctl.tank.capacity == 2.25
-    with pytest.raises(ConfigError, match="kinetic energy"):
+    with pytest.raises(DomainError, match="kinetic energy"):
         SafetyController(gains, sched, 2.0, -0.25, tau=1e-3)
 
 
@@ -493,7 +493,7 @@ def test_unreachable_floor_is_refused_at_construction():
     # EPSILON_MIN; it is refused before the first cycle, not at its switch
     sched = _schedule((0.0, "wide", 0.5), (0.005, "tight", 0.9995))
     gains = PdGains(kp=(2.0,), kd=(0.0,), target=(1.0,))
-    with pytest.raises(ConfigError, match="region 'tight' .* under the minimum"):
+    with pytest.raises(DomainError, match="region 'tight' .* under the minimum"):
         SafetyController(gains, sched, 1.0, 0.0, tau=1e-3)
     # exactly at the minimum is allowed
     assert _controller(t_initial=5.0, e_max=5.0 - EPSILON_MIN).tank.epsilon == \
@@ -501,9 +501,9 @@ def test_unreachable_floor_is_refused_at_construction():
 
 
 def test_controller_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _controller(tau=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _controller(damper_band=-1e-3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _controller(damper_band=np.nan)

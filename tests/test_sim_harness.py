@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from pfltank import robot_dynamics, sim_harness
 from pfltank.cli import load_scenario, scenario_from_config
 from pfltank.energy_tank import make_tank
-from pfltank.errors import ConfigError, DomainError
+from pfltank.errors import DomainError
 from pfltank.iso15066 import BodyRegion, RobotMassSpec, v_max
 from pfltank.robot_dynamics import CartesianPlant, PlanarArm
 from pfltank.safety_controller import (
@@ -126,14 +126,14 @@ def test_wrench_table_samples_each_cycle_as_wrench_at(case, n):
 
 
 def test_wrench_segment_rejects_empty_window():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         WrenchSegment(1.0, 1.0, (0.0,))
 
 
 def test_wrench_segment_times_must_be_numbers():
     # strings compare among themselves, so "0.2" > "0.1" alone would let the
     # segment build and fail as a TypeError in the Scenario or in run()
-    with pytest.raises(ConfigError, match="t_end > t_start, both numbers"):
+    with pytest.raises(DomainError, match="t_end > t_start, both numbers"):
         WrenchSegment("0.1", "0.2", (1.0,))
 
 
@@ -164,7 +164,7 @@ def test_value_types_compare_hash_copy_and_pickle_as_values(build):
                          ids=["string", "scalar", "nested_list", "list_of_strings",
                               "0d_array", "2d_array"])
 def test_value_types_refuse_what_is_not_a_flat_sequence_of_numbers(build, bad):
-    with pytest.raises(ConfigError, match="must be a flat sequence of finite numbers"):
+    with pytest.raises(DomainError, match="must be a flat sequence of finite numbers"):
         build(bad)
 
 
@@ -202,45 +202,54 @@ def test_a_scenario_keeps_its_own_copy_of_a_list_script():
 _NAN, _INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("build, error", [
-    (lambda: PdGains(kp=(_NAN,), kd=(1.0,), target=(0.0,)), ConfigError),
-    (lambda: PdGains(kp=(1.0,), kd=(_INF,), target=(0.0,)), ConfigError),
-    (lambda: PdGains(kp=(1.0,), kd=(1.0,), target=(_INF,)), ConfigError),
-    (lambda: WrenchSegment(0.0, 1.0, (_NAN,)), ConfigError),
-    (lambda: CartesianPlant((_INF,), (0.0,), (0.0,)), DomainError),
-    (lambda: CartesianPlant((_NAN,), (0.0,), (0.0,)), DomainError),
-    (lambda: CartesianPlant((2.0,), (_NAN,), (0.0,)), DomainError),
-    (lambda: CartesianPlant((2.0,), (0.0,), (_INF,)), DomainError),
-    (lambda: PlanarArm(l1=_INF), DomainError),
-    (lambda: PlanarArm(l2=_NAN), DomainError),
-    (lambda: PlanarArm(m1=_INF), DomainError),
-    (lambda: PlanarArm(m2=_NAN), DomainError),
-    (lambda: PlanarArm(q0=(_NAN, 0.0)), DomainError),
-    (lambda: PlanarArm(qdot0=(0.0, _INF)), DomainError),
-    (lambda: make_tank(_INF, 1.0), ConfigError),
-    (lambda: make_tank(2.0, 1.0, h_initial=_NAN), ConfigError),
-    (lambda: make_tank(2.0, 1.0, h_initial=_INF), ConfigError),
-    (lambda: _cart_scenario(damper_band=_INF), ConfigError),
+@pytest.mark.parametrize("build", [
+    lambda: PdGains(kp=(_NAN,), kd=(1.0,), target=(0.0,)),
+    lambda: PdGains(kp=(1.0,), kd=(_INF,), target=(0.0,)),
+    lambda: PdGains(kp=(1.0,), kd=(1.0,), target=(_INF,)),
+    lambda: WrenchSegment(0.0, 1.0, (_NAN,)),
+    lambda: CartesianPlant((_INF,), (0.0,), (0.0,)),
+    lambda: CartesianPlant((_NAN,), (0.0,), (0.0,)),
+    lambda: CartesianPlant((2.0,), (_NAN,), (0.0,)),
+    lambda: CartesianPlant((2.0,), (0.0,), (_INF,)),
+    lambda: PlanarArm(l1=_INF),
+    lambda: PlanarArm(l2=_NAN),
+    lambda: PlanarArm(m1=_INF),
+    lambda: PlanarArm(m2=_NAN),
+    lambda: PlanarArm(q0=(_NAN, 0.0)),
+    lambda: PlanarArm(qdot0=(0.0, _INF)),
+    lambda: make_tank(_INF, 1.0),
+    lambda: make_tank(2.0, 1.0, h_initial=_NAN),
+    lambda: make_tank(2.0, 1.0, h_initial=_INF),
+    lambda: _cart_scenario(damper_band=_INF),
 ], ids=["kp_nan", "kd_inf", "target_inf", "force_nan", "inertia_inf", "inertia_nan",
         "x0_nan", "xdot0_inf", "l1_inf", "l2_nan", "m1_inf", "m2_nan", "q0_nan",
         "qdot0_inf", "t_initial_inf", "h_initial_nan", "h_initial_inf",
         "damper_band_inf"])
-def test_constructors_reject_non_finite_values(build, error):
+def test_constructors_reject_non_finite_values(build):
     # refused where they enter, with a message that names the cause, instead
     # of a fault at cycle 0 or a misleading error further down
-    with pytest.raises(error, match="finite"):
+    with pytest.raises(DomainError, match="finite"):
         build()
 
 
 # -- scenario plumbing ---------------------------------------------------------
 
 def test_scenario_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _cart_scenario(tau=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _cart_scenario(duration=-1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _cart_scenario(t_initial=0.0)
+
+
+@pytest.mark.parametrize("name", [None, 5, "", "fake\nOK: paper_replica", "a\ud800"],
+                         ids=["none", "not_str", "empty", "line_break", "surrogate"])
+def test_scenario_refuses_a_name_outside_the_rule(name):
+    # the console and the logs print the name as it is
+    with pytest.raises(DomainError, match="a scenario name must be a non-empty "
+                                          "printable string, got "):
+        _cart_scenario(name=name)
 
 
 @pytest.mark.parametrize("over, message", [
@@ -255,14 +264,14 @@ def test_scenario_validation():
 ], ids=["gains", "wrench_force", "four_axes"])
 def test_scenario_checks_the_axis_contract(over, message):
     # each of these used to build and then fail inside run() or the CSV writer
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(DomainError, match=message):
         _cart_scenario(**over)
 
 
 def test_scenario_refuses_active_wrenches_whose_sum_overflows():
     # numpy forces too: the check sums Python floats, so numpy never warns
     big = np.array([1e308])
-    with pytest.raises(ConfigError, match=r"forces active at t = 0\.2 s sum to a "
+    with pytest.raises(DomainError, match=r"forces active at t = 0\.2 s sum to a "
                                           r"non-finite wrench"):
         _cart_scenario(wrench_script=(WrenchSegment(0.1, 0.3, big),
                                       WrenchSegment(0.2, 0.4, big)))
@@ -274,7 +283,7 @@ def test_scenario_refuses_active_wrenches_whose_sum_overflows():
 
 
 def test_run_needs_at_least_one_cycle():
-    with pytest.raises(ConfigError, match="at least one cycle"):
+    with pytest.raises(DomainError, match="at least one cycle"):
         _cart_scenario(duration=1e-4, tau=1e-3)
 
 
@@ -283,7 +292,7 @@ def test_initial_epsilons_arithmetic_and_region_naming():
         schedule=_schedule((0.0, "wide", 0.5), (1.0, "narrow", 0.2)))
     assert initial_epsilons(scenario, 0.25) == pytest.approx([1.75, 2.05])
     # building the scenario runs the same check
-    with pytest.raises(ConfigError, match="greedy"):
+    with pytest.raises(DomainError, match="greedy"):
         _cart_scenario(schedule=_schedule((0.0, "greedy", 1.99951)))
 
 
@@ -989,9 +998,8 @@ def test_writing_a_read_log_gives_its_bytes(tmp_path, bundled_runs, arm_reach_ru
         assert again.read_bytes() == first.read_bytes(), name
 
 
-def test_a_region_name_past_the_csv_field_limit_replays(tmp_path):
-    # csv.reader refuses a field of more than csv.field_size_limit()
-    # characters; np.loadtxt takes it
+def test_a_140000_character_region_name_reads_back(tmp_path):
+    # longer than csv.field_size_limit(), which csv.reader would refuse
     name = "c" * 140_000
     assert len(name) > csv.field_size_limit()
     doc = json.loads((Path(sim_harness.__file__).parent / "scenarios"
