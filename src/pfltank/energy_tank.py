@@ -4,10 +4,11 @@ The tank stores T = x_t^2 / 2 and exchanges energy with the robot through
 three channels per control interval: the task channel (work done by the
 commanded force), the external channel (work done by the environment,
 re-routed into the tank with opposite sign), and the emergency damper
-channel (always non-negative).  Its lower bound epsilon encodes how much
-kinetic energy the robot may still acquire; raising the bound immediately
-tightens the budget.  make_tank checks the tank it builds; after that only
-commit_step's faults guard it.
+channel (always non-negative).  commit_step books the three powers, which
+the caller computes, so the tank never sees a force or a velocity.  Its
+lower bound epsilon encodes how much kinetic energy the robot may still
+acquire; raising the bound immediately tightens the budget.  make_tank
+checks the tank it builds; after that only commit_step's faults guard it.
 """
 
 from __future__ import annotations
@@ -94,18 +95,17 @@ def damper_coefficient(p_in: float, speed_sq: float, state: TankState,
     return p_in / speed_sq
 
 
-def commit_step(state: TankState, p_task: float, f_e, xdot, b: float,
+def commit_step(state: TankState, p_task: float, p_in: float, p_damp: float,
                 tau: float, floor: float | None = None) -> TankState:
-    """Book one interval's flows: T(k) = T(k-1) + tau (p_task - f_e.xd + b xd.xd).
+    """Book one interval's powers: T(k) = T(k-1) + tau (p_task - p_in + p_damp),
+    the task channel f_c.xd, the environment's injection f_e.xd and the
+    damper's dissipation b xd.xd, all at the interval's velocity.
 
     Surplus beyond the capacity is discarded and recorded.  ``floor`` is the
     energy level below which the commit is treated as an accounting fault;
     pass None while a raised bound is legitimately being worked off.
     """
-    # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
-    # call overhead; a Python-float sum would round differently, moving bytes
-    flow = p_task - float(f_e.dot(xdot)) + b * float(xdot.dot(xdot))
-    t_new = state.energy + tau * flow
+    t_new = state.energy + tau * (p_task - p_in + p_damp)
     if not math.isfinite(t_new):
         raise EmergencyFault("tank update is not finite")
     discard = 0.0
@@ -120,4 +120,3 @@ def commit_step(state: TankState, p_task: float, f_e, xdot, b: float,
         raise EmergencyFault(f"tank depleted: committed energy {t_new!r}")
     return tuple.__new__(TankState, (math.sqrt(2.0 * t_new), state.epsilon,
                                      state.capacity, state.discarded + discard))
-

@@ -132,10 +132,14 @@ class CartesianPlant:
         return self.state().kinetic_energy_truth
 
     def state(self) -> PlantState:
-        xdot = self.twist
+        return self._state(self._x, self._xdot)
+
+    def _state(self, x: list, v: list) -> PlantState:
+        """The PlantState of pose x and twist v, lists of floats."""
+        xdot = np.array(v)
         # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
         # call overhead; a Python-float sum would round differently, moving bytes
-        return _snapshot(self.pose, xdot, 0.5 * float(xdot.dot(self.inertia).dot(xdot)))
+        return _snapshot(np.array(x), xdot, 0.5 * float(xdot.dot(self.inertia).dot(xdot)))
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
         """Advance one interval holding the wrenches constant.
@@ -149,7 +153,7 @@ class CartesianPlant:
         if not all(map(math.isfinite, v + x)):
             raise IntegrationFault("non-finite plant state")
         self._xdot, self._x = v, x
-        return self.state()
+        return self._state(x, v)
 
 
 class PlanarArm:

@@ -21,8 +21,11 @@ the floor absorbs the half-step difference between the two velocities.
 Numpy versus floats: dot products stay ndarray.dot, which a Python-float sum
 would round differently; elementwise arithmetic (the PD force, the trapezoidal
 velocity, f_c and the command) runs on Python floats, which give numpy's bits.
-Nothing that depends only on the schedule is looked up per cycle, and at
-alpha 1, f_c is f_des: 1.0 * f is f bit for bit, -0.0 included.
+Nothing that depends only on the schedule or the gains is looked up per
+cycle, and no product whose bits are known is formed: at alpha 1, f_c is f_des
+(1.0 * f is f, -0.0 included); with b = 0, a finite speed and no zero in f_c,
+the command is f_c (f + 0.0 * v is f); and an all-zero f_e injects 0.0 where
+the squared speed is finite, a zero whose sign reaches no logged byte.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +56,6 @@ __all__ = [
     "RegionSchedule",
     "ControlTick",
     "SafetyController",
-    "pd_force",
     "solve_alpha",
     "supervise",
 ]
@@ -103,12 +106,6 @@ class PlantObservation:
     x: np.ndarray
     xdot: np.ndarray
     f_e: np.ndarray
-
-
-def pd_force(gains: PdGains, x: list, xdot: list) -> list:
-    """Plain PD attraction kp (target - x) - kd xd, in the plant frame, on floats."""
-    return [kp * (tg - xi) - kd * vi
-            for kp, kd, tg, xi, vi in zip(gains.kp, gains.kd, gains.target, x, xdot)]
 
 
 def solve_alpha(f_des, xdot, t_prev: float, epsilon: float,
@@ -217,9 +214,9 @@ def supervise(floors: tuple, idx: int, tank: TankState) -> TankState:
     return tank._replace(epsilon=eps)
 
 
-@dataclass(slots=True)
-class ControlTick:
-    """One cycle's record, in the column order of the CSV log.
+class ControlTick(NamedTuple):
+    """One cycle's record, in the column order of the CSV log: a named tuple,
+    which control_cycle builds with tuple.__new__ every cycle.
 
     tank_T is the committed energy the cycle's decision used; h_est is the
     ledger-implied kinetic energy, the tank's capacity minus tank_T. h_truth is
@@ -261,13 +258,13 @@ class SafetyController:
         if not 0 <= damper_band < math.inf:
             raise DomainError(
                 f"damper band must be non-negative and finite, got {damper_band!r}")
-        self.gains = gains
         self.tau = float(tau)
         self.damper_band = float(damper_band)
+        self._pd = tuple(zip(gains.kp, gains.kd, gains.target))  # per axis
         self._floors = schedule.floors(t_initial, h_initial)
         self.tank = make_tank(t_initial, self._floors[0], h_initial)
-        # the last cycle's (xdot as floats, f_c, f_e, b, floor), booked once the
-        # next velocity sample exists
+        # the last cycle's (xdot as floats, f_c, f_e, whether f_e has a non-zero
+        # entry, b, floor), booked once the next velocity sample exists
         self._pending: tuple | None = None
         self._deficit = False
         self._k = self._idx = 0  # the cycle and the active region's index only grow
@@ -279,9 +276,12 @@ class SafetyController:
         return self._deficit
 
     def _commit_pending(self, xdot_now: list):
-        xdot, f_c, f_e, b, floor = self._pending
+        """Book the last cycle's interval at its trapezoidal velocity."""
+        xdot, f_c, f_e, pushed, b, floor = self._pending
         v_mid = np.array([0.5 * (v + w) for v, w in zip(xdot, xdot_now)])
-        self.tank = commit_step(self.tank, float(f_c.dot(v_mid)), f_e, v_mid, b,
+        speed_sq = float(v_mid.dot(v_mid))
+        p_in = float(f_e.dot(v_mid)) if pushed or not speed_sq < math.inf else 0.0
+        self.tank = commit_step(self.tank, float(f_c.dot(v_mid)), p_in, b * speed_sq,
                                 self.tau, floor=floor)
         self._pending = None
 
@@ -292,22 +292,26 @@ class SafetyController:
         The returned wrench includes the damper share b xd, so the plant applies
         -(f_c + b xd) + f_e in total.  The observation's arrays are kept, not
         copied, in the tick and in the interval booked next cycle, so the caller
-        must not change them.  At alpha 1 the tick's f_c and f_des may be one array.
+        must not change them, nor the wrench returned: at alpha 1 the tick's f_c
+        and f_des may be one array, and the wrench may be the tick's f_c array.
         """
         k = self._k
         tau = self.tau
         t = k * tau
-        xdot = obs.xdot
-        f_e = obs.f_e
+        x, xdot, f_e = obs.x, obs.xdot, obs.f_e
         v = xdot.tolist()
 
         # settle the previous interval with its trapezoidal velocity first,
         # then let the schedule move the floor for this cycle
         if self._pending is not None:
             self._commit_pending(v)
-        while self._switches[self._idx] <= t + 0.5 * tau:
-            self._idx += 1
-        self.tank = tank = supervise(self._floors, self._idx, self.tank)
+        idx = self._idx
+        while self._switches[idx] <= t + 0.5 * tau:
+            idx += 1
+        if idx != self._idx:
+            self._idx = idx
+            self.tank = supervise(self._floors, idx, self.tank)
+        tank = self.tank
 
         t_now = tank.energy
         eps = tank.epsilon
@@ -316,10 +320,14 @@ class SafetyController:
         elif not self._deficit and t_now < eps - FLOOR_TOL:
             self._deficit = True
 
-        des = [-f for f in pd_force(self.gains, obs.x.tolist(), v)]
+        # -(kp (target - x) - kd xd): the PD force, negated onto the tank port
+        des = [-(kp * (tg - xi) - kd * vi)
+               for (kp, kd, tg), xi, vi in zip(self._pd, x.tolist(), v)]
         f_des = np.array(des)
-        p_in = float(f_e.dot(xdot))
         speed_sq = float(xdot.dot(xdot))
+        finite = speed_sq < math.inf
+        pushed = any(f_e.tolist())
+        p_in = float(f_e.dot(xdot)) if pushed or not finite else 0.0
         b = damper_coefficient(p_in, speed_sq, tank, tol_b=self.damper_band)
         p_ext = -p_in + b * speed_sq
         avail = t_now + tau * p_ext
@@ -333,12 +341,14 @@ class SafetyController:
         scaled = des if alpha == 1.0 else [alpha * f for f in des]
         f_c = f_des if scaled is des else np.array(scaled)
         floor = None if self._deficit else eps - FEASIBILITY_MARGIN
-        self._pending = (v, f_c, f_e, b, floor)
+        self._pending = (v, f_c, f_e, pushed, b, floor)
 
-        tick = ControlTick(k, t, self._names[self._idx], alpha, f_des, f_c,
-                           f_e, b, p_ext, t_now, eps, tank.capacity - t_now,
-                           float(h_truth), obs.x, xdot)
+        tick = tuple.__new__(ControlTick, (
+            k, t, self._names[idx], alpha, f_des, f_c, f_e, b, p_ext, t_now, eps,
+            tank.capacity - t_now, float(h_truth), x, xdot))
         self._k = k + 1
+        if b == 0.0 and finite and all(scaled):
+            return f_c, tick
         return np.array([f + b * vi for f, vi in zip(scaled, v)]), tick
 
     def finalize(self, xdot_final: np.ndarray) -> TankState:

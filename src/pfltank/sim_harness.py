@@ -19,7 +19,6 @@ import numbers
 import warnings
 from dataclasses import dataclass, fields
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -195,13 +194,15 @@ def run(scenario: Scenario) -> RunResult:
     new velocity non-finite on the same cycle (0 * inf is NaN), so the plant's
     check is also the command's.  These checks catch every non-finite value,
     so numpy's floating-point warnings are silenced.
-    The tick records are packed into the log's columns _CHUNK at a time.
+    One PlantObservation is refilled each cycle, and the tick records are
+    packed into the log's columns _CHUNK at a time.
     """
     plant, state, controller = _start(scenario)
     tau = scenario.tau
     wrenches = _wrench_table(scenario.wrench_script, scenario.n_cycles, tau, plant.m)
 
     new_tuple = tuple.__new__
+    obs = PlantObservation(state.x, state.xdot, None)
     ticks = TickLog._empty(scenario.n_cycles, plant.m)
     codes = _RegionCodes()
     block: list[ControlTick] = []
@@ -212,9 +213,9 @@ def run(scenario: Scenario) -> RunResult:
         with np.errstate(all="ignore"):
             for k, f_e in enumerate(wrenches):
                 # each step's fresh PlantState is the next cycle's observation
-                x, xdot, h_truth = state
-                command, tick = controller.control_cycle(
-                    PlantObservation(x, xdot, f_e), h_truth)
+                obs.x, obs.xdot, h_truth = state
+                obs.f_e = f_e
+                command, tick = controller.control_cycle(obs, h_truth)
                 block.append(tick)
                 # _make without its length check
                 state = plant.step(new_tuple(WrenchInput, (command, f_e)), tau)
@@ -385,9 +386,8 @@ def _attach_iso_comparison(summary: Summary, scenario: Scenario):
 
 _CHUNK = 256
 _VECTORS = {"f_des", "f_c", "f_e", "x", "xdot"}
-_FIELDS = tuple(f.name for f in fields(ControlTick))
+_FIELDS = ControlTick._fields
 _INTS = {"k", "active_region"}
-_record = attrgetter(*_FIELDS)
 #: the float fields that follow k, t and active_region in a CSV row
 _REPEATING = _FIELDS[3:]
 
@@ -429,7 +429,7 @@ class TickLog:
         are joined as they stand, at a third of np.concatenate's cost.
         """
         stop = start + len(ticks)
-        for name, values in zip(_FIELDS, zip(*map(_record, ticks))):
+        for name, values in zip(_FIELDS, zip(*ticks)):  # a record is a tuple
             if name in _VECTORS:
                 values = np.frombuffer(b"".join(values)).reshape(len(ticks), -1)
             elif name == "active_region":

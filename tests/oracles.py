@@ -330,6 +330,13 @@ def arm_step_numpy(arm, f_c, f_e, tau):
     return qdot_new, q + tau * qdot_new
 
 
+def pd_force(gains, x, xdot) -> list:
+    """Plain PD attraction kp (target - x) - kd xd, in the plant frame, on
+    floats: the controller's f_des is its negation."""
+    return [kp * (tg - xi) - kd * vi
+            for kp, kd, tg, xi, vi in zip(gains.kp, gains.kd, gains.target, x, xdot)]
+
+
 def tank_port_force_numpy(gains, x, xdot):
     """The controller's f_des, the negated PD force."""
     return -(gains.kp * (gains.target - x) - gains.kd * xdot)

@@ -50,19 +50,23 @@ def test_tank_refuses_a_charge_that_overflows():
 
 def test_commit_books_the_three_channels():
     tank = make_tank(2.0, 0.5)
-    xdot = np.array([0.5, -0.5])
-    f_e = np.array([1.0, 0.0])
-    # flow = p_task - f_e.xd + b xd.xd = -0.3 - 0.5 + 0.2*0.5
-    new = commit_step(tank, p_task=-0.3, f_e=f_e, xdot=xdot, b=0.2, tau=0.01)
+    # flow = p_task - p_in + p_damp = -0.3 - 0.5 + 0.1
+    new = commit_step(tank, p_task=-0.3, p_in=0.5, p_damp=0.1, tau=0.01)
     assert new.energy == pytest.approx(2.0 + 0.01 * (-0.3 - 0.5 + 0.1), abs=1e-15)
     assert new.discarded == 0.0
     assert new.epsilon == tank.epsilon
+    # the powers are added left to right, as the flow above is written; these
+    # give other bits in either other order
+    half = make_tank(0.5, 0.01)
+    booked = commit_step(half, p_task=0.1, p_in=0.7, p_damp=0.3, tau=1.0)
+    assert booked.x_t == math.sqrt(2.0 * (0.5 + ((0.1 - 0.7) + 0.3))) == 0.6324555320336759
+    assert math.sqrt(2.0 * (0.5 + (0.1 - (0.7 - 0.3)))) != booked.x_t
+    assert math.sqrt(2.0 * (0.5 + ((0.1 + 0.3) - 0.7))) != booked.x_t
 
 
 def test_commit_respects_capacity_and_records_discard():
     tank = make_tank(2.0, 0.5, h_initial=1.0)  # capacity 3.0
-    new = commit_step(tank, p_task=200.0, f_e=np.zeros(2), xdot=np.zeros(2),
-                      b=0.0, tau=0.01)
+    new = commit_step(tank, p_task=200.0, p_in=0.0, p_damp=0.0, tau=0.01)
     assert new.energy == pytest.approx(3.0)
     assert new.discarded == pytest.approx(1.0)
     # ledger stays exact: energy + discarded equals the raw booking
@@ -71,7 +75,7 @@ def test_commit_respects_capacity_and_records_discard():
 
 def test_commit_floor_fault_and_override():
     tank = make_tank(1.0, 0.9)
-    drain = dict(p_task=-50.0, f_e=np.zeros(1), xdot=np.zeros(1), b=0.0, tau=0.01)
+    drain = dict(p_task=-50.0, p_in=0.0, p_damp=0.0, tau=0.01)
     with pytest.raises(EmergencyFault):
         commit_step(tank, floor=tank.epsilon, **drain)
     # the same booking with no floor is legal while a deficit is worked off
@@ -82,11 +86,11 @@ def test_commit_floor_fault_and_override():
 def test_commit_faults_on_depletion_and_nonfinite():
     tank = make_tank(0.5, 0.1)
     with pytest.raises(EmergencyFault):
-        commit_step(tank, p_task=-100.0, f_e=np.zeros(1), xdot=np.zeros(1),
-                    b=0.0, tau=0.01)
+        commit_step(tank, p_task=-100.0, p_in=0.0, p_damp=0.0, tau=0.01)
     with pytest.raises(EmergencyFault):
-        commit_step(tank, p_task=math.inf, f_e=np.zeros(1), xdot=np.zeros(1),
-                    b=0.0, tau=0.01)
+        commit_step(tank, p_task=math.inf, p_in=0.0, p_damp=0.0, tau=0.01)
+    with pytest.raises(EmergencyFault, match="not finite"):  # 0.0 * inf in the damper
+        commit_step(tank, p_task=0.0, p_in=0.0, p_damp=0.0 * math.inf, tau=0.01)
 
 
 def test_commit_ledger_linearity_random_sequence():
@@ -100,7 +104,7 @@ def test_commit_ledger_linearity_random_sequence():
         b = rng.uniform(0.0, 0.5)
         tau = 1e-2
         booked += tau * (p_task - f_e @ xdot + b * xdot @ xdot)
-        tank = commit_step(tank, p_task, f_e, xdot, b, tau)
+        tank = commit_step(tank, p_task, float(f_e @ xdot), b * float(xdot @ xdot), tau)
     assert tank.energy + tank.discarded == pytest.approx(10.0 + booked, abs=1e-12)
 
 
@@ -134,16 +138,17 @@ def test_damper_cancels_injection_exactly():
     f_e = np.array([1.0, 0.5])
     b = damper_coefficient(float(f_e @ xdot), float(xdot @ xdot), tank)
     assert -(f_e @ xdot) + b * (xdot @ xdot) == pytest.approx(0.0, abs=1e-15)
-    new = commit_step(tank, 0.0, f_e, xdot, b, tau=1e-3, floor=tank.epsilon)
+    new = commit_step(tank, 0.0, float(f_e @ xdot), b * float(xdot @ xdot), tau=1e-3,
+                      floor=tank.epsilon)
     assert new.energy == pytest.approx(tank.energy, abs=1e-15)
 
 
 def test_floor_tolerance_is_tight():
     tank = make_tank(1.0, 1.0)
     # a loss within FLOOR_TOL of the floor must not fault
-    ok = commit_step(tank, p_task=-FLOOR_TOL / 2.0, f_e=np.zeros(1),
-                     xdot=np.zeros(1), b=0.0, tau=1.0, floor=tank.epsilon)
+    ok = commit_step(tank, p_task=-FLOOR_TOL / 2.0, p_in=0.0, p_damp=0.0, tau=1.0,
+                     floor=tank.epsilon)
     assert ok.energy == pytest.approx(1.0 - FLOOR_TOL / 2.0)
     with pytest.raises(EmergencyFault):
-        commit_step(tank, p_task=-1e-6, f_e=np.zeros(1), xdot=np.zeros(1),
-                    b=0.0, tau=1.0, floor=tank.epsilon)
+        commit_step(tank, p_task=-1e-6, p_in=0.0, p_damp=0.0, tau=1.0,
+                    floor=tank.epsilon)

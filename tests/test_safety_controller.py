@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import struct
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from pfltank.safety_controller import (
     PlantObservation,
     RegionSchedule,
     SafetyController,
-    pd_force,
     project_halfspace,
     solve_alpha,
     supervise,
@@ -30,6 +30,7 @@ from pfltank.safety_controller import (
 from oracles import (
     alpha_oracle,
     command_numpy,
+    pd_force,
     projection_oracle,
     region_index,
     tank_port_force_numpy,
@@ -135,7 +136,7 @@ def test_pd_force_hand_value():
 
 
 def test_gains_are_immutable_in_every_copy():
-    # pd_force reads the gains' tuples, so no copy may let them drift
+    # the controller unpacks the gains' tuples once, so no copy may let them drift
     gains = PdGains(kp=[2.0, 0.0], kd=np.array([0.5, 0.0]), target=(1.0, 0.0))
     for same in (gains, copy.copy(gains), copy.deepcopy(gains),
                  pickle.loads(pickle.dumps(gains))):
@@ -218,8 +219,7 @@ def test_supervise_takes_effect_in_deficit():
     sched = _schedule((0.0, "wide", 2.5), (1.0, "narrow", 1.6))
     floors = sched.floors(3.0, 0.0)
     tank = make_tank(3.0, floors[0])
-    drained = commit_step(tank, p_task=-250.0, f_e=np.zeros(1),
-                          xdot=np.zeros(1), b=0.0, tau=0.01)
+    drained = commit_step(tank, p_task=-250.0, p_in=0.0, p_damp=0.0, tau=0.01)
     assert drained.energy == pytest.approx(0.5)
     raised = supervise(floors, 1, drained)  # floor 1.4 above current energy
     assert raised.epsilon == pytest.approx(1.4)
@@ -253,6 +253,31 @@ def test_commit_floor_is_the_margin_below_epsilon(monkeypatch):
     ctl.control_cycle(_obs(0.0, 0.3))
     ctl.control_cycle(_obs(0.0, 0.3))
     assert floors == [ctl.tank.epsilon - FEASIBILITY_MARGIN]
+
+
+def test_supervise_runs_once_per_switch_and_commit_once_per_tick(monkeypatch):
+    calls = {"supervise": 0, "commit_step": 0}
+
+    def counting(name):
+        original = getattr(safety_controller, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(safety_controller, name, counting(name))
+    sched = _schedule((0.0, "a", 0.5), (0.03, "b", 0.4), (0.07, "c", 0.45))
+    ctl = SafetyController(PdGains(kp=(2.0,), kd=(0.5,), target=(1.0,)), sched,
+                           1.0, 0.0, 0.01)
+    ticks = [ctl.control_cycle(_obs(0.0, 0.1))[1] for _ in range(10)]
+    ctl.finalize(np.array([0.1]))
+    assert [tk.active_region for tk in ticks] == ["a"] * 3 + ["b"] * 4 + ["c"] * 3
+    assert [tk.epsilon for tk in ticks] == [0.5] * 3 + [0.6] * 4 + [0.55] * 3
+    # the floor moves at each of the two switches and nowhere else; each
+    # tick's interval is booked once, the last by finalize
+    assert calls == {"supervise": 2, "commit_step": 10}
 
 
 def test_controller_sizes_its_tank_from_the_charge():
@@ -353,23 +378,36 @@ def test_cycle_elementwise_arithmetic_gives_the_numpy_forms_bits(m, t_initial, b
     assert tick.f_des.tobytes() == f_des.tobytes()
     assert tick.f_c.tobytes() == f_c.tobytes()
     assert command.tobytes() == wire.tobytes()
-    # at alpha 1 the scaled force is the desired one, array and all
+    # at alpha 1 the scaled force is the desired one, array and all; with no
+    # damper, a finite speed and no zero in f_c, the command is f_c itself
     assert (tick.f_c is tick.f_des) == (tick.alpha == 1.0)
-    # the interval is booked at the trapezoidal velocity
+    with np.errstate(all="ignore"):
+        finite = float(xdot.dot(xdot)) < math.inf
+    assert (command is tick.f_c) == (tick.b == 0.0 and finite and bool(np.all(f_c != 0.0)))
+    # the interval is booked as three powers at the trapezoidal velocity
     booked = []
 
-    def spy(tank, p_task, f_e, v_mid, *args, **kwargs):
-        booked.append((p_task, v_mid))
-        return commit_step(tank, p_task, f_e, v_mid, *args, **kwargs)
+    def spy(tank, p_task, p_in, p_damp, *args, **kwargs):
+        booked.append((p_task, p_in, p_damp))
+        return commit_step(tank, p_task, p_in, p_damp, *args, **kwargs)
 
     with mock.patch.object(safety_controller, "commit_step", spy), \
             contextlib.suppress(EmergencyFault), np.errstate(all="ignore"):
         ctl.finalize(xdot_next)
     v_mid = trapezoidal_velocity_numpy(xdot, xdot_next)
-    [(p_task, got)] = booked
-    assert got.tobytes() == v_mid.tobytes()
+    [(p_task, p_in, p_damp)] = booked
     with np.errstate(all="ignore"):
-        assert p_task == float(f_c.dot(v_mid))
+        speed_sq = float(v_mid.dot(v_mid))
+        assert _bits(p_task) == _bits(float(f_c.dot(v_mid)))
+        # an all-zero push books 0.0, whatever sign its product's zero had
+        pushed = bool(f_e.any()) or not speed_sq < math.inf
+        assert _bits(p_in) == _bits(float(f_e.dot(v_mid)) if pushed else 0.0)
+        assert _bits(p_damp) == _bits(tick.b * speed_sq)
+
+
+def _bits(value: float) -> bytes:
+    """A float's bytes, so -0.0 and 0.0 stay apart."""
+    return struct.pack("<d", value)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -450,12 +488,11 @@ def test_deficit_mode_blocks_drain_and_recovers():
     assert ctl.in_deficit
     assert tick.alpha == 0.0           # draining command suppressed, no fault
     assert command == pytest.approx([0.0])
-    # braking motion (command aligned with velocity) refills without scaling
-    ctl2_gains = PdGains(kp=(2.0,), kd=(0.0,), target=(-10.0,))
-    ctl.gains = ctl2_gains
+    # braking motion (command aligned with velocity) refills without scaling:
+    # past the target the PD force pulls back against the motion
     refills = 0
     for _ in range(40):
-        command, tick = ctl.control_cycle(_obs(x, v))
+        command, tick = ctl.control_cycle(_obs(20.0, v))
         refills += tick.alpha == 1.0
     ctl.finalize(np.array([v]))
     assert refills > 0
@@ -484,7 +521,7 @@ def test_damper_share_added_to_command():
 def test_controller_sees_no_inertia():
     fields = set(PlantObservation.__dataclass_fields__)
     assert fields == {"x", "xdot", "f_e"}
-    tick_fields = set(ControlTick.__dataclass_fields__)
+    tick_fields = set(ControlTick._fields)
     assert "inertia" not in tick_fields and "mass" not in tick_fields
 
 

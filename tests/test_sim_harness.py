@@ -537,6 +537,43 @@ def test_bound_invariant_holds_from_the_log_alone(tmp_path, bundled_runs, spec, 
     assert broken == []
 
 
+def _pushed3_scenario():
+    """Three axes pushed through the damper band and a tightening switch; the
+    third axis has no gains, so its PD force is -0.0 on every tick."""
+    return _cart_scenario(
+        name="pushed3",
+        plant=CartesianPlant(np.diag([3.0, 2.0, 1.5]), (0.0, 0.1, 0.0), (0.3, 0.0, 0.0)),
+        gains=PdGains(kp=(40.0, 50.0, 0.0), kd=(2.0, 2.0, 0.0), target=(0.5, -0.5, 0.0)),
+        schedule=_schedule((0.0, "wide", 0.3), (0.4, "narrow", 0.2)),
+        t_initial=1.0, wrench_script=(WrenchSegment(0.2, 0.5, (2.0, -1.5, 0.0)),),
+        duration=0.8)
+
+
+@pytest.mark.parametrize("name", ["paper_replica", "push_at_floor", "stricter_switch",
+                                  "budget_starved", "arm_reach", "pushed3"])
+def test_the_ledger_recomputes_from_the_log_alone(bundled_runs, arm_reach_run, name):
+    # each tick's commit, T' = T + tau (f_c.v - f_e.v + b v.v) at the
+    # trapezoidal velocity v and clamped at the tank's capacity, read back as
+    # the tank reads its energy, is the next tick's tank_T bit for bit
+    result = {"arm_reach": arm_reach_run, "pushed3": None, **bundled_runs}[name]
+    result = result or run(_pushed3_scenario())
+    ticks = result.ticks
+    if name == "pushed3":  # the path this scenario is here for
+        assert (ticks.b > 0.0).any() and (ticks.alpha < 1.0).any()
+        assert (ticks.tank_T < ticks.epsilon).any()
+        assert np.signbit(ticks.f_des[:, 2]).all() and not ticks.f_des[:, 2].any()
+    tau = ticks.t[1].item()
+    capacity = result.scenario.t_initial + ticks.h_truth[0].item()
+    v_mid = 0.5 * (ticks.xdot[:-1] + ticks.xdot[1:])
+    flow = np.array([f_c.dot(v) - f_e.dot(v) + b * v.dot(v) for f_c, f_e, b, v
+                     in zip(ticks.f_c[:-1], ticks.f_e[:-1], ticks.b[:-1].tolist(), v_mid)])
+    booked = np.minimum(ticks.tank_T[:-1] + tau * flow, capacity)
+    x_t = np.sqrt(2.0 * booked)
+    mismatched = np.flatnonzero((0.5 * x_t * x_t).view(np.int64)
+                                != ticks.tank_T[1:].view(np.int64))
+    assert mismatched.tolist() == []
+
+
 # -- summarize on crafted logs -------------------------------------------------
 
 def _tick(k, t, region, h, T, eps, b=0.0, f_e=0.0, v=0.0):
@@ -760,13 +797,13 @@ def test_reading_a_log_holds_little_beyond_its_columns(tmp_path):
 def _assert_same_ticks(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        for field in dataclasses.fields(ControlTick):
-            x, y = getattr(a, field.name), getattr(b, field.name)
+        for name in ControlTick._fields:
+            x, y = getattr(a, name), getattr(b, name)
             if isinstance(y, np.ndarray):
                 # bitwise, so -0.0 and 0.0 stay apart
-                assert x.tobytes() == y.tobytes(), field.name
+                assert x.tobytes() == y.tobytes(), name
             else:
-                assert type(x) is type(y) and repr(x) == repr(y), field.name
+                assert type(x) is type(y) and repr(x) == repr(y), name
 
 
 def _parity_logs():
@@ -794,10 +831,10 @@ def _edge_ticks():
     names = ["space here", " padded ", "quote'q", "#hash", "é ü", "plain"]
     values = [-0.0, 5e-324, 1e308]
     ticks = run(_cart_scenario(duration=0.012)).ticks
-    return tick_log([dataclasses.replace(tk, active_region=names[i % len(names)],
-                                         b=values[i % 3], h_truth=-values[i % 3],
-                                         f_c=np.array([values[(i + 1) % 3]]),
-                                         x=np.array([-values[(i + 2) % 3]]))
+    return tick_log([tk._replace(active_region=names[i % len(names)],
+                                 b=values[i % 3], h_truth=-values[i % 3],
+                                 f_c=np.array([values[(i + 1) % 3]]),
+                                 x=np.array([-values[(i + 2) % 3]]))
                      for i, tk in enumerate(ticks)])
 
 
