@@ -389,8 +389,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("PFLTANK_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # only an int attribute of logging is a level (BASIC_FORMAT is a str)
+    level = getattr(logging, os.environ.get("PFLTANK_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()

@@ -17,7 +17,10 @@ a gravity-free model.
 Numpy versus floats: products (ndarray.dot) and the arm's solve run in numpy,
 whose rounding the logged bytes rest on; elementwise + - * / and negation run
 on Python floats, which round alike at a fraction of the cost, except where
-the result is only a product's operand (f_e - f_c, -f_c) and stays an array.
+the result is only a product's operand (the Cartesian f_e - f_c) and stays an
+array.  The arm forms only the products its bits rest on (no J^T f_e of an
+all-zero f_e), folds -f_c's sign into its float right-hand side, and builds
+its next model as views of one array made from floats.
 """
 
 from __future__ import annotations
@@ -171,40 +174,46 @@ class PlanarArm:
         for label, value in (("l1", l1), ("l2", l2), ("m1", m1), ("m2", m2)):
             if not 0 < value < math.inf:
                 raise DomainError(f"{label} must be positive and finite, got {value!r}")
-        self.l1, self.l2 = float(l1), float(l2)
-        self.m1, self.m2 = float(m1), float(m2)
-        self.i1 = self.m1 * self.l1 * self.l1 / 12.0
-        self.i2 = self.m2 * self.l2 * self.l2 / 12.0
+        self.l1, self.l2 = l1, l2 = float(l1), float(l2)
+        self.m1, self.m2 = m1, m2 = float(m1), float(m2)
+        self.i1 = m1 * l1 * l1 / 12.0
+        self.i2 = m2 * l2 * l2 / 12.0
+        lc1, lc2 = 0.5 * l1, 0.5 * l2
+        # _terms's configuration-free factors, grouped as its expressions round
+        # them: (m1 lc1 + m2 l1) g c1 is ((m1 lc1 + m2 l1) g) c1
+        self._factors = ((m1 * lc1 + m2 * l1) * GRAVITY, m2 * lc2 * GRAVITY,
+                         l1 * l1 + lc2 * lc2, 2.0 * l1 * lc2, m1 * lc1 * lc1 + self.i1,
+                         lc2 * lc2, l1 * lc2, m2 * lc2 * lc2 + self.i2, -m2 * l1 * 0.5 * l2)
         q = np.array(q0, dtype=float)
-        self._qdot = np.array(qdot0, dtype=float)
-        if q.shape != (2,) or self._qdot.shape != (2,) or not _all_finite(q, self._qdot):
+        qdot = np.array(qdot0, dtype=float)
+        if q.shape != (2,) or qdot.shape != (2,) or not _all_finite(q, qdot):
             raise DomainError("q0/qdot0 must have two finite entries")
         self._q = q.tolist()  # the joint angles as the floats step computes
-        # the model at the current configuration, shared by the port readings
-        # and the next step
-        self._jac, self._ee, self._grav, self._mass, self._h = self._terms(self._q)
+        # the model at (q, qdot), shared by the port readings and the next step
+        (self._jac, self._ee, self._grav, self._mass, self._cor, self._qdot,
+         _) = self._terms(self._q, qdot)
 
-    def _terms(self, q) -> tuple:
-        """J, the end-effector point, the gravity torque, M (views of one
-        buffer) and the Coriolis factor h at q, on Python floats: math.sin and
-        math.cos give np.sin's and np.cos's bits, as the numpy model had."""
+    def _terms(self, q, qdot=(0.0, 0.0)) -> tuple:
+        """J, the end-effector point, the gravity torque, M, C(q, qd) and qd
+        (views of one buffer) and the Coriolis factor h at (q, qd), on Python
+        floats: math.sin and math.cos give np.sin's and np.cos's bits, as the
+        numpy model had."""
         q1, q2 = map(float, q)
+        qd1, qd2 = map(float, qdot)
         q12 = q1 + q2
         s1, c1, s12, c12 = math.sin(q1), math.cos(q1), math.sin(q12), math.cos(q12)
         c2 = math.cos(q2)
-        l1, l2 = self.l1, self.l2
-        lc1, lc2 = 0.5 * l1, 0.5 * l2
-        g = GRAVITY
-        g1 = (self.m1 * lc1 + self.m2 * l1) * g * c1 + self.m2 * lc2 * g * c12
-        g2 = self.m2 * lc2 * g * c12
-        a = self.m2 * (l1 * l1 + lc2 * lc2 + 2.0 * l1 * lc2 * c2)
-        m11 = self.m1 * lc1 * lc1 + self.i1 + a + self.i2
-        m12 = self.m2 * (lc2 * lc2 + l1 * lc2 * c2) + self.i2
-        m22 = self.m2 * lc2 * lc2 + self.i2
-        h = -self.m2 * l1 * 0.5 * l2 * math.sin(q2)
-        buf = np.array([-l1 * s1 - l2 * s12, -l2 * s12, l1 * c1 + l2 * c12, l2 * c12,
-                        l1 * c1 + l2 * c12, l1 * s1 + l2 * s12, g1, g2, m11, m12, m12, m22])
-        return buf[:4].reshape(2, 2), buf[4:6], buf[6:8], buf[8:].reshape(2, 2), h
+        l1, l2, m2, i2 = self.l1, self.l2, self.m2, self.i2
+        gl1, gl2, a0, a1, b1, b12, b2, m22, hl = self._factors
+        x2, y2 = l2 * c12, l2 * s12
+        x = l1 * c1 + x2
+        g2 = gl2 * c12
+        m12 = m2 * (b12 + b2 * c2) + i2
+        h = hl * math.sin(q2)
+        buf = np.array([-l1 * s1 - y2, -y2, x, x2, x, l1 * s1 + y2, gl1 * c1 + g2, g2,
+                        b1 + m2 * (a0 + a1 * c2) + i2, m12, m12, m22,
+                        h * qd2, h * (qd1 + qd2), -h * qd1, 0.0, qd1, qd2]).reshape(9, 2)
+        return buf[:2], buf[2], buf[3], buf[4:6], buf[6:8], buf[8], h
 
     # -- model quantities ----------------------------------------------------
 
@@ -213,11 +222,11 @@ class PlanarArm:
 
     def coriolis_matrix(self, q, qdot) -> np.ndarray:
         """Christoffel-consistent C(q, qd), so dM/dt - 2C is skew-symmetric."""
-        return _coriolis(self._terms(q)[4], qdot)
+        return self._terms(q, qdot)[4]
 
     def mass_matrix_rate(self, q, qdot) -> np.ndarray:
         """Analytic dM/dt; only the elbow angle enters M."""
-        d = self._terms(q)[4] * float(qdot[1])
+        d = self._terms(q)[6] * float(qdot[1])
         return np.array([[2.0 * d, d], [d, 0.0]])
 
     def gravity_vector(self, q) -> np.ndarray:
@@ -239,40 +248,42 @@ class PlanarArm:
 
     @property
     def kinetic_energy(self) -> float:
-        # joint-space energy is the ground truth; it equals the
-        # operational-space energy wherever J is invertible
-        return 0.5 * float(self._qdot.dot(self._mass).dot(self._qdot))
+        return self.state().kinetic_energy_truth
 
     def state(self) -> PlantState:
-        return _snapshot(self.pose, self.twist, self.kinetic_energy)
+        return self._state(self._jac, self._ee, self._mass, self._qdot)
+
+    @staticmethod
+    def _state(jac, ee, mass, qdot) -> PlantState:
+        # joint-space energy is the ground truth; it equals the
+        # operational-space energy wherever J is invertible
+        return _snapshot(ee.copy(), jac.dot(qdot), 0.5 * float(qdot.dot(mass).dot(qdot)))
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
-        qdot = self._qdot
-        jt = self._jac.T
-        drive, push = jt.dot(-wrench.f_c).tolist(), jt.dot(wrench.f_e).tolist()
-        coriolis = _coriolis(self._h, qdot).dot(qdot).tolist()
-        # torque J^T (-f_c) + g, then rhs = torque + J^T f_e - C qd - g: gravity
-        # and its compensation cancel, but deleting them moves the arm's bytes
-        rhs = [d + g + p - c - g
+        jt, qdot, f_e = self._jac.T, self._qdot, wrench.f_e
+        drive = jt.dot(wrench.f_c).tolist()
+        # J^T f_e of an f_e with no non-zero entry is a pair of zeros (J is
+        # finite unless l1 + l2 nears 1.8e308 m)
+        push = jt.dot(f_e).tolist() if any(f_e.tolist()) else (0.0, 0.0)
+        coriolis = self._cor.dot(qdot).tolist()
+        # rhs = J^T (-f_c) + g + J^T f_e - C qd - g: gravity and its compensation
+        # cancel, but deleting them moves the arm's bytes.  g - J^T f_c stands
+        # for J^T (-f_c) + g and (0.0, 0.0) for a zero push: each differs at most
+        # in a zero's sign (negating a dot's operand negates its roundings).  A
+        # sum is -0.0 only when both terms are, so the first two sums agree
+        # unless g is -0.0 (an underflow: g1 cancels only to +0.0), and then the
+        # closing - g adds +0.0, which makes any zero +0.0.
+        rhs = [g - d + p - c - g
                for d, p, c, g in zip(drive, push, coriolis, self._grav.tolist())]
         qdd = solve1(self._mass, rhs).tolist()
         qdot_new = [v + tau * a for v, a in zip(qdot.tolist(), qdd)]
         q_new = [q + tau * v for q, v in zip(self._q, qdot_new)]
         if not all(map(math.isfinite, qdot_new + q_new)):
             raise IntegrationFault("non-finite arm state")
-        self._qdot = np.array(qdot_new)
         self._q = q_new
-        self._jac, self._ee, self._grav, self._mass, self._h = self._terms(q_new)
-        return self.state()
-
-
-def _coriolis(h: float, qdot) -> np.ndarray:
-    """The arm's C(q, qd) from its Coriolis factor h at q."""
-    qd1, qd2 = np.asarray(qdot, dtype=float).tolist()
-    return np.array([
-        [h * qd2, h * (qd1 + qd2)],
-        [-h * qd1, 0.0],
-    ])
+        jac, ee, self._grav, mass, self._cor, qdot, _ = self._terms(q_new, qdot_new)
+        self._jac, self._ee, self._mass, self._qdot = jac, ee, mass, qdot
+        return self._state(jac, ee, mass, qdot)
 
 
 def power_balance_residual(prev: PlantState, new: PlantState,

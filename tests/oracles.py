@@ -4,7 +4,9 @@ Everything here is derived from first principles (symbolic Lagrangian
 mechanics, brute-force feasibility search, KKT enumeration) without calling
 into the package, so agreement is evidence rather than tautology.  The
 tick-by-tick summary borrows only the package's result types.  The numpy-form
-steps read a plant's private model, the one input they share with it.
+steps read a plant's private fields, the one input they share with it: the
+Cartesian plant's inverse inertia, twist and pose, the arm's joint angles and
+rates.
 """
 
 import bisect
@@ -318,16 +320,46 @@ def cartesian_step_numpy(plant, f_c, f_e, tau):
     return v, plant._x + tau * v
 
 
+def arm_model_numpy(arm, q):
+    """A PlanarArm's J, end-effector point, gravity torque, M and Coriolis
+    factor h at q, from its parameters alone: each expression written whole,
+    no factor taken out, so agreement shows the arm's hoisted factors round
+    as these do.  math.sin and math.cos stand for np.sin and np.cos."""
+    q1, q2 = map(float, q)
+    s1, c1 = math.sin(q1), math.cos(q1)
+    s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
+    c2 = math.cos(q2)
+    l1, l2, m1, m2, g = arm.l1, arm.l2, arm.m1, arm.m2, 9.81
+    lc1, lc2 = 0.5 * l1, 0.5 * l2
+    i1, i2 = m1 * l1 * l1 / 12.0, m2 * l2 * l2 / 12.0
+    m12 = m2 * (lc2 * lc2 + l1 * lc2 * c2) + i2
+    return (np.array([[-l1 * s1 - l2 * s12, -l2 * s12], [l1 * c1 + l2 * c12, l2 * c12]]),
+            np.array([l1 * c1 + l2 * c12, l1 * s1 + l2 * s12]),
+            np.array([(m1 * lc1 + m2 * l1) * g * c1 + m2 * lc2 * g * c12,
+                      m2 * lc2 * g * c12]),
+            np.array([[m1 * lc1 * lc1 + i1 + m2 * (l1 * l1 + lc2 * lc2 + 2.0 * l1 * lc2 * c2)
+                       + i2, m12], [m12, m2 * lc2 * lc2 + i2]]),
+            -m2 * l1 * 0.5 * l2 * math.sin(q2))
+
+
 def arm_step_numpy(arm, f_c, f_e, tau):
-    """A PlanarArm's next (qdot, q) from its current state, by np.linalg.solve."""
+    """A PlanarArm's next (qdot, q) from its current joint state, by
+    np.linalg.solve on the model of arm_model_numpy."""
     q, qdot = arm._q, arm._qdot
-    jt = arm._jac.T
-    coriolis = np.array([[arm._h * qdot[1], arm._h * (qdot[0] + qdot[1])],
-                         [-arm._h * qdot[0], 0.0]])
-    torque = jt.dot(-f_c) + arm._grav
-    rhs = torque + jt.dot(f_e) - coriolis.dot(qdot) - arm._grav
-    qdot_new = qdot + tau * np.linalg.solve(arm._mass, rhs)
+    jac, _, grav, mass, h = arm_model_numpy(arm, q)
+    jt = jac.T
+    coriolis = np.array([[h * qdot[1], h * (qdot[0] + qdot[1])], [-h * qdot[0], 0.0]])
+    torque = jt.dot(-f_c) + grav
+    rhs = torque + jt.dot(f_e) - coriolis.dot(qdot) - grav
+    qdot_new = qdot + tau * np.linalg.solve(mass, rhs)
     return qdot_new, q + tau * qdot_new
+
+
+def arm_port_numpy(arm, q, qdot):
+    """The PlantState fields of an arm at joint state (q, qdot): the
+    end-effector point, J qd and the joint-space energy."""
+    jac, ee, _, mass, _ = arm_model_numpy(arm, q)
+    return ee, jac.dot(qdot), 0.5 * float(qdot.dot(mass).dot(qdot))
 
 
 def pd_force(gains, x, xdot) -> list:

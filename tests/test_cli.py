@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -583,3 +584,14 @@ def test_module_entry_point():
                            "budget_starved"], capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert proc.stdout.startswith("OK: budget_starved")
+
+
+@pytest.mark.parametrize("name", ["BASIC_FORMAT", "no_such_level"])
+def test_a_log_name_that_is_not_a_level_falls_back_to_warning(name):
+    # logging.BASIC_FORMAT exists but is a str, not a level
+    proc = subprocess.run([sys.executable, "-m", "pfltank", "validate", "paper_replica"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PFLTANK_LOG": name})
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.startswith("OK: paper_replica")
+    assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -17,6 +18,7 @@ from pfltank.robot_dynamics import (
 
 from oracles import (
     ArmOracle,
+    arm_port_numpy,
     arm_step_numpy,
     cartesian_step_numpy,
     semi_implicit_constant_force,
@@ -176,6 +178,18 @@ def test_cartesian_step_gives_the_numpy_forms_bits(m, tau, data):
     assert state.x.tobytes() == x.tobytes()
 
 
+def _assert_arm_step_gives_the_numpy_forms_bits(arm, f_c, f_e, tau):
+    """Step the arm; its joint state, the snapshot step returns and state()
+    after it must all have the numpy forms' bits."""
+    qdot, q = arm_step_numpy(arm, f_c, f_e, tau)
+    state = arm.step(WrenchInput(f_c, f_e), tau)
+    assert arm._qdot.tobytes() == qdot.tobytes()
+    assert np.array(arm._q).tobytes() == q.tobytes()  # the arm keeps q as floats
+    want = [np.float64(value).tobytes() for value in arm_port_numpy(arm, q, qdot)]
+    for snapshot in (state, arm.state()):
+        assert [np.float64(value).tobytes() for value in snapshot] == want
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(lengths=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
        masses=st.tuples(st.floats(0.1, 20.0), st.floats(0.1, 20.0)),
@@ -184,10 +198,32 @@ def test_arm_step_gives_the_numpy_forms_bits(lengths, masses, tau, data):
     arm = PlanarArm(*lengths, *masses, q0=np.array(data.draw(st.lists(
         st.floats(-4.0, 4.0), min_size=2, max_size=2))), qdot0=_vector(data, 2) / 100)
     f_c, f_e = _vector(data, 2), _vector(data, 2)
-    qdot, q = arm_step_numpy(arm, f_c, f_e, tau)
-    arm.step(WrenchInput(f_c, f_e), tau)
-    assert arm._qdot.tobytes() == qdot.tobytes()
-    assert np.array(arm._q).tobytes() == q.tobytes()  # the arm keeps q as floats
+    # 20 steps in a row, so a model or a rate kept from an earlier step shows:
+    # 19 with wrenches scaled to the arm's mass and size, then one with f_c
+    # and f_e, whose entries reach 1e3
+    rng = np.random.RandomState(data.draw(st.integers(0, 2**32 - 1)))
+    small = rng.uniform(-1.0, 1.0, size=(19, 2, 2)) * (min(masses) * min(lengths))
+    # half the entries zeros of either sign: all-zero pairs, a zero beside a
+    # value and two values, as hypothesis draws cost 20 times the steps
+    small[rng.random_sample(small.shape) < 0.5] *= 0.0
+    for small_c, small_e in small:
+        _assert_arm_step_gives_the_numpy_forms_bits(arm, small_c, small_e, tau)
+    _assert_arm_step_gives_the_numpy_forms_bits(arm, f_c, f_e, tau)
+
+
+@pytest.mark.parametrize("params, q0, entry, zero", [
+    # the shoulder's gravity torque cancels to exactly +0.0
+    ({}, (1.5, 0.2846338837565632), 0, 0.0),
+    # the elbow's underflows to -0.0 (cos(q1 + q2) is about -1.6e-16)
+    ({"m2": 1e-310}, (0.5, 1.0707963267948968), 1, -0.0),
+], ids=["shoulder_plus_zero", "elbow_minus_zero"])
+def test_arm_step_gives_the_numpy_forms_bits_where_gravity_is_zero(params, q0, entry, zero):
+    # a zero's sign in J^T f_c, J^T f_e or C qd could reach rhs only here
+    zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+    for qdot0, f_c, f_e in itertools.product(zeros, repeat=3):
+        arm = PlanarArm(**params, q0=q0, qdot0=qdot0)
+        assert np.float64(arm.gravity_vector(q0)[entry]).tobytes() == np.float64(zero).tobytes()
+        _assert_arm_step_gives_the_numpy_forms_bits(arm, np.array(f_c), np.array(f_e), 1e-3)
 
 
 # -- arm dynamics against the symbolic oracle ------------------------------------
