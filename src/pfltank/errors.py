@@ -8,7 +8,7 @@ class DomainError(ValueError):
 
 
 class IntegrationFault(RuntimeError):
-    """Plant state became non-finite; the simulation cannot continue."""
+    """Plant state or its energy became non-finite; the simulation cannot continue."""
 
 
 class EmergencyFault(RuntimeError):

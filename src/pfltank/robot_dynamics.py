@@ -20,7 +20,9 @@ on Python floats, which round alike at a fraction of the cost, except where
 the result is only a product's operand (the Cartesian f_e - f_c) and stays an
 array.  The arm forms only the products its bits rest on (no J^T f_e of an
 all-zero f_e), folds -f_c's sign into its float right-hand side, and builds
-its next model as views of one array made from floats.
+its next model as views of one array made from floats.  A zero net wrench keeps
+the Cartesian velocity and energy: v + tau (+-0.0) is v unless v is -0.0, which
+x + y is only when both x and y are, so only a -0.0 in xdot0 can bring one.
 """
 
 from __future__ import annotations
@@ -61,11 +63,13 @@ class PlantState(NamedTuple):
     kinetic_energy_truth: float
 
 
-def _snapshot(x: np.ndarray, xdot: np.ndarray, kinetic_energy_truth: float) -> PlantState:
-    """A PlantState that takes ownership of float arrays x and xdot."""
-    if kinetic_energy_truth < 0:
+def _snapshot(x: np.ndarray, xdot: np.ndarray, energy: float, stepped=False) -> PlantState:
+    """A PlantState owning float arrays x and xdot; a step's energy must be finite."""
+    if stepped and not math.isfinite(energy):
+        raise IntegrationFault(f"non-finite kinetic energy {energy!r}")
+    if energy < 0:
         raise DomainError("kinetic energy cannot be negative")
-    return tuple.__new__(PlantState, (x, xdot, kinetic_energy_truth))
+    return tuple.__new__(PlantState, (x, xdot, energy))
 
 
 class _WrenchFields(NamedTuple):
@@ -121,6 +125,8 @@ class CartesianPlant:
         # pose and twist as the Python floats step computes them; every reading
         # builds arrays of its own from them
         self._x, self._xdot = x.tolist(), xdot.tolist()
+        # _xdot's energy once a step forms it; steps coast if xdot0 holds no -0.0
+        self._h, self._coasts = None, "-0.0" not in map(repr, self._xdot)
 
     @property
     def pose(self) -> np.ndarray:
@@ -137,26 +143,31 @@ class CartesianPlant:
     def state(self) -> PlantState:
         return self._state(self._x, self._xdot)
 
-    def _state(self, x: list, v: list) -> PlantState:
-        """The PlantState of pose x and twist v, lists of floats."""
+    def _state(self, x: list, v: list, h=None, stepped=False) -> PlantState:
+        """The PlantState of pose x and twist v, lists of floats, and energy h."""
         xdot = np.array(v)
         # ndarray.dot gives @'s bits (bar a zero's sign at one axis) at half the
         # call overhead; a Python-float sum would round differently, moving bytes
-        return _snapshot(np.array(x), xdot, 0.5 * float(xdot.dot(self.inertia).dot(xdot)))
+        h = 0.5 * float(xdot.dot(self.inertia).dot(xdot)) if h is None else h
+        return _snapshot(np.array(x), xdot, h, stepped)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
         """Advance one interval holding the wrenches constant.
 
         tau > 0 is checked once where the run is configured, not per step.
         """
-        # f_e - f_c has the bits of -f_c + f_e, and a product's operand stays an array
-        a = self._lam_inv.dot(wrench.f_e - wrench.f_c).tolist()
-        v = [vi + tau * ai for vi, ai in zip(self._xdot, a)]
+        # f_e - f_c has the bits of -f_c + f_e; a product's operand stays an array
+        net = wrench.f_e - wrench.f_c
+        v, h = self._xdot, self._h
+        if h is None or not self._coasts or any(net.tolist()):
+            a = self._lam_inv.dot(net).tolist()
+            v, h = [vi + tau * ai for vi, ai in zip(v, a)], None
         x = [xi + tau * vi for xi, vi in zip(self._x, v)]
         if not all(map(math.isfinite, v + x)):
             raise IntegrationFault("non-finite plant state")
-        self._xdot, self._x = v, x
-        return self._state(x, v)
+        state = self._state(x, v, h, stepped=True)
+        self._xdot, self._x, self._h = v, x, state.kinetic_energy_truth
+        return state
 
 
 class PlanarArm:
@@ -254,10 +265,11 @@ class PlanarArm:
         return self._state(self._jac, self._ee, self._mass, self._qdot)
 
     @staticmethod
-    def _state(jac, ee, mass, qdot) -> PlantState:
+    def _state(jac, ee, mass, qdot, stepped=False) -> PlantState:
         # joint-space energy is the ground truth; it equals the
         # operational-space energy wherever J is invertible
-        return _snapshot(ee.copy(), jac.dot(qdot), 0.5 * float(qdot.dot(mass).dot(qdot)))
+        return _snapshot(ee.copy(), jac.dot(qdot), 0.5 * float(qdot.dot(mass).dot(qdot)),
+                         stepped)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
         jt, qdot, f_e = self._jac.T, self._qdot, wrench.f_e
@@ -283,7 +295,7 @@ class PlanarArm:
         self._q = q_new
         jac, ee, self._grav, mass, self._cor, qdot, _ = self._terms(q_new, qdot_new)
         self._jac, self._ee, self._mass, self._qdot = jac, ee, mass, qdot
-        return self._state(jac, ee, mass, qdot)
+        return self._state(jac, ee, mass, qdot, stepped=True)
 
 
 def power_balance_residual(prev: PlantState, new: PlantState,

@@ -19,13 +19,17 @@ which the sampled-velocity form cannot do.  The fixed FEASIBILITY_MARGIN on
 the floor absorbs the half-step difference between the two velocities.
 
 Numpy versus floats: dot products stay ndarray.dot, which a Python-float sum
-would round differently; elementwise arithmetic (the PD force, the trapezoidal
-velocity, f_c and the command) runs on Python floats, which give numpy's bits.
-Nothing that depends only on the schedule or the gains is looked up per
-cycle, and no product whose bits are known is formed: at alpha 1, f_c is f_des
-(1.0 * f is f, -0.0 included); with b = 0, a finite speed and no zero in f_c,
-the command is f_c (f + 0.0 * v is f); and an all-zero f_e injects 0.0 where
-the squared speed is finite, a zero whose sign reaches no logged byte.
+would round differently; the PD force, v_mid and the command run on floats and
+f_c = f_des * alpha is one numpy multiply, all with numpy's bits.  Nothing that
+depends only on the schedule or the gains is looked up per cycle, and no product
+whose bits are known is formed.  At alpha 1 f_c is f_des.  At b = 0 and a finite
+speed the command is f_c, off f_c + 0.0 xd only in a zero's sign, which no plant
+sees: run()'s f_e sums from +0.0, so the Cartesian f_e - f_c is +0.0 either way,
+and the arm folds it.  An all-zero f_e (at a finite speed) or f_c books p_in or
+p_task = 0.0: in (p_task - p_in) + p_damp, p_damp = b v_mid . v_mid is never
+-0.0 (NaN for a non-finite v_mid).  A calm interval (b = 0, no push, squared
+speeds under 1e300 at both ends) books p_in = p_damp = 0.0 without forming
+v_mid . v_mid, finite as |v_mid_i| <= max(|v_i|, |w_i|).
 """
 
 from __future__ import annotations
@@ -263,8 +267,8 @@ class SafetyController:
         self._pd = tuple(zip(gains.kp, gains.kd, gains.target))  # per axis
         self._floors = schedule.floors(t_initial, h_initial)
         self.tank = make_tank(t_initial, self._floors[0], h_initial)
-        # the last cycle's (xdot as floats, f_c, f_e, whether f_e has a non-zero
-        # entry, b, floor), booked once the next velocity sample exists
+        # the last cycle's (xdot as floats, f_c or None if all zero, f_e, whether
+        # f_e has a non-zero entry, b, floor, calm), booked at the next sample
         self._pending: tuple | None = None
         self._deficit = False
         self._k = self._idx = 0  # the cycle and the active region's index only grow
@@ -275,14 +279,17 @@ class SafetyController:
     def in_deficit(self) -> bool:
         return self._deficit
 
-    def _commit_pending(self, xdot_now: list):
-        """Book the last cycle's interval at its trapezoidal velocity."""
-        xdot, f_c, f_e, pushed, b, floor = self._pending
-        v_mid = np.array([0.5 * (v + w) for v, w in zip(xdot, xdot_now)])
-        speed_sq = float(v_mid.dot(v_mid))
+    def _commit_pending(self, xdot_now: list, speed_sq: float):
+        """Book the last cycle's interval; speed_sq is xdot_now . xdot_now (or inf)."""
+        xdot, f_c, f_e, pushed, b, floor, calm = self._pending
+        calm = calm and speed_sq < 1e300
+        if f_c is not None or not calm:
+            v_mid = np.array([0.5 * (v + w) for v, w in zip(xdot, xdot_now)])
+        # calm: b and pushed are 0, and 0.0 stands for a finite v_mid . v_mid
+        speed_sq = 0.0 if calm else float(v_mid.dot(v_mid))
         p_in = float(f_e.dot(v_mid)) if pushed or not speed_sq < math.inf else 0.0
-        self.tank = commit_step(self.tank, float(f_c.dot(v_mid)), p_in, b * speed_sq,
-                                self.tau, floor=floor)
+        p_task = 0.0 if f_c is None else float(f_c.dot(v_mid))
+        self.tank = commit_step(self.tank, p_task, p_in, b * speed_sq, self.tau, floor=floor)
         self._pending = None
 
     def control_cycle(self, obs: PlantObservation,
@@ -300,11 +307,12 @@ class SafetyController:
         t = k * tau
         x, xdot, f_e = obs.x, obs.xdot, obs.f_e
         v = xdot.tolist()
+        speed_sq = float(xdot.dot(xdot))  # before the commit, which bounds it
 
         # settle the previous interval with its trapezoidal velocity first,
         # then let the schedule move the floor for this cycle
         if self._pending is not None:
-            self._commit_pending(v)
+            self._commit_pending(v, speed_sq)
         idx = self._idx
         while self._switches[idx] <= t + 0.5 * tau:
             idx += 1
@@ -324,7 +332,6 @@ class SafetyController:
         des = [-(kp * (tg - xi) - kd * vi)
                for (kp, kd, tg), xi, vi in zip(self._pd, x.tolist(), v)]
         f_des = np.array(des)
-        speed_sq = float(xdot.dot(xdot))
         finite = speed_sq < math.inf
         pushed = any(f_e.tolist())
         p_in = float(f_e.dot(xdot)) if pushed or not finite else 0.0
@@ -338,21 +345,22 @@ class SafetyController:
                 "the damper band is too narrow for this wrench")
 
         alpha = solve_alpha(f_des, xdot, t_now, eps + FEASIBILITY_MARGIN, tau, p_ext)
-        scaled = des if alpha == 1.0 else [alpha * f for f in des]
-        f_c = f_des if scaled is des else np.array(scaled)
+        f_c = f_des if alpha == 1.0 else f_des * alpha
+        scaled = des if f_c is f_des else f_c.tolist()
         floor = None if self._deficit else eps - FEASIBILITY_MARGIN
-        self._pending = (v, f_c, f_e, pushed, b, floor)
+        self._pending = (v, f_c if any(scaled) else None, f_e, pushed, b, floor,
+                         b == 0.0 and not pushed and speed_sq < 1e300)
 
         tick = tuple.__new__(ControlTick, (
             k, t, self._names[idx], alpha, f_des, f_c, f_e, b, p_ext, t_now, eps,
             tank.capacity - t_now, float(h_truth), x, xdot))
         self._k = k + 1
-        if b == 0.0 and finite and all(scaled):
+        if b == 0.0 and finite:
             return f_c, tick
         return np.array([f + b * vi for f, vi in zip(scaled, v)]), tick
 
     def finalize(self, xdot_final: np.ndarray) -> TankState:
         """Commit the last interval once the final velocity sample exists."""
         if self._pending is not None:
-            self._commit_pending(np.asarray(xdot_final, dtype=float).tolist())
+            self._commit_pending(np.asarray(xdot_final, dtype=float).tolist(), math.inf)
         return self.tank

@@ -124,6 +124,27 @@ def test_plants_fault_and_refuse_with_their_messages(case, error, message):
         assert _arm_bits(arm) == before
 
 
+@pytest.mark.parametrize("plant, energy", [
+    # 0.5 * 4 * 1e310 overflows
+    (lambda: CartesianPlant([[4.0]], [0.0], [1e155]), "inf"),
+    # x . Lambda overflows to (inf, -inf), and inf - inf is NaN
+    (lambda: CartesianPlant([[4.0, -1.9], [-1.9, 1.0]], [0.0, 0.0], [1e308, 1.0]), "nan"),
+    # q2 = 0 puts no Coriolis term in the step, and qd M qd overflows
+    (lambda: PlanarArm(q0=(0.3, 0.0), qdot0=(2e154, 0.0)), "inf"),
+], ids=["cartesian_inf", "cartesian_nan", "arm_inf"])
+def test_a_finite_state_whose_energy_overflows_faults_the_step(plant, energy):
+    plant = plant()
+    # state() reports the energy as it is: a run refuses it where the tank is made
+    with np.errstate(all="ignore"):
+        assert repr(plant.state().kinetic_energy_truth) == energy
+        with pytest.raises(IntegrationFault, match=f"non-finite kinetic energy {energy}"):
+            plant.step(_wrench(np.zeros(plant.m), np.zeros(plant.m)), 1e-3)
+    # -inf, which a dot's fused multiply-adds can give, is a fault too, not
+    # the DomainError of an energy rounded below zero
+    with pytest.raises(IntegrationFault, match="non-finite kinetic energy -inf"):
+        _snapshot(np.zeros(2), np.zeros(2), -math.inf, stepped=True)
+
+
 def test_wrench_validation():
     with pytest.raises(DomainError):
         WrenchInput(f_c=np.array([np.nan, 0.0]), f_e=ZERO2)
@@ -169,13 +190,40 @@ def _vector(data, m):
 def test_cartesian_step_gives_the_numpy_forms_bits(m, tau, data):
     rows = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m * m,
                                        max_size=m * m))).reshape(m, m)
-    plant = CartesianPlant(rows @ rows.T + 0.1 * np.eye(m), _vector(data, m),
-                           _vector(data, m))
+    xdot0 = _vector(data, m)
+    if data.draw(st.booleans()):  # a -0.0 a zero net wrench would turn to +0.0
+        xdot0[data.draw(st.integers(0, m - 1))] = -0.0
+    plant = CartesianPlant(rows @ rows.T + 0.1 * np.eye(m), _vector(data, m), xdot0)
     f_c, f_e = _vector(data, m), _vector(data, m)
-    v, x = cartesian_step_numpy(plant, f_c, f_e, tau)
-    state = plant.step(WrenchInput(f_c, f_e), tau)
-    assert state.xdot.tobytes() == v.tobytes()
-    assert state.x.tobytes() == x.tobytes()
+    # 20 steps in a row, so a velocity or an energy kept from an earlier step
+    # shows: 19 from a seeded generator, half with a zero net wrench (f_c = f_e,
+    # or zeros of either sign), then one with f_c and f_e
+    rng = np.random.RandomState(data.draw(st.integers(0, 2**32 - 1)))
+    wrenches = rng.uniform(-1e3, 1e3, size=(19, 2, m))
+    wrenches[rng.random_sample(wrenches.shape) < 0.5] *= 0.0
+    coast = rng.random_sample(19) < 0.5
+    wrenches[coast, 0] = wrenches[coast, 1]
+    for step_c, step_e in [*wrenches, (f_c, f_e)]:
+        v, x = cartesian_step_numpy(plant, step_c, step_e, tau)
+        energy = np.float64(0.5 * float(v.dot(plant.inertia).dot(v))).tobytes()
+        state = plant.step(WrenchInput(step_c, step_e), tau)
+        for snapshot in (state, plant.state()):
+            assert snapshot.xdot.tobytes() == v.tobytes()
+            assert snapshot.x.tobytes() == x.tobytes()
+            assert np.float64(snapshot.kinetic_energy_truth).tobytes() == energy
+
+
+def test_a_cartesian_plant_at_minus_zero_gives_the_numpy_forms_bits():
+    # -0.0 + tau * (+0.0) is +0.0, so a plant whose velocity can hold -0.0
+    # forms each step's product, zero net wrench or not: a net -0.0 keeps the
+    # -0.0, then a net +0.0 clears it
+    plant = CartesianPlant([[2.0]], [0.0], [-0.0])
+    for f_c, f_e in [(0.0, -0.0), (1.0, 1.0)]:
+        f_c, f_e = np.array([f_c]), np.array([f_e])
+        v, x = cartesian_step_numpy(plant, f_c, f_e, 1e-3)
+        state = plant.step(WrenchInput(f_c, f_e), 1e-3)
+        assert (state.xdot.tobytes(), state.x.tobytes()) == (v.tobytes(), x.tobytes())
+    assert state.xdot.tobytes() == np.zeros(1).tobytes()
 
 
 def _assert_arm_step_gives_the_numpy_forms_bits(arm, f_c, f_e, tau):

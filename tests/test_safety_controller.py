@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from pfltank import safety_controller
 from pfltank.energy_tank import EPSILON_MIN, FLOOR_TOL, commit_step, make_tank
-from pfltank.errors import DomainError, EmergencyFault
+from pfltank.errors import DomainError, EmergencyFault, IntegrationFault
 from pfltank.iso15066 import BUILTIN_REGIONS, BodyRegion, max_energy
+from pfltank.robot_dynamics import CartesianPlant, PlanarArm, WrenchInput
 from pfltank.safety_controller import (
     FEASIBILITY_MARGIN,
     ControlTick,
@@ -26,6 +27,7 @@ from pfltank.safety_controller import (
     solve_alpha,
     supervise,
 )
+from pfltank.sim_harness import WrenchSegment, _wrench_table
 
 from oracles import (
     alpha_oracle,
@@ -377,13 +379,16 @@ def test_cycle_elementwise_arithmetic_gives_the_numpy_forms_bits(m, t_initial, b
     f_c, wire = command_numpy(f_des, tick.alpha, tick.b, xdot)
     assert tick.f_des.tobytes() == f_des.tobytes()
     assert tick.f_c.tobytes() == f_c.tobytes()
-    assert command.tobytes() == wire.tobytes()
     # at alpha 1 the scaled force is the desired one, array and all; with no
-    # damper, a finite speed and no zero in f_c, the command is f_c itself
+    # damper and a finite speed the command is f_c itself, whose zeros may
+    # keep a sign f_c + 0.0 xd drops: adding +0.0 clears a zero's sign alone
     assert (tick.f_c is tick.f_des) == (tick.alpha == 1.0)
     with np.errstate(all="ignore"):
         finite = float(xdot.dot(xdot)) < math.inf
-    assert (command is tick.f_c) == (tick.b == 0.0 and finite and bool(np.all(f_c != 0.0)))
+    assert (command is tick.f_c) == (tick.b == 0.0 and finite)
+    assert (command + 0.0).tobytes() == (wire + 0.0).tobytes()
+    if command is not tick.f_c:
+        assert command.tobytes() == wire.tobytes()
     # the interval is booked as three powers at the trapezoidal velocity
     booked = []
 
@@ -398,7 +403,8 @@ def test_cycle_elementwise_arithmetic_gives_the_numpy_forms_bits(m, t_initial, b
     [(p_task, p_in, p_damp)] = booked
     with np.errstate(all="ignore"):
         speed_sq = float(v_mid.dot(v_mid))
-        assert _bits(p_task) == _bits(float(f_c.dot(v_mid)))
+        # an all-zero f_c books 0.0, whatever sign its product's zero had
+        assert _bits(p_task) == _bits(float(f_c.dot(v_mid)) if f_c.any() else 0.0)
         # an all-zero push books 0.0, whatever sign its product's zero had
         pushed = bool(f_e.any()) or not speed_sq < math.inf
         assert _bits(p_in) == _bits(float(f_e.dot(v_mid)) if pushed else 0.0)
@@ -408,6 +414,85 @@ def test_cycle_elementwise_arithmetic_gives_the_numpy_forms_bits(m, t_initial, b
 def _bits(value: float) -> bytes:
     """A float's bytes, so -0.0 and 0.0 stay apart."""
     return struct.pack("<d", value)
+
+
+#: velocity entries whose squares straddle the calm bound 1e300 and overflow
+#: (from about 1.34e154 on), zeros of both signs and moderate values
+_SPEEDS = st.one_of(_VALUES, st.sampled_from([1e150, -1e150, 2e154, -1e300]),
+                    st.floats(9e149, 1.1e150), st.floats(-1.1e300, -9e299))
+
+
+def _outcome(act) -> list | str:
+    """The bits of the tuple of floats and arrays act returns, or its fault."""
+    try:
+        with np.errstate(all="ignore"):
+            return [np.asarray(value, dtype=float).tobytes() for value in act()]
+    except (IntegrationFault, EmergencyFault) as exc:
+        return repr(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(m=st.integers(min_value=1, max_value=3),
+       energy=st.one_of(st.just(1e-4), st.floats(5e-4, 0.9)), data=st.data())
+def test_coasting_outcomes_and_the_ledger_give_the_numpy_forms_bits(m, energy, data):
+    # where the command is f_c itself and the ledger books 0.0 for a product
+    # it skips, the plants' next states and the committed tank have the bits
+    # that the command f_c + b xd and the numpy-form powers give
+    def vector(values=_SPEEDS):
+        return np.array(data.draw(st.lists(values, min_size=m, max_size=m)))
+
+    tau = 1e-3
+    gains = PdGains(kp=vector(st.sampled_from([0.0, 1.0, 50.0])),
+                    kd=vector(st.sampled_from([0.0, 2.0])), target=vector(_VALUES))
+    x, xdot, xdot_next = vector(_VALUES), vector(), vector()
+    # run() samples f_e from _wrench_table, a sum from +0.0, so no -0.0
+    push = data.draw(st.one_of(st.none(), st.lists(_VALUES, min_size=m, max_size=m)))
+    f_e = _wrench_table(() if push is None else (WrenchSegment(0.0, 1.0, push),),
+                        1, tau, m)[0]
+    band = data.draw(st.sampled_from([1e-3, 1e6]))
+
+    def controller():
+        # energy 1e-4 sits under the margin: a draining command gets alpha 0
+        return SafetyController(gains, _schedule((0.0, "zone", energy)), 1.0, 0.0, tau,
+                                damper_band=band)
+
+    ctl, following = controller(), controller()  # one books by finalize, one by a cycle
+    try:
+        with np.errstate(all="ignore"):
+            command, tick = ctl.control_cycle(PlantObservation(x, xdot, f_e))
+            following.control_cycle(PlantObservation(x, xdot, f_e))
+    except EmergencyFault:
+        return
+    f_c, wire = command_numpy(tick.f_des, tick.alpha, tick.b, xdot)
+    with np.errstate(all="ignore"):  # 0.0 * inf is NaN, so an infinite speed forms it
+        assert (command is tick.f_c) == (tick.b == 0.0 and float(xdot.dot(xdot)) < math.inf)
+    plants = [lambda: CartesianPlant(np.eye(m) + 0.5, x, xdot)]
+    if m == 2:
+        plants.append(lambda: PlanarArm(q0=(0.3, -0.7), qdot0=(0.4, 0.0)))
+    for plant in plants:
+        outcomes = [_outcome(lambda: plant().step(tuple.__new__(WrenchInput, (c, f_e)), tau))
+                    for c in (command, wire)]
+        assert outcomes[0] == outcomes[1]
+    # the interval booked by the next cycle or by finalize, against
+    # commit_step fed f_c . v_mid, f_e . v_mid and b v_mid . v_mid
+    tank, floor = ctl.tank, None if ctl.in_deficit else tick.epsilon - FEASIBILITY_MARGIN
+    v_mid = trapezoidal_velocity_numpy(xdot, xdot_next)
+    with np.errstate(all="ignore"):
+        powers = (float(f_c.dot(v_mid)), float(f_e.dot(v_mid)),
+                  tick.b * float(v_mid.dot(v_mid)))
+    want = _outcome(lambda: commit_step(tank, *powers, tau, floor=floor))
+
+    def next_cycle():
+        before = following.tank
+        try:
+            following.control_cycle(PlantObservation(x, xdot_next, f_e))
+        except EmergencyFault:  # a fault after the commit leaves its tank
+            if following.tank is before:
+                raise
+        return following.tank
+
+    assert _outcome(next_cycle) == want
+    assert _outcome(lambda: ctl.finalize(xdot_next)) == want
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

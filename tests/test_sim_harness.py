@@ -390,6 +390,24 @@ def test_a_negative_kinetic_energy_is_an_integration_fault(monkeypatch, caplog):
             "negative") in caplog.text
 
 
+def test_a_step_whose_energy_overflows_faults_on_its_own_cycle(caplog):
+    # a push across a plant at rest injects no power on the cycle it starts,
+    # so nothing brakes it: the step leaves a finite state, v = 2.5e155 m/s,
+    # whose energy 0.5 m v^2 overflows.  Without the step's check the log
+    # would hold h_truth = inf and the next cycle's commit an emergency fault
+    scenario = _cart_scenario(plant=CartesianPlant((4.0,), (0.0,), (0.0,)),
+                              gains=PdGains(kp=(0.0,), kd=(0.0,), target=(0.0,)),
+                              wrench_script=(WrenchSegment(0.002, 1.0, (1e159,)),),
+                              duration=0.01)
+    res = run(scenario)
+    assert res.fault == "integration" and res.summary.fault == "integration"
+    # cycle 2 books its tick before its step
+    assert len(res.ticks) == 3 and np.isfinite(res.ticks.h_truth).all()
+    assert res.final_plant is None
+    assert ("scenario unit: integration fault at cycle 2: non-finite kinetic "
+            "energy inf") in caplog.text
+
+
 # a moderate gain, and one a PD force overflows through: kp by 200 m or more,
 # kd by 1.6 m/s or more
 _MILD_GAIN = st.floats(0.0, 50.0)
