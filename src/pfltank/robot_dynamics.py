@@ -23,6 +23,8 @@ all-zero f_e), folds -f_c's sign into its float right-hand side, and builds
 its next model as views of one array made from floats.  A zero net wrench keeps
 the Cartesian velocity and energy: v + tau (+-0.0) is v unless v is -0.0, which
 x + y is only when both x and y are, so only a -0.0 in xdot0 can bring one.
+No step holds a comprehension, whose frame (inlined only from Python 3.12) costs
+about one ndarray.dot: the arm writes its two joints out, the Cartesian plant loops.
 """
 
 from __future__ import annotations
@@ -115,6 +117,8 @@ class CartesianPlant:
             raise DomainError("inertia must be positive definite") from None
         self.inertia = lam
         self._lam_inv = np.linalg.inv(lam)
+        if not np.all(np.isfinite(self._lam_inv)):  # e.g. [[1e-310]], whose inverse is inf
+            raise DomainError("inertia must have a finite inverse")
         self.m = lam.shape[0]
         x = np.array(x0, dtype=float)
         xdot = np.array(xdot0, dtype=float)
@@ -160,9 +164,12 @@ class CartesianPlant:
         net = wrench.f_e - wrench.f_c
         v, h = self._xdot, self._h
         if h is None or not self._coasts or any(net.tolist()):
-            a = self._lam_inv.dot(net).tolist()
-            v, h = [vi + tau * ai for vi, ai in zip(v, a)], None
-        x = [xi + tau * vi for xi, vi in zip(self._x, v)]
+            v, h = [], None
+            for vi, ai in zip(self._xdot, self._lam_inv.dot(net).tolist()):
+                v.append(vi + tau * ai)
+        x = []
+        for xi, vi in zip(self._x, v):
+            x.append(xi + tau * vi)
         if not all(map(math.isfinite, v + x)):
             raise IntegrationFault("non-finite plant state")
         state = self._state(x, v, h, stepped=True)
@@ -272,12 +279,13 @@ class PlanarArm:
                          stepped)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
-        jt, qdot, f_e = self._jac.T, self._qdot, wrench.f_e
-        drive = jt.dot(wrench.f_c).tolist()
+        jt, f_e = self._jac.T, wrench.f_e
+        d1, d2 = jt.dot(wrench.f_c).tolist()
         # J^T f_e of an f_e with no non-zero entry is a pair of zeros (J is
         # finite unless l1 + l2 nears 1.8e308 m)
-        push = jt.dot(f_e).tolist() if any(f_e.tolist()) else (0.0, 0.0)
-        coriolis = self._cor.dot(qdot).tolist()
+        p1, p2 = jt.dot(f_e).tolist() if any(f_e.tolist()) else (0.0, 0.0)
+        c1, c2 = self._cor.dot(self._qdot).tolist()
+        g1, g2 = self._grav.tolist()
         # rhs = J^T (-f_c) + g + J^T f_e - C qd - g: gravity and its compensation
         # cancel, but deleting them moves the arm's bytes.  g - J^T f_c stands
         # for J^T (-f_c) + g and (0.0, 0.0) for a zero push: each differs at most
@@ -285,17 +293,19 @@ class PlanarArm:
         # sum is -0.0 only when both terms are, so the first two sums agree
         # unless g is -0.0 (an underflow: g1 cancels only to +0.0), and then the
         # closing - g adds +0.0, which makes any zero +0.0.
-        rhs = [g - d + p - c - g
-               for d, p, c, g in zip(drive, push, coriolis, self._grav.tolist())]
-        qdd = solve1(self._mass, rhs).tolist()
-        qdot_new = [v + tau * a for v, a in zip(qdot.tolist(), qdd)]
-        q_new = [q + tau * v for q, v in zip(self._q, qdot_new)]
-        if not all(map(math.isfinite, qdot_new + q_new)):
+        a1, a2 = solve1(self._mass, [g1 - d1 + p1 - c1 - g1, g2 - d2 + p2 - c2 - g2]).tolist()
+        v1, v2 = self._qdot.tolist()
+        v1, v2 = v1 + tau * a1, v2 + tau * a2
+        q1, q2 = self._q
+        q1, q2 = q1 + tau * v1, q2 + tau * v2
+        if not all(map(math.isfinite, (v1, v2, q1, q2))):
             raise IntegrationFault("non-finite arm state")
-        self._q = q_new
-        jac, ee, self._grav, mass, self._cor, qdot, _ = self._terms(q_new, qdot_new)
-        self._jac, self._ee, self._mass, self._qdot = jac, ee, mass, qdot
-        return self._state(jac, ee, mass, qdot, stepped=True)
+        jac, ee, grav, mass, cor, qdot, _ = self._terms((q1, q2), (v1, v2))
+        state = self._state(jac, ee, mass, qdot, stepped=True)
+        # the arm moves only once its snapshot is built: a refused one leaves it
+        self._q, self._jac, self._ee, self._grav = (q1, q2), jac, ee, grav
+        self._mass, self._cor, self._qdot = mass, cor, qdot
+        return state
 
 
 def power_balance_residual(prev: PlantState, new: PlantState,

@@ -29,7 +29,9 @@ and the arm folds it.  An all-zero f_e (at a finite speed) or f_c books p_in or
 p_task = 0.0: in (p_task - p_in) + p_damp, p_damp = b v_mid . v_mid is never
 -0.0 (NaN for a non-finite v_mid).  A calm interval (b = 0, no push, squared
 speeds under 1e300 at both ends) books p_in = p_damp = 0.0 without forming
-v_mid . v_mid, finite as |v_mid_i| <= max(|v_i|, |w_i|).
+v_mid . v_mid, finite as |v_mid_i| <= max(|v_i|, |w_i|).  The per-axis floats are
+built by loops that append: a comprehension runs in a frame of its own before
+Python 3.12, which costs about one ndarray.dot.
 """
 
 from __future__ import annotations
@@ -284,7 +286,10 @@ class SafetyController:
         xdot, f_c, f_e, pushed, b, floor, calm = self._pending
         calm = calm and speed_sq < 1e300
         if f_c is not None or not calm:
-            v_mid = np.array([0.5 * (v + w) for v, w in zip(xdot, xdot_now)])
+            mid = []
+            for v, w in zip(xdot, xdot_now):
+                mid.append(0.5 * (v + w))
+            v_mid = np.array(mid)
         # calm: b and pushed are 0, and 0.0 stands for a finite v_mid . v_mid
         speed_sq = 0.0 if calm else float(v_mid.dot(v_mid))
         p_in = float(f_e.dot(v_mid)) if pushed or not speed_sq < math.inf else 0.0
@@ -329,8 +334,9 @@ class SafetyController:
             self._deficit = True
 
         # -(kp (target - x) - kd xd): the PD force, negated onto the tank port
-        des = [-(kp * (tg - xi) - kd * vi)
-               for (kp, kd, tg), xi, vi in zip(self._pd, x.tolist(), v)]
+        des = []
+        for (kp, kd, tg), xi, vi in zip(self._pd, x.tolist(), v):
+            des.append(-(kp * (tg - xi) - kd * vi))
         f_des = np.array(des)
         finite = speed_sq < math.inf
         pushed = any(f_e.tolist())
@@ -357,7 +363,10 @@ class SafetyController:
         self._k = k + 1
         if b == 0.0 and finite:
             return f_c, tick
-        return np.array([f + b * vi for f, vi in zip(scaled, v)]), tick
+        command = []
+        for f, vi in zip(scaled, v):
+            command.append(f + b * vi)
+        return np.array(command), tick
 
     def finalize(self, xdot_final: np.ndarray) -> TankState:
         """Commit the last interval once the final velocity sample exists."""

@@ -232,46 +232,96 @@ def test_value_errors_are_path_qualified(tmp_path, capsys, over, message):
     assert f"scenario.json: {message}" in capsys.readouterr().err
 
 
-# documents each of which validate and run both reject, naming the file
+# documents each of which validate and run both reject with one line, naming
+# the file: the edit of paper_replica and the message after the file's name
 RUN_REJECTS = {
-    "below_one_cycle": lambda doc: doc.update(duration=0.0004),
-    "overflowing_cycle_count": lambda doc: doc.update(tau=1e-320),
+    "below_one_cycle": (lambda doc: doc.update(duration=0.0004),
+                        "duration must cover at least one cycle and finitely many, "
+                        "got 0.0004 s at tau = 0.001 s"),
+    "overflowing_cycle_count": (lambda doc: doc.update(tau=1e-320),
+                                "duration must cover at least one cycle and finitely many, "
+                                "got 10.0 s at tau = 1e-320 s"),
     # 2 J of kinetic energy against the 1.6 J chest budget
-    "start_over_budget": lambda doc: doc["plant"].update(v0=[1.0, 0.0]),
+    "start_over_budget": (lambda doc: doc["plant"].update(v0=[1.0, 0.0]),
+                          "initial tank energy 5.0 is below the floor 5.4"),
     # a removed key, refused by both before anything runs
-    "negative_feasibility_margin":
+    "negative_feasibility_margin": (
         lambda doc: doc["controller"].update(feasibility_margin=-1.0),
-    "negative_damper_band": lambda doc: doc["controller"].update(damper_band=-1.0),
+        "controller: unknown keys ['feasibility_margin']"),
+    "negative_damper_band": (lambda doc: doc["controller"].update(damper_band=-1.0),
+                             "damper band must be non-negative and finite, got -1.0"),
     # axis counts that disagree with the plant; the Scenario checks them
-    "gain_lengths": lambda doc: doc["controller"].update(
+    "gain_lengths": (lambda doc: doc["controller"].update(
         kp=[8.0] * 3, kd=[11.0] * 3, target=[6.0, 0.0, 0.0]),
-    "wrench_force_length": lambda doc: doc.update(wrench_script=[
+        "kp, kd and target need one entry per plant axis (2), got 3"),
+    "wrench_force_length": (lambda doc: doc.update(wrench_script=[
         {"t_start": 0.5, "t_end": 1.0, "force": [1.0, 0.0, 0.0]}]),
+        "wrench_script[0].force needs one entry per plant axis (2), got 3"),
     # each push is finite but their sum on [0.2, 0.3) s is not; run used to
     # warn from numpy and end in an integration fault at cycle 200
-    "wrench_sum_overflows": lambda doc: doc.update(wrench_script=[
+    "wrench_sum_overflows": (lambda doc: doc.update(wrench_script=[
         {"t_start": 0.1, "t_end": 0.3, "force": [1e308, 0.0]},
         {"t_start": 0.2, "t_end": 0.4, "force": [1e308, 0.0]}]),
+        "wrench_script: the forces active at t = 0.2 s sum to a non-finite wrench"),
     # a finite floor sizes a tank of 1e308 J, whose x_t = sqrt(2 T) is inf;
     # run used to exit 2 with "tank update is not finite" at cycle 1
-    "tank_charge_overflows": lambda doc: doc.update(tank={"epsilon_initial": 1e308}),
-    "four_axes": lambda doc: doc.update(
+    "tank_charge_overflows": (lambda doc: doc.update(tank={"epsilon_initial": 1e308}),
+                              "tank charge 1e+308 J with 0.0 J of kinetic energy overflows: "
+                              "sqrt(2 T) or T + H is not finite"),
+    "four_axes": (lambda doc: doc.update(
         plant={"type": "cartesian", "inertia": np.eye(4).tolist(),
                "x0": [0.0] * 4, "v0": [0.0] * 4},
         controller={"kp": [8.0] * 4, "kd": [11.0] * 4, "target": [6.0, 0.0, 0.0, 0.0]}),
+        "plant: at most 3 axes are supported, got 4"),
+    # the inverse of a positive-definite 1e-310 is inf, so run used to fault
+    # at cycle 0 with "non-finite plant state", even at rest
+    "inertia_inverse_overflows": (
+        lambda doc: doc["plant"].update(inertia=[[1e-310, 0.0], [0.0, 1e-310]]),
+        "plant: inertia must have a finite inverse"),
+    # the loader's own refusals, one per line of cli.py that raises them
+    "tau_not_a_number": (lambda doc: doc.update(tau="1 ms"),
+                         "tau: expected a number, got '1 ms'"),
+    "empty_gain_list": (lambda doc: doc["controller"].update(kp=[]),
+                        "controller.kp: expected a non-empty list of numbers"),
+    "short_inertia_row": (lambda doc: doc["plant"].update(inertia=[[4.0, 0.0], [4.0]]),
+                          "plant.inertia[1]: expected 2 entries, got 1"),
+    "stiffness_unit_without_k": (
+        lambda doc: doc["regions"].update(
+            shoulders={"stiffness_unit": "N/mm", "e_max_override": 2.5}),
+        "regions.shoulders: stiffness_unit given without k"),
+    "inertia_not_rows": (lambda doc: doc["plant"].update(inertia=4.0),
+                         "plant.inertia: expected a list of rows"),
+    "unknown_plant_type": (lambda doc: doc["plant"].update(type="scara"),
+                           "plant.type: expected 'cartesian' or 'planar_arm', got 'scara'"),
+    "no_regions": (lambda doc: doc.update(regions={}),
+                   "regions: expected a non-empty mapping"),
+    "empty_schedule": (lambda doc: doc.update(schedule=[]),
+                       "schedule: expected a non-empty list"),
 }
+
+
+def _rejected_by_validate_and_run(tmp_path, capsys, path, message):
+    """validate and run both exit 3 with the same one line naming the file."""
+    assert main(["validate", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", list(RUN_REJECTS))
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, case):
-    path = _write(tmp_path, _replica(RUN_REJECTS[case]))
-    assert main(["validate", path]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"error: {path}: " in err
-    out = tmp_path / "out"
-    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == err
-    assert not out.exists()
+    edit, message = RUN_REJECTS[case]
+    _rejected_by_validate_and_run(tmp_path, capsys, _write(tmp_path, _replica(edit)), message)
+
+
+@pytest.mark.parametrize("text", ["[]", '"paper_replica"', "1", "null"])
+def test_a_document_that_is_not_an_object_exits_3(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    _rejected_by_validate_and_run(tmp_path, capsys, str(path),
+                                  "scenario document must be a JSON object")
 
 
 # a file that cannot be read or written exits 3 naming it, not with a traceback

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,33 @@ def test_apparent_mass_rejects_asymmetric_mobility():
     with pytest.raises(DomainError):
         apparent_mass(np.array([1.0, 0.0]), np.array([[1.0, 0.5], [-0.5, 1.0]]))
 
+
+
+@pytest.mark.parametrize("n, mobility, message", [
+    ([1.0], [[1.0, 0.0]], "mobility must be square, got shape (1, 2)"),
+    ([1.0, 0.0, 0.0], np.eye(2), "direction shape (3,) does not match mobility (2, 2)"),
+    ([1.0, 0.0], np.zeros((2, 2)), "mobility tensor has no positive eigenvalue"),
+    ([1.0, 0.0], np.diag([1.0, -1.0]),
+     "mobility tensor is not positive semidefinite (eigenvalues [-1.  1.])"),
+], ids=["not_square", "direction_shape", "no_positive_eigenvalue", "indefinite"])
+def test_apparent_mass_refuses_with_its_message(n, mobility, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        apparent_mass(n, mobility)
+
+
+class _IndefiniteModel:
+    """A model whose mass matrix no arm could have."""
+
+    def jacobian(self, q):
+        return np.eye(2)
+
+    def mass_matrix(self, q):
+        return np.diag([1.0, -1.0])
+
+
+def test_endpoint_mobility_refuses_a_mass_matrix_that_is_not_positive_definite():
+    with pytest.raises(DomainError, match="^mass matrix is not positive definite$"):
+        endpoint_mobility(_IndefiniteModel(), [0.0, 0.0])
 
 def test_apparent_mass_matches_symbolic_oracle():
     rng = np.random.RandomState(7)

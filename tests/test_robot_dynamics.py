@@ -112,8 +112,11 @@ def _refused(build):
      DomainError, "inertia must be symmetric"),
     (_refused(lambda: CartesianPlant([[2.0]], (0.0, 1.0), (0.0,))), DomainError,
      "x0/xdot0 dimensions do not match the inertia"),
+    # positive definite, but 1 / 1e-310 is inf: every step would fault, even at rest
+    (_refused(lambda: CartesianPlant([[1e-310]], (0.0,), (0.0,))), DomainError,
+     "inertia must have a finite inverse"),
 ], ids=["arm_inf", "arm_nan", "arm_inf_at_zero_row", "arm_inf_at_q0", "not_square",
-        "asymmetric", "x0_length"])
+        "asymmetric", "x0_length", "inverse_overflows"])
 def test_plants_fault_and_refuse_with_their_messages(case, error, message):
     arm, act = case()
     before = None if arm is None else _arm_bits(arm)
@@ -144,6 +147,22 @@ def test_a_finite_state_whose_energy_overflows_faults_the_step(plant, energy):
     with pytest.raises(IntegrationFault, match="non-finite kinetic energy -inf"):
         _snapshot(np.zeros(2), np.zeros(2), -math.inf, stepped=True)
 
+
+
+def test_a_refused_snapshot_leaves_the_arm_unmoved():
+    # the new state is finite, but its energy qd M qd overflows, so the
+    # snapshot refuses it after the state check has passed
+    arm = PlanarArm(q0=(0.3, 0.0), qdot0=(2e154, 0.0))
+    with np.errstate(all="ignore"):
+        pose, twist, state, bits = arm.pose, arm.twist, arm.state(), _arm_bits(arm)
+        with pytest.raises(IntegrationFault, match="non-finite kinetic energy inf"):
+            arm.step(_wrench(ZERO2, ZERO2), 1e-3)
+        after = arm.state()
+        assert _arm_bits(arm) == bits
+    assert arm.pose.tobytes() == pose.tobytes() and arm.twist.tobytes() == twist.tobytes()
+    assert after.x.tobytes() == state.x.tobytes()
+    assert after.xdot.tobytes() == state.xdot.tobytes()
+    assert repr(after.kinetic_energy_truth) == repr(state.kinetic_energy_truth) == "inf"
 
 def test_wrench_validation():
     with pytest.raises(DomainError):
