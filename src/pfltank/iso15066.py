@@ -159,6 +159,11 @@ def apparent_mass(n, mobility) -> float:
         raise DomainError(f"mobility must be square, got shape {a.shape}")
     if n.shape != (a.shape[0],):
         raise DomainError(f"direction shape {n.shape} does not match mobility {a.shape}")
+    # NaN passes every comparison below unrefused
+    if not np.all(np.isfinite(n)):
+        raise DomainError(f"direction must be finite, got {n.tolist()}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("mobility tensor entries must be finite")
     norm = float(np.linalg.norm(n))
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise DomainError(f"direction must be unit length, |n| = {norm!r}")
@@ -190,6 +195,8 @@ def endpoint_mobility(model, q) -> np.ndarray:
     arm).
     """
     q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise DomainError(f"joint angles must be finite, got {q.tolist()}")
     jv = np.atleast_2d(np.asarray(model.jacobian(q), dtype=float))
     m = np.atleast_2d(np.asarray(model.mass_matrix(q), dtype=float))
     try:

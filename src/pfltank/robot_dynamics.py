@@ -20,7 +20,11 @@ on Python floats, which round alike at a fraction of the cost, except where
 the result is only a product's operand (the Cartesian f_e - f_c) and stays an
 array.  The arm forms only the products its bits rest on (no J^T f_e of an
 all-zero f_e), folds -f_c's sign into its float right-hand side, and builds
-its next model as views of one array made from floats.  A zero net wrench keeps
+its next model as views of one float array made from floats.  It converts
+joint values to floats once, where they enter (the constructor and the model
+methods), and its step keeps q, qd and the gravity torque as float pairs, so
+no joint value goes from floats to an array and back per step; qd's view in
+the model array serves the products.  A zero net wrench keeps
 the Cartesian velocity and energy: v + tau (+-0.0) is v unless v is -0.0, which
 x + y is only when both x and y are, so only a -0.0 in xdot0 can bring one.
 No step holds a comprehension, whose frame (inlined only from Python 3.12) costs
@@ -195,29 +199,39 @@ class PlanarArm:
         self.l1, self.l2 = l1, l2 = float(l1), float(l2)
         self.m1, self.m2 = m1, m2 = float(m1), float(m2)
         self.i1 = m1 * l1 * l1 / 12.0
-        self.i2 = m2 * l2 * l2 / 12.0
+        self.i2 = i2 = m2 * l2 * l2 / 12.0
         lc1, lc2 = 0.5 * l1, 0.5 * l2
         # _terms's configuration-free factors, grouped as its expressions round
         # them: (m1 lc1 + m2 l1) g c1 is ((m1 lc1 + m2 l1) g) c1
         self._factors = ((m1 * lc1 + m2 * l1) * GRAVITY, m2 * lc2 * GRAVITY,
                          l1 * l1 + lc2 * lc2, 2.0 * l1 * lc2, m1 * lc1 * lc1 + self.i1,
-                         lc2 * lc2, l1 * lc2, m2 * lc2 * lc2 + self.i2, -m2 * l1 * 0.5 * l2)
-        q = np.array(q0, dtype=float)
-        qdot = np.array(qdot0, dtype=float)
-        if q.shape != (2,) or qdot.shape != (2,) or not _all_finite(q, qdot):
-            raise DomainError("q0/qdot0 must have two finite entries")
-        self._q = q.tolist()  # the joint angles as the floats step computes
-        # the model at (q, qdot), shared by the port readings and the next step
+                         lc2 * lc2, l1 * lc2, m2 * lc2 * lc2 + i2, -m2 * l1 * 0.5 * l2)
+        gl1, gl2, a0, a1, b1, b12, b2, m22, _ = self._factors
+        # rounding is monotone, so J's entries are at most the reach l1 + l2
+        # (finite with l1 l1 + lc2 lc2) and the gravity torques at most gl1 + gl2
+        if not all(map(math.isfinite, (*self._factors, gl1 + gl2))):
+            raise DomainError("the arm's model overflows at these link lengths and masses")
+        # M11 is linear and det M a concave quadratic in cos q2, so M is positive
+        # definite at every q if it is at cos q2 = -1 and 1.  det M must clear
+        # 1e-9 M11 M22, far above its rounding, so that no solve meets a zero pivot
+        for c2 in (-1.0, 1.0):
+            m11, m12 = b1 + m2 * (a0 + a1 * c2) + i2, m2 * (b12 + b2 * c2) + i2
+            if not (0.0 < m11 < math.inf and 0.0 < m22
+                    and (m12 / m11) * (m12 / m22) < 1.0 - 1e-9):
+                raise DomainError("the arm's mass matrix must be positive definite at every "
+                                  "elbow angle, with det M above 1e-9 M11 M22")
+        q1, q2 = self._q = _joints(q0, "q0")  # the joint state as step computes it
+        qd1, qd2 = self._qd = _joints(qdot0, "qdot0")
+        # the model at (q, qd), shared by the port readings and the next step
         (self._jac, self._ee, self._grav, self._mass, self._cor, self._qdot,
-         _) = self._terms(self._q, qdot)
+         _) = self._terms(q1, q2, qd1, qd2)
 
-    def _terms(self, q, qdot=(0.0, 0.0)) -> tuple:
-        """J, the end-effector point, the gravity torque, M, C(q, qd) and qd
-        (views of one buffer) and the Coriolis factor h at (q, qd), on Python
-        floats: math.sin and math.cos give np.sin's and np.cos's bits, as the
-        numpy model had."""
-        q1, q2 = map(float, q)
-        qd1, qd2 = map(float, qdot)
+    def _terms(self, q1, q2, qd1, qd2) -> tuple:
+        """J, the end-effector point, the gravity torque (a float pair), M,
+        C(q, qd) and qd, each array a view of one 16-entry buffer, and the
+        Coriolis factor h at the joint floats (q1, q2, qd1, qd2): math.sin and
+        math.cos give np.sin's and np.cos's bits, as the numpy model had.  The
+        buffer's dtype is given, which spares numpy its discovery."""
         q12 = q1 + q2
         s1, c1, s12, c12 = math.sin(q1), math.cos(q1), math.sin(q12), math.cos(q12)
         c2 = math.cos(q2)
@@ -228,31 +242,32 @@ class PlanarArm:
         g2 = gl2 * c12
         m12 = m2 * (b12 + b2 * c2) + i2
         h = hl * math.sin(q2)
-        buf = np.array([-l1 * s1 - y2, -y2, x, x2, x, l1 * s1 + y2, gl1 * c1 + g2, g2,
+        buf = np.array([-l1 * s1 - y2, -y2, x, x2, x, l1 * s1 + y2,
                         b1 + m2 * (a0 + a1 * c2) + i2, m12, m12, m22,
-                        h * qd2, h * (qd1 + qd2), -h * qd1, 0.0, qd1, qd2]).reshape(9, 2)
-        return buf[:2], buf[2], buf[3], buf[4:6], buf[6:8], buf[8], h
+                        h * qd2, h * (qd1 + qd2), -h * qd1, 0.0, qd1, qd2],
+                       dtype=float).reshape(8, 2)
+        return buf[:2], buf[2], (gl1 * c1 + g2, g2), buf[3:5], buf[5:7], buf[7], h
 
     # -- model quantities ----------------------------------------------------
 
     def mass_matrix(self, q) -> np.ndarray:
-        return self._terms(q)[3]
+        return self._terms(*_joints(q), 0.0, 0.0)[3]
 
     def coriolis_matrix(self, q, qdot) -> np.ndarray:
         """Christoffel-consistent C(q, qd), so dM/dt - 2C is skew-symmetric."""
-        return self._terms(q, qdot)[4]
+        return self._terms(*_joints(q), *_joints(qdot, "qdot"))[4]
 
     def mass_matrix_rate(self, q, qdot) -> np.ndarray:
         """Analytic dM/dt; only the elbow angle enters M."""
-        d = self._terms(q)[6] * float(qdot[1])
+        d = self._terms(*_joints(q), 0.0, 0.0)[6] * _joints(qdot, "qdot")[1]
         return np.array([[2.0 * d, d], [d, 0.0]])
 
     def gravity_vector(self, q) -> np.ndarray:
-        return self._terms(q)[2]
+        return np.array(self._terms(*_joints(q), 0.0, 0.0)[2])
 
     def jacobian(self, q) -> np.ndarray:
         """Planar linear Jacobian (2x2): end-effector (xd, yd) = J qd."""
-        return self._terms(q)[0]
+        return self._terms(*_joints(q), 0.0, 0.0)[0]
 
     # -- plant port ----------------------------------------------------------
 
@@ -282,10 +297,10 @@ class PlanarArm:
         jt, f_e = self._jac.T, wrench.f_e
         d1, d2 = jt.dot(wrench.f_c).tolist()
         # J^T f_e of an f_e with no non-zero entry is a pair of zeros (J is
-        # finite unless l1 + l2 nears 1.8e308 m)
+        # finite: the constructor bounds the reach l1 + l2)
         p1, p2 = jt.dot(f_e).tolist() if any(f_e.tolist()) else (0.0, 0.0)
         c1, c2 = self._cor.dot(self._qdot).tolist()
-        g1, g2 = self._grav.tolist()
+        g1, g2 = self._grav
         # rhs = J^T (-f_c) + g + J^T f_e - C qd - g: gravity and its compensation
         # cancel, but deleting them moves the arm's bytes.  g - J^T f_c stands
         # for J^T (-f_c) + g and (0.0, 0.0) for a zero push: each differs at most
@@ -294,18 +309,36 @@ class PlanarArm:
         # unless g is -0.0 (an underflow: g1 cancels only to +0.0), and then the
         # closing - g adds +0.0, which makes any zero +0.0.
         a1, a2 = solve1(self._mass, [g1 - d1 + p1 - c1 - g1, g2 - d2 + p2 - c2 - g2]).tolist()
-        v1, v2 = self._qdot.tolist()
+        v1, v2 = self._qd
         v1, v2 = v1 + tau * a1, v2 + tau * a2
         q1, q2 = self._q
         q1, q2 = q1 + tau * v1, q2 + tau * v2
-        if not all(map(math.isfinite, (v1, v2, q1, q2))):
+        # q1 + q2 is finite only if both are, and _terms takes its sine
+        isfinite = math.isfinite
+        if not (isfinite(v1) and isfinite(v2) and isfinite(q1 + q2)):
             raise IntegrationFault("non-finite arm state")
-        jac, ee, grav, mass, cor, qdot, _ = self._terms((q1, q2), (v1, v2))
+        jac, ee, grav, mass, cor, qdot, _ = self._terms(q1, q2, v1, v2)
         state = self._state(jac, ee, mass, qdot, stepped=True)
         # the arm moves only once its snapshot is built: a refused one leaves it
-        self._q, self._jac, self._ee, self._grav = (q1, q2), jac, ee, grav
+        self._q, self._qd, self._jac, self._ee, self._grav = (q1, q2), (v1, v2), jac, ee, grav
         self._mass, self._cor, self._qdot = mass, cor, qdot
         return state
+
+
+def _joints(values, what="q") -> tuple:
+    """A joint vector (list, tuple or array) as a pair of Python floats.
+
+    The model forms the sum of a pair (the sine of q1 + q2, and h (qd1 + qd2)
+    in C), so the sum must be finite, which it is only when both entries are.
+    """
+    pair = np.array(values, dtype=float)
+    if pair.shape != (2,):
+        raise DomainError(f"{what} must have two entries, got shape {pair.shape}")
+    a, b = pair.tolist()
+    if not math.isfinite(a + b):
+        raise DomainError(f"{what} must have two finite entries with a finite sum, "
+                          f"got {[a, b]}")
+    return a, b
 
 
 def power_balance_residual(prev: PlantState, new: PlantState,

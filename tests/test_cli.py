@@ -39,6 +39,12 @@ def _write(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+def _arm(**over) -> dict:
+    """A planar-arm plant document, the bundled arm's values updated by over."""
+    return {"type": "planar_arm", "l1": 0.5, "l2": 0.5, "m1": 4.0, "m2": 4.0,
+            "q0": [0.3, 1.2], "qd0": [0.0, 0.0], **over}
+
+
 def _replica(edit):
     doc = json.loads(resources.files("pfltank").joinpath(
         "scenarios", "paper_replica.json").read_text())
@@ -137,9 +143,7 @@ def test_removed_keys_rejected(tmp_path, capsys):
         cases.append(("controller", key, doc))
     # the arm's links are uniform rods under standard gravity
     for key in ("gravity", "inertia1", "inertia2"):
-        arm = {"type": "planar_arm", "l1": 0.5, "l2": 0.5, "m1": 4.0, "m2": 4.0,
-               "q0": [0.3, 1.2], "qd0": [0.0, 0.0], key: 1.0}
-        cases.append(("plant", key, _doc(plant=arm)))
+        cases.append(("plant", key, _doc(plant=_arm(**{key: 1.0}))))
     for path, key, doc in cases:
         assert main(["validate", _write(tmp_path, doc)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -209,8 +213,7 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, path, value):
 @pytest.mark.parametrize("plant", [
     {"type": "cartesian", "inertia": [[1.0, 2.0], [2.0, 1.0]],
      "x0": [0.0, 0.0], "v0": [0.0, 0.0]},
-    {"type": "planar_arm", "l1": -0.5, "l2": 0.5, "m1": 4.0, "m2": 4.0,
-     "q0": [0.3, 1.2], "qd0": [0.0, 0.0]},
+    _arm(l1=-0.5),
 ], ids=["non_spd_inertia", "negative_l1"])
 def test_plant_errors_are_path_qualified(tmp_path, capsys, plant):
     doc = _doc(plant=plant, controller={"kp": [4.0, 4.0], "kd": [6.0, 6.0],
@@ -278,6 +281,15 @@ RUN_REJECTS = {
     "inertia_inverse_overflows": (
         lambda doc: doc["plant"].update(inertia=[[1e-310, 0.0], [0.0, 1e-310]]),
         "plant: inertia must have a finite inverse"),
+    # arms that built but could not step: the tank refused the first with the
+    # misleading "initial kinetic energy ... got nan"; with the second, M is
+    # singular, validate exited 0 and run exited 2 at cycle 1, warning from numpy
+    "arm_model_overflows": (lambda doc: doc.update(plant=_arm(l1=1e300, l2=1e300)),
+                            "plant: the arm's model overflows at these link lengths and masses"),
+    "arm_mass_matrix_singular": (
+        lambda doc: doc.update(plant=_arm(m1=5e-324, m2=5e-324, q0=[2.0, 0.5])),
+        "plant: the arm's mass matrix must be positive definite at every elbow angle, "
+        "with det M above 1e-9 M11 M22"),
     # the loader's own refusals, one per line of cli.py that raises them
     "tau_not_a_number": (lambda doc: doc.update(tau="1 ms"),
                          "tau: expected a number, got '1 ms'"),

@@ -190,6 +190,21 @@ def test_endpoint_mobility_refuses_a_mass_matrix_that_is_not_positive_definite()
     with pytest.raises(DomainError, match="^mass matrix is not positive definite$"):
         endpoint_mobility(_IndefiniteModel(), [0.0, 0.0])
 
+
+# NaN fails every comparison, so without a finiteness check it went in and
+# came out as the apparent mass or the mobility tensor
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: apparent_mass([bad, 0.0], np.eye(2)), "direction must be finite, got [{}, 0.0]"),
+    (lambda bad: apparent_mass([1.0, 0.0], [[bad, 0.0], [0.0, 1.0]]),
+     "mobility tensor entries must be finite"),
+    (lambda bad: endpoint_mobility(PlanarArm(), [bad, 0.0]),
+     "joint angles must be finite, got [{}, 0.0]"),
+], ids=["direction", "mobility", "joint_angles"])
+def test_iso_functions_refuse_a_non_finite_argument(call, message, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(message.format(bad))}$"):
+        call(bad)
+
 def test_apparent_mass_matches_symbolic_oracle():
     rng = np.random.RandomState(7)
     arm = PlanarArm()

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from pfltank.robot_dynamics import (
 
 from oracles import (
     ArmOracle,
+    arm_model_numpy,
     arm_port_numpy,
     arm_step_numpy,
     cartesian_step_numpy,
@@ -86,9 +89,14 @@ def _arm_and_step(q0, f_c):
 
 
 def _arm_bits(arm) -> tuple:
-    """The arm's joint state and port readings, as bytes."""
+    """The arm's joint state (its floats and qd's view) and port readings, as bytes."""
     return tuple(np.array(value).tobytes() for value in
-                 (arm._q, arm._qdot, arm.pose, arm.twist, arm.kinetic_energy))
+                 (arm._q, arm._qd, arm._qdot, arm.pose, arm.twist, arm.kinetic_energy))
+
+
+def _stepped(arm, tau):
+    """An arm and a step of it at rest under a zero wrench."""
+    return arm, lambda: arm.step(_wrench(ZERO2, ZERO2), tau)
 
 
 def _refused(build):
@@ -106,6 +114,11 @@ def _refused(build):
      "non-finite arm state"),
     (lambda: _arm_and_step((0.0, 0.0), (0.0, math.inf)), IntegrationFault,
      "non-finite arm state"),
+    # each new angle is finite, but not q1 + q2, whose sine the model takes:
+    # math.sin(inf) raised ValueError from inside the step
+    (lambda: _stepped(PlanarArm(m1=1e-300, m2=1e-300, q0=(1.7e308, 0.0),
+                                qdot0=(0.0, 1e151)), 1e156),
+     IntegrationFault, "non-finite arm state"),
     (_refused(lambda: CartesianPlant([[1.0, 0.0]], (0.0,), (0.0,))), DomainError,
      "inertia must be square, got (1, 2)"),
     (_refused(lambda: CartesianPlant([[2.0, 0.5], [0.0, 2.0]], (0.0, 0.0), (0.0, 0.0))),
@@ -115,8 +128,27 @@ def _refused(build):
     # positive definite, but 1 / 1e-310 is inf: every step would fault, even at rest
     (_refused(lambda: CartesianPlant([[1e-310]], (0.0,), (0.0,))), DomainError,
      "inertia must have a finite inverse"),
-], ids=["arm_inf", "arm_nan", "arm_inf_at_zero_row", "arm_inf_at_q0", "not_square",
-        "asymmetric", "x0_length", "inverse_overflows"])
+    # arms that built but could not step: M = inf, then an energy of NaN
+    (_refused(lambda: PlanarArm(l1=1e300, l2=1e300)), DomainError,
+     "the arm's model overflows at these link lengths and masses"),
+    # g1 + g2 overflows at q = 0, so rest under a zero wrench was inf - inf
+    (_refused(lambda: PlanarArm(l1=1.0, l2=1.0, m1=1e307, m2=1e307)), DomainError,
+     "the arm's model overflows at these link lengths and masses"),
+    # M = [[1e-323, 5e-324], [5e-324, 0.0]] is singular: solve1 warned, then faulted
+    (_refused(lambda: PlanarArm(m1=5e-324, m2=5e-324, q0=(2.0, 0.5))), DomainError,
+     "the arm's mass matrix must be positive definite at every elbow angle"),
+    # positive definite, but det M is at most 4e-12 M11 M22, near its rounding
+    (_refused(lambda: PlanarArm(l1=1e-6, l2=1.0)), DomainError,
+     "the arm's mass matrix must be positive definite at every elbow angle"),
+    # the model takes the sine of q1 + q2: math.sin(inf) raised ValueError
+    (_refused(lambda: PlanarArm(q0=(1e308, 1e308))), DomainError,
+     "q0 must have two finite entries with a finite sum, got [1e+308, 1e+308]"),
+    (_refused(lambda: PlanarArm(qdot0=(0.0, 0.0, 0.0))), DomainError,
+     "qdot0 must have two entries, got shape (3,)"),
+], ids=["arm_inf", "arm_nan", "arm_inf_at_zero_row", "arm_inf_at_q0", "arm_angle_sum_overflows",
+        "not_square", "asymmetric", "x0_length", "inverse_overflows", "arm_model_overflows",
+        "arm_gravity_overflows", "arm_mass_matrix_singular", "arm_mass_matrix_ill_conditioned",
+        "arm_angle_sum_at_q0", "arm_qdot0_length"])
 def test_plants_fault_and_refuse_with_their_messages(case, error, message):
     arm, act = case()
     before = None if arm is None else _arm_bits(arm)
@@ -125,6 +157,34 @@ def test_plants_fault_and_refuse_with_their_messages(case, error, message):
         act()
     if arm is not None:  # the arm raised before its state changed
         assert _arm_bits(arm) == before
+
+
+# what the scenario loader lets through: any positive finite length and mass,
+# any finite angles; log-spaced magnitudes and a human-sized range beside
+# hypothesis's own floats, so that arms of every scale are built and refused
+_POSITIVE = st.one_of(st.floats(min_value=5e-324, max_value=sys.float_info.max),
+                      st.integers(-323, 308).map(lambda e: float(f"1e{e}")),
+                      st.floats(0.01, 100.0))
+_ANGLE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-10.0, 10.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(factors=st.tuples(_POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE),
+       q0=st.tuples(_ANGLE, _ANGLE), tau=_POSITIVE)
+def test_every_arm_that_builds_steps_at_rest(factors, q0, tau):
+    # the constructor refuses, with a DomainError, every arm it cannot step:
+    # one that builds holds still at rest under a zero wrench, with no fault
+    # and none of numpy's floating-point warnings
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error")
+        try:
+            arm = PlanarArm(*factors, q0=q0)
+        except DomainError:
+            return
+        pose = arm.pose
+        state = arm.step(_wrench(ZERO2, ZERO2), tau)
+    assert np.array_equal(state.x, pose) and not state.xdot.any()
+    assert state.kinetic_energy_truth == 0.0
 
 
 @pytest.mark.parametrize("plant, energy", [
@@ -159,6 +219,9 @@ def test_a_refused_snapshot_leaves_the_arm_unmoved():
             arm.step(_wrench(ZERO2, ZERO2), 1e-3)
         after = arm.state()
         assert _arm_bits(arm) == bits
+    # the joint floats the next step starts from, and qd's view the products read
+    assert arm._q == (0.3, 0.0) and arm._qd == (2e154, 0.0)
+    assert arm._qdot.tolist() == [2e154, 0.0]
     assert arm.pose.tobytes() == pose.tobytes() and arm.twist.tobytes() == twist.tobytes()
     assert after.x.tobytes() == state.x.tobytes()
     assert after.xdot.tobytes() == state.xdot.tobytes()
@@ -251,7 +314,9 @@ def _assert_arm_step_gives_the_numpy_forms_bits(arm, f_c, f_e, tau):
     qdot, q = arm_step_numpy(arm, f_c, f_e, tau)
     state = arm.step(WrenchInput(f_c, f_e), tau)
     assert arm._qdot.tobytes() == qdot.tobytes()
-    assert np.array(arm._q).tobytes() == q.tobytes()  # the arm keeps q as floats
+    # the arm keeps q and qd as floats, beside qd's view in its model
+    assert np.array(arm._qd).tobytes() == qdot.tobytes()
+    assert np.array(arm._q).tobytes() == q.tobytes()
     want = [np.float64(value).tobytes() for value in arm_port_numpy(arm, q, qdot)]
     for snapshot in (state, arm.state()):
         assert [np.float64(value).tobytes() for value in snapshot] == want
@@ -291,6 +356,39 @@ def test_arm_step_gives_the_numpy_forms_bits_where_gravity_is_zero(params, q0, e
         arm = PlanarArm(**params, q0=q0, qdot0=qdot0)
         assert np.float64(arm.gravity_vector(q0)[entry]).tobytes() == np.float64(zero).tobytes()
         _assert_arm_step_gives_the_numpy_forms_bits(arm, np.array(f_c), np.array(f_e), 1e-3)
+
+
+@pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+def test_the_arm_model_gives_the_numpy_forms_bits_for_any_joint_vector(form):
+    # each public model method converts its q to floats once, where it enters
+    rng = np.random.RandomState(31)
+    arm = PlanarArm(l1=0.8, l2=0.3, m1=6.0, m2=1.5)
+    for q, (qd1, qd2) in zip(rng.uniform(-4.0, 4.0, size=(25, 2)).tolist(),
+                             rng.uniform(-3.0, 3.0, size=(25, 2)).tolist()):
+        jac, _, grav, mass, h = arm_model_numpy(arm, q)
+        d = h * qd2
+        want = {"mass_matrix": mass, "jacobian": jac, "gravity_vector": grav,
+                "coriolis_matrix": np.array([[h * qd2, h * (qd1 + qd2)], [-h * qd1, 0.0]]),
+                "mass_matrix_rate": np.array([[2.0 * d, d], [d, 0.0]])}
+        for name, value in want.items():
+            args = (form(q), form([qd1, qd2])) if name in ("coriolis_matrix",
+                                                           "mass_matrix_rate") else (form(q),)
+            got = getattr(arm, name)(*args)
+            assert (got.dtype, got.tobytes()) == (value.dtype, value.tobytes()), name
+    for name in ("mass_matrix", "jacobian", "gravity_vector"):
+        with pytest.raises(DomainError, match=re.escape("q must have two entries, got shape (3,)")):
+            getattr(arm, name)(form([0.0, 0.0, 0.0]))
+        # an infinite angle raised ValueError from math.sin; a NaN gave NaN entries
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"q must have two finite entries with a finite sum, got [{bad}, 0.0]")):
+                getattr(arm, name)(form([bad, 0.0]))
+    # mass_matrix_rate read qdot[1] alone: a short qdot raised IndexError, a long one passed
+    for name in ("coriolis_matrix", "mass_matrix_rate"):
+        for qdot in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"qdot must have two entries, got shape ({len(qdot)},)")):
+                getattr(arm, name)(form([0.1, 0.2]), form(qdot))
 
 
 # -- arm dynamics against the symbolic oracle ------------------------------------

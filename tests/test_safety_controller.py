@@ -24,7 +24,7 @@ from pfltank.energy_tank import (
 )
 from pfltank.errors import DomainError, EmergencyFault, IntegrationFault
 from pfltank.iso15066 import BUILTIN_REGIONS, BodyRegion, max_energy
-from pfltank.robot_dynamics import CartesianPlant, PlanarArm, WrenchInput
+from pfltank.robot_dynamics import CartesianPlant, PlanarArm, WrenchInput, _snapshot
 from pfltank.safety_controller import (
     FEASIBILITY_MARGIN,
     ControlTick,
@@ -643,9 +643,12 @@ def test_controller_config_validation():
 # the code that runs every tick; before Python 3.12 each comprehension,
 # generator expression or lambda runs in a function frame of its own, which
 # costs about as much as one ndarray.dot.  C-level map, zip, any and all do not.
+# The plant steps' helpers run every tick too: the arm's model, both plants'
+# snapshots and the PlantState they build.
 TICK_CODE = (SafetyController.control_cycle, SafetyController._commit_pending,
              CartesianPlant.step, PlanarArm.step, solve_alpha, damper_coefficient,
-             commit_step)
+             commit_step, PlanarArm._terms, CartesianPlant._state, PlanarArm._state,
+             _snapshot)
 FRAME_NODES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
 
 
