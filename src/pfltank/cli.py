@@ -247,11 +247,18 @@ def _read_config_text(spec: str) -> tuple[str, str]:
     raise DomainError(f"no such file or bundled scenario: {spec!r}")
 
 
+def _json_int(text: str):
+    """A JSON integer as an int or, past 300 digits, as the float it spells:
+    1 and 400 zeros reads as 1e400 does, as inf.  An int that long could not
+    become a float, and past Python's 4300-digit limit would not parse."""
+    return int(text) if len(text) <= 300 else float(text)
+
+
 def load_scenario(spec: str) -> Scenario:
     """Load a scenario from a path or from the bundled scenario set."""
     text, origin = _read_config_text(spec)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{origin}: invalid JSON: {exc}") from None
     with _at(origin):
@@ -328,6 +335,10 @@ def cmd_iso(args) -> int:
     e_max = max_energy(region)
     if args.sweep_mr is not None:
         masses = _parse_sweep(args.sweep_mr)
+        # mu rises and both limits fall with m_r, so where any point is
+        # refused an end is, and it is refused before a line is printed
+        for m_r in masses[[0, -1]].tolist():
+            v_max(region, m_r)
         print("m_r,mu,v_max_quasi_static,v_max_transient")
         for m_r in masses.tolist():
             quasi_static, transient = v_max(region, m_r)

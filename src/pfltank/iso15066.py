@@ -92,6 +92,12 @@ class RobotMassSpec:
                 f"moving_mass must be positive and finite, got {self.moving_mass!r}")
         if not 0 <= self.payload < math.inf:
             raise DomainError(f"payload must be >= 0 and finite, got {self.payload!r}")
+        # half a subnormal moving mass rounds to 0, and a sum near the largest
+        # float overflows
+        m_r = robot_effective_mass(self)
+        if not 0 < m_r < math.inf:
+            raise DomainError("the effective mass 0.5 moving_mass + payload must be "
+                              f"positive and finite, got {m_r!r} kg")
 
 
 #: Regions used by the bundled scenarios.  Chest carries the full contact
@@ -122,10 +128,16 @@ def robot_effective_mass(spec: RobotMassSpec) -> float:
 
 
 def reduced_mass(m_h: float, m_r: float) -> float:
-    """Two-body reduced mass (1/m_h + 1/m_r)^-1 in kg."""
+    """Two-body reduced mass (1/m_h + 1/m_r)^-1 in kg, refused unless it is
+    positive and finite."""
     if not (m_h > 0 and m_r > 0):
         raise DomainError(f"masses must be positive, got m_h={m_h!r}, m_r={m_r!r}")
-    return 1.0 / (1.0 / m_h + 1.0 / m_r)
+    # a subnormal mass has an infinite inverse, and two infinite ones sum to 0
+    inverse = 1.0 / m_h + 1.0 / m_r
+    if not 0 < inverse < math.inf:
+        raise DomainError("masses must give a positive finite reduced mass, "
+                          f"got m_h={m_h!r}, m_r={m_r!r}")
+    return 1.0 / inverse
 
 
 def v_max(region: BodyRegion, m_r: float) -> tuple[float, float]:
@@ -140,9 +152,15 @@ def v_max(region: BodyRegion, m_r: float) -> tuple[float, float]:
         raise DomainError(f"region {region.name!r} has no contact-model data")
     if region.m_h is None:
         raise DomainError(f"region {region.name!r} has no body mass m_h")
-    root = np.sqrt(reduced_mass(region.m_h, m_r) * region.k)
-    return (float(region.f_max / root),
-            float(region.transient_multiplier * region.f_max / root))
+    root = math.sqrt(reduced_mass(region.m_h, m_r) * region.k)
+    f = region.f_max
+    # mu k may round to 0, and a quotient may overflow or round to 0; the
+    # transient limit is never below the quasi-static one
+    limits = (f / root, region.transient_multiplier * f / root) if root else (math.inf,) * 2
+    if not (0 < limits[0] and limits[1] < math.inf):
+        raise DomainError(f"region {region.name!r}: the speed limits at m_r = {m_r!r} kg "
+                          f"must be positive and finite, got {limits}")
+    return limits
 
 
 def apparent_mass(n, mobility) -> float:

@@ -17,7 +17,7 @@ import logging
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -79,8 +79,9 @@ class Scenario:
     ``plant`` is the plant at its initial state; run() steps a copy of it, so
     a scenario runs again byte for byte.  Building a Scenario checks that the
     name is a non-empty printable str, that the gains and wrench forces have
-    one entry per plant axis, and runs run()'s set-up, so every scenario that
-    builds is one that run() can start.
+    one entry per plant axis, runs run()'s set-up and takes the ISO speed
+    limits its summary will carry, so every scenario that builds is one that
+    run() can start and summarize.
     """
 
     name: str
@@ -116,12 +117,18 @@ class Scenario:
                 raise DomainError(f"wrench_script: the forces active at t = {t!r} s "
                                   "sum to a non-finite wrench")
         _start(self)  # the controller checks tau
+        _iso_limits(self)  # refused here, not after the run
         # n_cycles >= 1 exactly when the ratio exceeds 0.5, which also refuses
         # a duration <= 0 or NaN; an infinite one, or a subnormal tau, overflows
         if not 0.5 < self.duration / self.tau < math.inf:
             raise DomainError(
                 f"duration must cover at least one cycle and finitely many, got "
                 f"{self.duration!r} s at tau = {self.tau!r} s")
+        # a tick takes 80 + 40 m bytes of log (TickLog), and numpy sizes no
+        # array past the largest intp
+        if self.n_cycles * (80 + 40 * m) > np.iinfo(np.intp).max:
+            raise DomainError(f"duration {self.duration!r} s at tau = {self.tau!r} s needs a "
+                              f"tick log of more than {np.iinfo(np.intp).max} bytes")
 
     @property
     def n_cycles(self) -> int:
@@ -284,10 +291,9 @@ class Summary:
     fault: str | None = None
 
     def to_dict(self) -> dict:
-        # every value is a str, a number, a bool or None: nothing to deep-copy
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "segments": [{f.name: getattr(seg, f.name) for f in fields(seg)}
-                             for seg in self.segments]}
+        # every value is a str, a number, a bool or None: nothing to deep-copy.
+        # __init__ sets every field in declared order, so vars() lists them so
+        return {**vars(self), "segments": [dict(vars(seg)) for seg in self.segments]}
 
 
 def summarize(ticks: TickLog) -> Summary:
@@ -297,6 +303,8 @@ def summarize(ticks: TickLog) -> Summary:
     gives: per-row products by stacked matmul, which rounds as ndarray.dot
     does; min and max by numpy, mended by _extreme where a NaN or a zero's
     sign differs; sums by np.add.accumulate, adding left to right as += does.
+    Where the damper is armed on no interval, damper_energy and
+    injection_excess are the sums' +0.0 start, and no product is formed.
     A log may hold infinities and NaNs, which read_ticks_csv accepts, so
     numpy's floating-point warnings are silenced.
     """
@@ -328,11 +336,13 @@ def summarize(ticks: TickLog) -> Summary:
 
         # the damper's share of each armed interval, at its trapezoidal velocity
         armed = np.flatnonzero(ticks.b[:-1] > 0.0)
-        v_mid = 0.5 * (ticks.xdot[armed] + ticks.xdot[armed + 1])
-        terms = np.zeros((len(armed) + 1, 2))
-        terms[1:, 0] = tau * ticks.b[armed] * _row_dot(v_mid, v_mid)
-        terms[1:, 1] = tau * _row_dot(ticks.f_e[armed], v_mid)
-        damper_energy, injection = np.add.accumulate(terms)[-1].tolist()
+        damper_energy = injection = 0.0  # the sums' start, and their value unarmed
+        if len(armed):
+            v_mid = 0.5 * (ticks.xdot[armed] + ticks.xdot[armed + 1])
+            terms = np.zeros((len(armed) + 1, 2))
+            terms[1:, 0] = tau * ticks.b[armed] * _row_dot(v_mid, v_mid)
+            terms[1:, 1] = tau * _row_dot(ticks.f_e[armed], v_mid)
+            damper_energy, injection = np.add.accumulate(terms)[-1].tolist()
 
         return Summary(
             scenario="",
@@ -366,20 +376,26 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None]).reshape(len(a))
 
 
-def _attach_iso_comparison(summary: Summary, scenario: Scenario):
-    """Fill in the standard's velocity limits where the data exists."""
+def _iso_limits(scenario: Scenario) -> dict:
+    """The standard's (quasi-static, transient) velocity limits of each region
+    name, where the scenario gives the robot's mass and the region its
+    contact data; v_max refuses limits that are not positive and finite."""
     if scenario.iso_mass is None:
-        return
+        return {}
     m_r = robot_effective_mass(scenario.iso_mass)
     by_name = {r.name: r for r in scenario.schedule.regions}
+    return {name: v_max(region, m_r) for name, region in by_name.items()
+            if not (region.f_max is None or region.k is None or region.m_h is None)}
+
+
+def _attach_iso_comparison(summary: Summary, scenario: Scenario):
+    """Fill in the standard's velocity limits where the data exists."""
+    limits = _iso_limits(scenario)
     for seg in summary.segments:
-        region = by_name.get(seg.region)
-        if region is None or region.f_max is None or region.k is None \
-                or region.m_h is None:
-            continue
-        seg.v_max_quasi_static, seg.v_max_transient = v_max(region, m_r)
-        seg.exceeded_quasi_static = seg.speed_max > seg.v_max_quasi_static
-        seg.exceeded_transient = seg.speed_max > seg.v_max_transient
+        if seg.region in limits:
+            seg.v_max_quasi_static, seg.v_max_transient = limits[seg.region]
+            seg.exceeded_quasi_static = seg.speed_max > seg.v_max_quasi_static
+            seg.exceeded_transient = seg.speed_max > seg.v_max_transient
 
 
 # -- the tick log --------------------------------------------------------------

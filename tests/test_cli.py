@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfltank import cli
 from pfltank.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, load_scenario, main
@@ -35,7 +41,12 @@ def _doc(**over):
 
 def _write(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a document may hold an integer of any length
+    try:
+        path.write_text(json.dumps(doc))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return str(path)
 
 
@@ -290,6 +301,33 @@ RUN_REJECTS = {
         lambda doc: doc.update(plant=_arm(m1=5e-324, m2=5e-324, q0=[2.0, 0.5])),
         "plant: the arm's mass matrix must be positive definite at every elbow angle, "
         "with det M above 1e-9 M11 M22"),
+    # numbers a float cannot hold: the 401-digit integer used to end in an
+    # OverflowError traceback, the 5001-digit one in json's ValueError; each
+    # now reads as 1e400 does
+    "integer_past_the_float_range": (lambda doc: doc["controller"].update(kp=[10**400, 8.0]),
+                                     "controller.kp[0]: expected a finite number, got inf"),
+    "integer_past_the_digit_limit": (lambda doc: doc.update(duration=10**5000),
+                                     "duration: expected a finite number, got inf"),
+    # finitely many cycles, but a log numpy cannot size: validate printed the
+    # count and exited 0, run died in np.arange
+    "log_past_the_largest_array": (
+        lambda doc: doc.update(duration=1e300),
+        "duration 1e+300 s at tau = 0.001 s needs a tick log of more than "
+        f"{np.iinfo(np.intp).max} bytes"),
+    # half of it rounds to 0 kg: validate exited 0, and run refused the mass
+    # only after the whole run, writing no summary.json
+    "subnormal_moving_mass": (
+        lambda doc: doc.update(iso_comparison={"moving_mass": 5e-324}),
+        "iso_comparison: the effective mass 0.5 moving_mass + payload must be positive "
+        "and finite, got 0.0 kg"),
+    # mu k = 0.05 * 5e-324 rounds to 0: validate exited 0, and run warned from
+    # numpy and wrote speed limits of inf
+    "iso_limits_not_finite": (
+        lambda doc: (doc["regions"].update(chest={
+            "f_max": 1e-160, "k": 5e-324, "stiffness_unit": "N/m", "m_h": 0.1,
+            "e_max_override": 1.6}), doc.update(iso_comparison={"moving_mass": 0.2})),
+        "region 'chest': the speed limits at m_r = 0.1 kg must be positive and finite, "
+        "got (inf, inf)"),
     # the loader's own refusals, one per line of cli.py that raises them
     "tau_not_a_number": (lambda doc: doc.update(tau="1 ms"),
                          "tau: expected a number, got '1 ms'"),
@@ -326,6 +364,15 @@ def _rejected_by_validate_and_run(tmp_path, capsys, path, message):
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, case):
     edit, message = RUN_REJECTS[case]
     _rejected_by_validate_and_run(tmp_path, capsys, _write(tmp_path, _replica(edit)), message)
+
+
+def test_run_refuses_a_tau_whose_log_numpy_cannot_size(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "paper_replica", "--tau", "1e-300", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: duration 10.0 s at tau = 1e-300 s needs a tick log of more than "
+        f"{np.iinfo(np.intp).max} bytes\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["[]", '"paper_replica"', "1", "null"])
@@ -592,6 +639,34 @@ def test_iso_sweep_emits_exact_csv(capsys):
     assert float(row[3]) == v_max(region, 8.0)[1]
 
 
+@pytest.mark.parametrize("mass", [["--mr", "5e-324"], ["--sweep-mr", "5e-324:1e-323:5e-324"]],
+                         ids=["mr", "sweep_mr"])
+def test_iso_refuses_a_subnormal_robot_mass(capsys, mass):
+    # 1 / 5e-324 is inf, so mu was 0.0 and v_max inf, after numpy's
+    # divide-by-zero warnings, with exit 0
+    rc = main(["iso", "--fmax", "140", "--k", "25", "--k-unit", "N/mm", "--mh", "40", *mass])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: masses must give a positive finite reduced mass, "
+                            "got m_h=40.0, m_r=5e-324\n")
+
+
+_ISO_ARGV = ["iso", "--fmax", "140", "--k", "25", "--k-unit", "N/mm", "--mh", "40", "--mr", "8"]
+
+
+@pytest.mark.parametrize("option, value, limits", [
+    ("--fmax", "1e308", "(2.449489742783178e+305, inf)"),
+    ("--fmax", "5e-324", "(0.0, 0.0)"),
+    ("--transient-mult", "1e308", "(0.3429285639896449, inf)"),
+], ids=["fmax_overflows", "fmax_rounds_to_zero", "multiplier_overflows"])
+def test_iso_refuses_speed_limits_that_are_not_positive_and_finite(capsys, option, value,
+                                                                   limits):
+    assert main([*_ISO_ARGV, f"{option}={value}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: region 'cli': the speed limits at m_r = 8.0 kg "
+                                       f"must be positive and finite, got {limits}\n")
+
+
 def test_iso_needs_a_robot_mass(capsys):
     rc = main(["iso", "--fmax", "140", "--k", "25", "--k-unit", "N/mm",
                "--mh", "40"])
@@ -628,6 +703,50 @@ def test_iso_rejects_nonphysical_region(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be positive and finite" in captured.err
+
+
+# -- extreme numbers -------------------------------------------------------------
+
+# integers of 300 to 5,000 digits, the ends of the float range, the smallest
+# subnormal, 0 and -1, each as a JSON value and as command-line text (str()
+# writes no int past 4,300 digits)
+_EXTREMES = (st.integers(300, 5000).map(lambda d: (10 ** (d - 1), "1" + "0" * (d - 1)))
+             | st.sampled_from([(v, repr(v)) for v in (1e308, -1e308, 5e-324, 0, -1)]))
+def _quietly(argv) -> int:
+    """main(argv)'s exit code, checked to come with no warning and no
+    traceback; its output is dropped."""
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(name=st.sampled_from(BUNDLED), leaf=st.sampled_from(["tau", "duration", "moving_mass"]),
+       extreme=_EXTREMES, option=st.sampled_from(["--fmax", "--k", "--mh", "--mr",
+                                                  "--transient-mult"]),
+       iso_extreme=_EXTREMES)
+def test_extreme_numbers_exit_0_2_or_3_without_a_traceback_or_warning(name, leaf, extreme,
+                                                                       option, iso_extreme):
+    doc = json.loads(resources.files("pfltank").joinpath("scenarios", f"{name}.json")
+                     .read_text())
+    doc["duration"] = 0.02
+    if leaf == "moving_mass":
+        doc.setdefault("iso_comparison", {})["moving_mass"] = extreme[0]
+    else:
+        doc[leaf] = extreme[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), doc)
+        assert _quietly(["validate", path]) in (EXIT_OK, EXIT_FAULT, EXIT_CONFIG)
+        argv = ["run", path, "--out", str(Path(tmp) / "out")]
+        assert _quietly(argv) in (EXIT_OK, EXIT_FAULT, EXIT_CONFIG)
+    # "=" keeps argparse from reading -1e308 as an option
+    assert _quietly([*_ISO_ARGV, f"{option}={iso_extreme[1]}"]) in (EXIT_OK, EXIT_FAULT,
+                                                                    EXIT_CONFIG)
 
 
 # -- argument plumbing ---------------------------------------------------------

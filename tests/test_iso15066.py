@@ -99,6 +99,37 @@ def test_robot_effective_mass():
             RobotMassSpec(**bad)
 
 
+@pytest.mark.parametrize("m_h, m_r", [(40.0, 5e-324), (5e-324, 8.0), (math.inf, math.inf)],
+                         ids=["subnormal_m_r", "subnormal_m_h", "both_infinite"])
+def test_reduced_mass_refuses_a_result_that_is_not_positive_and_finite(m_h, m_r):
+    # a subnormal mass's inverse is inf, so mu was 0.0; two infinite masses
+    # divided by zero
+    with pytest.raises(DomainError) as info:
+        reduced_mass(m_h, m_r)
+    assert str(info.value) == ("masses must give a positive finite reduced mass, "
+                               f"got m_h={m_h!r}, m_r={m_r!r}")
+
+
+@pytest.mark.parametrize("spec, m_r", [
+    (dict(moving_mass=5e-324), 0.0),
+    (dict(moving_mass=1.7e308, payload=1.7e308), math.inf),
+], ids=["half_rounds_to_zero", "sum_overflows"])
+def test_robot_mass_spec_refuses_an_effective_mass_that_is_not_positive_and_finite(spec, m_r):
+    with pytest.raises(DomainError) as info:
+        RobotMassSpec(**spec)
+    assert str(info.value) == ("the effective mass 0.5 moving_mass + payload must be "
+                               f"positive and finite, got {m_r!r} kg")
+
+
+def test_v_max_refuses_a_root_that_rounds_to_zero():
+    # mu k = 0.05 * 5e-324 rounds to 0, which numpy divided by with a warning
+    soft = BodyRegion(name="soft", f_max=1e-160, k=5e-324, m_h=0.1)
+    with pytest.raises(DomainError) as info:
+        v_max(soft, 0.1)
+    assert str(info.value) == ("region 'soft': the speed limits at m_r = 0.1 kg must be "
+                               "positive and finite, got (inf, inf)")
+
+
 def test_v_max_both_modes():
     chest = BUILTIN_REGIONS["chest"]
     mu = reduced_mass(40.0, 8.0)

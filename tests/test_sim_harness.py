@@ -1083,6 +1083,38 @@ def test_summarize_matches_the_rowwise_reference(bundled_runs):
                 == repr(summarize_rowwise(list(ticks)).to_dict())), name
 
 
+def _armed_last_only():
+    # the damper armed on the last tick opens no interval, so nothing is armed
+    ticks = run(_cart_scenario(duration=0.05)).ticks
+    ticks.b[-1] = 1.5
+    return ticks
+
+
+def _armed_on_zeros():
+    # every armed product a zero, -0.0 among them: the sums still start at +0.0
+    return tick_log([_tick(0, 0.0, "A", 0.1, 1.9, 1.5, b=2.0, f_e=-3.0, v=0.0),
+                     _tick(1, 0.1, "A", 0.1, 1.9, 1.5, b=2.0, f_e=-3.0, v=-0.0),
+                     _tick(2, 0.2, "A", 0.1, 1.9, 1.5, v=0.0)])
+
+
+@pytest.mark.parametrize("logs, armed", [
+    (lambda: run(_cart_scenario(duration=0.3)).ticks, False),
+    (_armed_last_only, False),
+    (lambda: tick_log([_tick(0, 0.0, "A", 0.1, 1.9, 1.5, b=2.0)]), False),
+    (lambda: run(_cart_scenario(duration=0.4, wrench_script=(
+        WrenchSegment(0.1, 0.3, (5.0,)),))).ticks, True),
+    (_armed_on_zeros, True),
+], ids=["calm_run", "armed_on_the_last_tick", "one_armed_tick", "pushed_run", "armed_on_zeros"])
+def test_summarize_gives_the_damper_sums_with_and_without_an_armed_interval(logs, armed):
+    ticks = logs()
+    assert bool(np.any(ticks.b[:-1] > 0.0)) is armed
+    s = summarize(ticks)
+    assert repr(s.to_dict()) == repr(summarize_rowwise(list(ticks)).to_dict())
+    if not armed:  # the sums' +0.0 start, no product formed
+        assert (math.copysign(1.0, s.damper_energy) == math.copysign(1.0, s.injection_excess)
+                == 1.0)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(m=st.integers(min_value=1, max_value=3), n=st.integers(min_value=1, max_value=40),
        pool=st.lists(st.sampled_from(_SPECIAL_BITS) | st.floats(width=64).map(
