@@ -194,8 +194,11 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     with _at("schedule"):
         schedule = RegionSchedule(times, scheduled)
 
+    script = doc.get("wrench_script", [])
+    if not isinstance(script, list):
+        raise DomainError("wrench_script: expected a list")
     wrench = []
-    for i, entry in enumerate(doc.get("wrench_script", [])):
+    for i, entry in enumerate(script):
         path = f"wrench_script[{i}]"
         _mapping(entry, path, {"t_start", "t_end", "force"})
         t_start = _number(_need(entry, "t_start", path), f"{path}.t_start")
@@ -332,7 +335,6 @@ def cmd_iso(args) -> int:
     k = args.k * STIFFNESS_UNITS[args.k_unit]
     region = BodyRegion(name="cli", f_max=args.fmax, k=k, m_h=args.mh,
                         transient_multiplier=args.transient_mult)
-    e_max = max_energy(region)
     if args.sweep_mr is not None:
         masses = _parse_sweep(args.sweep_mr)
         # mu rises and both limits fall with m_r, so where any point is
@@ -348,7 +350,7 @@ def cmd_iso(args) -> int:
         raise DomainError("iso: give --mr, or --sweep-mr for a range")
     quasi_static, transient = v_max(region, args.mr)
     rows = [
-        ("E_max", e_max, "J"),
+        ("E_max", max_energy(region), "J"),
         ("mu", reduced_mass(args.mh, args.mr), "kg"),
         ("v_max quasi-static", quasi_static, "m/s"),
         ("v_max transient", transient, "m/s"),

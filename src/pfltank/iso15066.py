@@ -114,12 +114,18 @@ def max_energy(region: BodyRegion) -> float:
     For regions with contact-model data this is f**2 / (2 k) with
     f = transient_multiplier * f_max, i.e. the elastic energy the contact
     spring can absorb before the transient force limit is exceeded.  Regions
-    with an explicit override return it unchanged.
+    with an explicit override return it unchanged.  A limit that overflows is
+    refused; one that rounds to 0 J is a 0 J budget, a tightening switch like
+    any other.
     """
     if region.e_max_override is not None:
         return float(region.e_max_override)
     f = region.transient_multiplier * region.f_max
-    return float(f * f / (2.0 * region.k))
+    e_max = float(f * f / (2.0 * region.k))
+    if not e_max < math.inf:  # inf, or NaN where f f and 2 k both overflow
+        raise DomainError(f"region {region.name!r}: the energy limit (transient_multiplier "
+                          f"f_max)^2 / (2 k) must be finite, got {e_max!r} J")
+    return e_max
 
 
 def robot_effective_mass(spec: RobotMassSpec) -> float:

@@ -149,7 +149,10 @@ class CartesianPlant:
         return self.state().kinetic_energy_truth
 
     def state(self) -> PlantState:
-        return self._state(self._x, self._xdot)
+        # an initial twist may overflow the energy's products: state() reports
+        # the inf or NaN as it is, without a warning, and make_tank refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._state(self._x, self._xdot)
 
     def _state(self, x: list, v: list, h=None, stepped=False) -> PlantState:
         """The PlantState of pose x and twist v, lists of floats, and energy h."""
@@ -284,7 +287,9 @@ class PlanarArm:
         return self.state().kinetic_energy_truth
 
     def state(self) -> PlantState:
-        return self._state(self._jac, self._ee, self._mass, self._qdot)
+        # as CartesianPlant.state: an overflowing product is reported, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._state(self._jac, self._ee, self._mass, self._qdot)
 
     @staticmethod
     def _state(jac, ee, mass, qdot, stepped=False) -> PlantState:

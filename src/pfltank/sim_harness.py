@@ -301,8 +301,10 @@ def summarize(ticks: TickLog) -> Summary:
 
     It reads the log's columns and gives the bits the tick-by-tick reduction
     gives: per-row products by stacked matmul, which rounds as ndarray.dot
-    does; min and max by numpy, mended by _extreme where a NaN or a zero's
-    sign differs; sums by np.add.accumulate, adding left to right as += does.
+    does; min and max by np.minimum.reduce and np.maximum.reduce, mended by
+    _extreme where a NaN or a zero's sign differs; sums by np.add.accumulate,
+    adding left to right as += does.  Scalars are read by ndarray.item(i),
+    which gives the float a[i].item() gives without forming a numpy scalar.
     Where the damper is armed on no interval, damper_energy and
     injection_excess are the sums' +0.0 start, and no product is formed.
     A log may hold infinities and NaNs, which read_ticks_csv accepts, so
@@ -313,29 +315,24 @@ def summarize(ticks: TickLog) -> Summary:
         raise DomainError("cannot summarize an empty tick log")
     with np.errstate(all="ignore"):
         h, tank, times = ticks.h_truth, ticks.tank_T, ticks.t
-        budget = h[0].item() + tank[0].item()
-        tau = times[1].item() - times[0].item() if n > 1 else 0.0
+        budget = h.item(0) + tank.item(0)
+        tau = times.item(1) - times.item(0) if n > 1 else 0.0
 
         codes = ticks.active_region
-        cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+        cuts = ((codes[1:] != codes[:-1]).nonzero()[0] + 1).tolist()
         speed_sq = _row_dot(ticks.xdot, ticks.xdot)
         segments = []
         for start, stop in zip([0, *cuts], [*cuts, n]):
-            bound = budget - ticks.epsilon[start].item()
-            above = int(np.count_nonzero(h[start:stop] > bound + 1e-9))
+            bound = budget - ticks.epsilon.item(start)
+            h_seg = h[start:stop]
+            above = int(np.count_nonzero(h_seg > bound + 1e-9))
             segments.append(SegmentSummary(
-                region=ticks.region_names[codes[start]],
-                t_start=times[start].item(),
-                t_end=times[stop - 1].item() + tau,
-                ticks=stop - start,
-                h_max=_max(h[start:stop]),
-                speed_max=math.sqrt(_max(speed_sq[start:stop])),
-                energy_bound=bound,
-                time_above_bound=above * tau,
-            ))
+                ticks.region_names[codes.item(start)], times.item(start),
+                times.item(stop - 1) + tau, stop - start, _max(h_seg),
+                math.sqrt(_max(speed_sq[start:stop])), bound, above * tau))
 
         # the damper's share of each armed interval, at its trapezoidal velocity
-        armed = np.flatnonzero(ticks.b[:-1] > 0.0)
+        armed = (ticks.b[:-1] > 0.0).nonzero()[0]
         damper_energy = injection = 0.0  # the sums' start, and their value unarmed
         if len(armed):
             v_mid = 0.5 * (ticks.xdot[armed] + ticks.xdot[armed + 1])
@@ -348,7 +345,7 @@ def summarize(ticks: TickLog) -> Summary:
             scenario="",
             n_ticks=n,
             tau=tau,
-            t_final=times[-1].item(),
+            t_final=times.item(-1),
             segments=segments,
             min_tank=_min(tank),
             min_tank_minus_epsilon=_min(tank - ticks.epsilon),
@@ -359,16 +356,18 @@ def summarize(ticks: TickLog) -> Summary:
         )
 
 
-def _extreme(python, a: np.ndarray) -> float:
-    """python(a.tolist()) for python max or min.  That is numpy's answer unless
-    it is NaN (Python skips a NaN after a[0]) or a zero (Python keeps the first)."""
-    m = a.max() if python is max else a.min()
+def _extreme(python, reduce, a: np.ndarray) -> float:
+    """python(a.tolist()) for python max or min, whose ufunc reduce is given.
+    That is numpy's answer unless it is NaN (Python skips a NaN after a[0]) or
+    a zero (Python keeps the first)."""
+    m = reduce(a).item()
     if m != m:
         return python(a.tolist())
-    return a[(a == m).argmax()].item() if m == 0.0 else m.item()
+    return a.item((a == m).argmax()) if m == 0.0 else m
 
 
-_max, _min = partial(_extreme, max), partial(_extreme, min)
+_max = partial(_extreme, max, np.maximum.reduce)
+_min = partial(_extreme, min, np.minimum.reduce)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfltank import cli
@@ -347,6 +347,26 @@ RUN_REJECTS = {
                    "regions: expected a non-empty mapping"),
     "empty_schedule": (lambda doc: doc.update(schedule=[]),
                        "schedule: expected a non-empty list"),
+    # a number, null or a bool ended in "TypeError: ... is not iterable"; a
+    # string or an object was iterated and refused as "wrench_script[0]"
+    **{f"wrench_script_{label}": (lambda doc, value=value: doc.update(wrench_script=value),
+                                  "wrench_script: expected a list")
+       for label, value in (("number", 1), ("null", None), ("negative_zero", -0.0),
+                            ("bool", True), ("string", "push"), ("object", {}))},
+    # 0.5 v0 Lambda v0 overflows at 4 kg, as 0.5 qd0 M qd0 does for the arm:
+    # each printed numpy's overflow warning before this line
+    "cartesian_energy_overflows": (lambda doc: doc["plant"].update(v0=[1e200, 0.0]),
+                                   "initial kinetic energy must be non-negative and finite, "
+                                   "got inf"),
+    "arm_energy_overflows": (lambda doc: doc.update(plant=_arm(qd0=[1e308, 0.0])),
+                             "initial kinetic energy must be non-negative and finite, got inf"),
+    # (2 f_max)^2 / (2 k) overflows: the tank's floor check refused it as a
+    # region needing inf J of budget
+    "region_energy_overflows": (
+        lambda doc: doc["regions"].update(chest={
+            "f_max": 140.0, "k": 5e-324, "stiffness_unit": "N/m", "m_h": 40.0}),
+        "schedule: region 'chest': the energy limit (transient_multiplier f_max)^2 / (2 k) "
+        "must be finite, got inf J"),
 }
 
 
@@ -667,6 +687,20 @@ def test_iso_refuses_speed_limits_that_are_not_positive_and_finite(capsys, optio
                                        f"must be positive and finite, got {limits}\n")
 
 
+# (2 f_max)^2 / (2 k) is inf at a subnormal k, and NaN where (2 f_max)^2 and
+# 2 k both overflow: iso printed E_max inf or nan J and exited 0
+@pytest.mark.parametrize("fmax, k, masses, e_max", [
+    ("140", "5e-324", ["--mh", "40", "--mr", "8"], "inf"),
+    ("1e200", "1.5e308", ["--mh", "0.5", "--mr", "0.5"], "nan"),
+], ids=["inf", "nan"])
+def test_iso_refuses_an_energy_limit_that_overflows(capsys, fmax, k, masses, e_max):
+    assert main(["iso", "--fmax", fmax, "--k", k, "--k-unit", "N/m", *masses]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: region 'cli': the energy limit (transient_multiplier f_max)^2 "
+                            f"/ (2 k) must be finite, got {e_max} J\n")
+
+
 def test_iso_needs_a_robot_mass(capsys):
     rc = main(["iso", "--fmax", "140", "--k", "25", "--k-unit", "N/mm",
                "--mh", "40"])
@@ -712,6 +746,16 @@ def test_iso_rejects_nonphysical_region(capsys):
 # writes no int past 4,300 digits)
 _EXTREMES = (st.integers(300, 5000).map(lambda d: (10 ** (d - 1), "1" + "0" * (d - 1)))
              | st.sampled_from([(v, repr(v)) for v in (1e308, -1e308, 5e-324, 0, -1)]))
+
+
+def _bundled(name: str) -> dict:
+    """A bundled document cut to 0.02 s, so that a run of it takes 20 cycles."""
+    doc = json.loads(resources.files("pfltank").joinpath("scenarios", f"{name}.json")
+                     .read_text())
+    doc["duration"] = 0.02
+    return doc
+
+
 def _quietly(argv) -> int:
     """main(argv)'s exit code, checked to come with no warning and no
     traceback; its output is dropped."""
@@ -732,9 +776,7 @@ def _quietly(argv) -> int:
        iso_extreme=_EXTREMES)
 def test_extreme_numbers_exit_0_2_or_3_without_a_traceback_or_warning(name, leaf, extreme,
                                                                        option, iso_extreme):
-    doc = json.loads(resources.files("pfltank").joinpath("scenarios", f"{name}.json")
-                     .read_text())
-    doc["duration"] = 0.02
+    doc = _bundled(name)
     if leaf == "moving_mass":
         doc.setdefault("iso_comparison", {})["moving_mass"] = extreme[0]
     else:
@@ -747,6 +789,70 @@ def test_extreme_numbers_exit_0_2_or_3_without_a_traceback_or_warning(name, leaf
     # "=" keeps argparse from reading -1e308 as an option
     assert _quietly([*_ISO_ARGV, f"{option}={iso_extreme[1]}"]) in (EXIT_OK, EXIT_FAULT,
                                                                     EXIT_CONFIG)
+
+
+# -- documents of any shape -----------------------------------------------------
+
+# what a mutation puts in place of a leaf or a container: each JSON type, an
+# integer past the float range and the ends of it
+_ANY_VALUE = st.sampled_from([None, True, False, "x", [], [0.5], {}, {"x": 0.5},
+                              10 ** 399, 1e308, -1e308, 5e-324, -0.0])
+
+
+def _paths(node, path=()):
+    """The path of every object member and list entry below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A bundled document with one member or entry replaced by _ANY_VALUE or
+    deleted, or with an unknown key added to one of its objects."""
+    doc = _bundled(draw(st.sampled_from(BUNDLED)))
+    paths = list(_paths(doc))
+    how = draw(st.sampled_from(["replace", "delete", "add"]))
+    if how == "add":
+        objects = [()] + [path for path in paths if isinstance(_node(doc, path), dict)]
+        _node(doc, draw(st.sampled_from(objects)))["unknown"] = draw(_ANY_VALUE)
+        return doc
+    *parent, key = draw(st.sampled_from(paths))
+    if how == "replace":
+        _node(doc, parent)[key] = draw(_ANY_VALUE)
+    else:
+        del _node(doc, parent)[key]
+    return doc
+
+
+def _node(doc, path):
+    """The member or entry of doc at path."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(doc=_mutated_documents(), name=st.sampled_from(BUNDLED),
+       option=st.sampled_from(["--tau", "--duration"]), extreme=_EXTREMES)
+@example(doc=_replica(RUN_REJECTS["cartesian_energy_overflows"][0]), name="paper_replica",
+         option="--tau", extreme=(0, "0"))
+@example(doc=_replica(RUN_REJECTS["arm_energy_overflows"][0]), name="paper_replica",
+         option="--duration", extreme=(1e308, "1e308"))
+@example(doc=_replica(RUN_REJECTS["wrench_script_number"][0]), name="push_at_floor",
+         option="--duration", extreme=(-1, "-1"))
+def test_documents_of_any_shape_exit_0_2_or_3_without_a_traceback_or_warning(doc, name, option,
+                                                                              extreme):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), doc)
+        assert _quietly(["validate", path]) in (EXIT_OK, EXIT_FAULT, EXIT_CONFIG)
+        argv = ["run", path, "--out", str(Path(tmp) / "out")]
+        assert _quietly(argv) in (EXIT_OK, EXIT_FAULT, EXIT_CONFIG)
+        # "=" keeps argparse from reading -1e308 as an option
+        argv = ["run", name, "--out", str(Path(tmp) / "override"), f"{option}={extreme[1]}"]
+        assert _quietly(argv) in (EXIT_OK, EXIT_FAULT, EXIT_CONFIG)
 
 
 # -- argument plumbing ---------------------------------------------------------
