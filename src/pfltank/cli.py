@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy_tank import DAMPER_BAND
-from .errors import DomainError
+from .errors import DomainError, _real
 from .iso15066 import (
     BodyRegion,
     RobotMassSpec,
@@ -88,71 +88,44 @@ def _need(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{path}: expected a finite number, got {value!r}")
-    return value
-
-
-def _vector(value, path: str, length: int | None = None) -> tuple:
-    if not isinstance(value, list) or not value:
-        raise DomainError(f"{path}: expected a non-empty list of numbers")
-    vec = tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-    if length is not None and len(vec) != length:
-        raise DomainError(f"{path}: expected {length} entries, got {len(vec)}")
-    return vec
-
-
 def _region_from_config(name: str, cfg, path: str) -> BodyRegion:
     _mapping(cfg, path, {"f_max", "k", "stiffness_unit", "m_h",
                          "transient_multiplier", "e_max_override"})
-    k = None
     if "k" in cfg:
         unit = _need(cfg, "stiffness_unit", path)
         if not isinstance(unit, str) or unit not in STIFFNESS_UNITS:
             raise DomainError(f"{path}.stiffness_unit: expected "
                               f"{' or '.join(map(repr, STIFFNESS_UNITS))}, got {unit!r}")
-        k = _number(cfg["k"], f"{path}.k") * STIFFNESS_UNITS[unit]
     elif "stiffness_unit" in cfg:
         raise DomainError(f"{path}: stiffness_unit given without k")
-    kwargs = {}
-    for key in ("f_max", "m_h", "transient_multiplier", "e_max_override"):
-        if key in cfg:
-            kwargs[key] = _number(cfg[key], f"{path}.{key}")
+    kwargs = {key: cfg[key] for key in ("f_max", "m_h", "transient_multiplier",
+                                        "e_max_override") if key in cfg}
     with _at(path):
-        return BodyRegion(name=name, k=k, **kwargs)
+        if "k" in cfg:
+            kwargs["k"] = _real(cfg["k"], "k") * STIFFNESS_UNITS[unit]
+        return BodyRegion(name=name, **kwargs)
 
 
 def _plant_from_config(cfg, path: str):
     """The plant at its initial state; the constructors check the values."""
     kind = _need(_mapping(cfg, path), "type", path)
     if kind == "cartesian":
-        _mapping(cfg, path, {"type", "inertia", "x0", "v0"})
-        rows = _need(cfg, "inertia", path)
-        if not isinstance(rows, list) or not rows:
-            raise DomainError(f"{path}.inertia: expected a list of rows")
-        m = len(rows)
-        args = ([_vector(r, f"{path}.inertia[{i}]", m) for i, r in enumerate(rows)],
-                _vector(_need(cfg, "x0", path), f"{path}.x0"),
-                _vector(_need(cfg, "v0", path), f"{path}.v0"))
-        with _at(path):
-            return CartesianPlant(*args)
-    if kind == "planar_arm":
-        _mapping(cfg, path, {"type", "l1", "l2", "m1", "m2", "q0", "qd0"})
-        args = [_number(_need(cfg, key, path), f"{path}.{key}")
-                for key in ("l1", "l2", "m1", "m2")]
-        args += [_vector(_need(cfg, "q0", path), f"{path}.q0"),
-                 _vector(_need(cfg, "qd0", path), f"{path}.qd0")]
-        with _at(path):
-            return PlanarArm(*args)
-    raise DomainError(f"{path}.type: expected 'cartesian' or 'planar_arm', got {kind!r}")
+        plant, keys = CartesianPlant, ("inertia", "x0", "v0")
+    elif kind == "planar_arm":
+        plant, keys = PlanarArm, ("l1", "l2", "m1", "m2", "q0", "qd0")
+    else:
+        raise DomainError(f"{path}.type: expected 'cartesian' or 'planar_arm', got {kind!r}")
+    _mapping(cfg, path, {"type", *keys})
+    args = [_need(cfg, key, path) for key in keys]
+    with _at(path):
+        return plant(*args)
 
 
 def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario:
-    """Build a Scenario from a parsed JSON document, validating strictly."""
+    """Build a Scenario from a parsed JSON document.  The loader checks the
+    document's shape (its objects and their keys, its lists and the regions
+    the schedule names) and hands the values to the constructors, which check
+    them; a constructor's error is prefixed with its document path."""
     if not isinstance(doc, dict):
         raise DomainError("scenario document must be a JSON object")
     _mapping(doc, "scenario", {"name", "plant", "controller", "regions", "schedule",
@@ -163,12 +136,9 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
 
     ctl = _mapping(_need(doc, "controller", "scenario"), "controller",
                    {"kp", "kd", "target", "damper_band"})
-    kp = _vector(_need(ctl, "kp", "controller"), "controller.kp")
-    kd = _vector(_need(ctl, "kd", "controller"), "controller.kd")
-    target = _vector(_need(ctl, "target", "controller"), "controller.target")
+    args = [_need(ctl, key, "controller") for key in ("kp", "kd", "target")]
     with _at("controller"):
-        gains = PdGains(kp=kp, kd=kd, target=target)
-    damper_band = _number(ctl.get("damper_band", DAMPER_BAND), "controller.damper_band")
+        gains = PdGains(*args)
 
     regions_doc = _need(doc, "regions", "scenario")
     if not isinstance(regions_doc, dict) or not regions_doc:
@@ -189,7 +159,7 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
         rname = _need(entry, "region", path)
         if not isinstance(rname, str) or rname not in regions:
             raise DomainError(f"{path}.region: {rname!r} is not defined under regions")
-        times.append(_number(_need(entry, "t", path), f"{path}.t"))
+        times.append(_need(entry, "t", path))
         scheduled.append(regions[rname])
     with _at("schedule"):
         schedule = RegionSchedule(times, scheduled)
@@ -201,40 +171,36 @@ def scenario_from_config(doc: dict, fallback_name: str = "scenario") -> Scenario
     for i, entry in enumerate(script):
         path = f"wrench_script[{i}]"
         _mapping(entry, path, {"t_start", "t_end", "force"})
-        t_start = _number(_need(entry, "t_start", path), f"{path}.t_start")
-        t_end = _number(_need(entry, "t_end", path), f"{path}.t_end")
-        force = _vector(_need(entry, "force", path), f"{path}.force")
+        args = [_need(entry, key, path) for key in ("t_start", "t_end", "force")]
         with _at(path):
-            wrench.append(WrenchSegment(t_start=t_start, t_end=t_end, force=force))
-
-    tau = _number(_need(doc, "tau", "scenario"), "tau")
-    duration = _number(_need(doc, "duration", "scenario"), "duration")
+            wrench.append(WrenchSegment(*args))
+    tau, duration = (_need(doc, key, "scenario") for key in ("tau", "duration"))
 
     tank_doc = _mapping(_need(doc, "tank", "scenario"), "tank",
                         {"t_initial", "epsilon_initial"})
     if ("t_initial" in tank_doc) == ("epsilon_initial" in tank_doc):
         raise DomainError("tank: give exactly one of t_initial or epsilon_initial")
     if "t_initial" in tank_doc:
-        t_initial = _number(tank_doc["t_initial"], "tank.t_initial")
+        t_initial = tank_doc["t_initial"]
     else:
         # size the tank so the first region's budget is exactly available;
         # the Scenario rejects the floor if it is under EPSILON_MIN
-        eps1 = _number(tank_doc["epsilon_initial"], "tank.epsilon_initial")
+        with _at("tank"):
+            eps1 = _real(tank_doc["epsilon_initial"], "epsilon_initial")
         t_initial = eps1 + schedule.energies[0] - plant.kinetic_energy
 
     iso_mass = None
     if "iso_comparison" in doc:
         iso_doc = _mapping(doc["iso_comparison"], "iso_comparison",
                            {"moving_mass", "payload"})
-        moving_mass = _number(_need(iso_doc, "moving_mass", "iso_comparison"),
-                              "iso_comparison.moving_mass")
-        payload = _number(iso_doc.get("payload", 0.0), "iso_comparison.payload")
+        args = (_need(iso_doc, "moving_mass", "iso_comparison"), iso_doc.get("payload", 0.0))
         with _at("iso_comparison"):
-            iso_mass = RobotMassSpec(moving_mass=moving_mass, payload=payload)
+            iso_mass = RobotMassSpec(*args)
 
     return Scenario(name=doc.get("name", fallback_name), plant=plant, gains=gains,
                     schedule=schedule, t_initial=t_initial, wrench_script=tuple(wrench),
-                    tau=tau, duration=duration, damper_band=damper_band, iso_mass=iso_mass)
+                    tau=tau, duration=duration, damper_band=ctl.get("damper_band", DAMPER_BAND),
+                    iso_mass=iso_mass)
 
 
 def _read_config_text(spec: str) -> tuple[str, str]:

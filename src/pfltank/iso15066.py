@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _real
 
 __all__ = [
     "BodyRegion",
@@ -56,17 +56,20 @@ class BodyRegion:
 
     def __post_init__(self):
         _check_region_name(self.name)
-        if self.e_max_override is None and (self.f_max is None or self.k is None):
-            raise DomainError(
-                f"region {self.name!r}: give f_max and k, or an e_max_override")
+        where = f"region {self.name!r}"
         for label in ("f_max", "k", "m_h", "e_max_override"):
-            value = getattr(self, label)
-            if value is not None and not 0 < value < math.inf:
-                raise DomainError(f"region {self.name!r}: {label} must be positive "
-                                  f"and finite, got {value!r}")
-        if not 1.0 <= self.transient_multiplier < math.inf:
-            raise DomainError(
-                f"region {self.name!r}: transient_multiplier must be >= 1 and finite")
+            if (value := getattr(self, label)) is not None:
+                value = _real(value, f"{where}: {label}")
+                if not value > 0:
+                    raise DomainError(f"{where}: {label} must be positive and finite, "
+                                      f"got {value!r}")
+                object.__setattr__(self, label, value)
+        multiplier = _real(self.transient_multiplier, f"{where}: transient_multiplier")
+        if not multiplier >= 1.0:
+            raise DomainError(f"{where}: transient_multiplier must be >= 1 and finite")
+        object.__setattr__(self, "transient_multiplier", multiplier)
+        if self.e_max_override is None and (self.f_max is None or self.k is None):
+            raise DomainError(f"{where}: give f_max and k, or an e_max_override")
 
 
 def _check_region_name(name):
@@ -87,6 +90,8 @@ class RobotMassSpec:
     payload: float = 0.0   # end-effector load, kg
 
     def __post_init__(self):
+        for label in ("moving_mass", "payload"):
+            object.__setattr__(self, label, _real(getattr(self, label), label))
         if not 0 < self.moving_mass < math.inf:
             raise DomainError(
                 f"moving_mass must be positive and finite, got {self.moving_mass!r}")
@@ -114,17 +119,16 @@ def max_energy(region: BodyRegion) -> float:
     For regions with contact-model data this is f**2 / (2 k) with
     f = transient_multiplier * f_max, i.e. the elastic energy the contact
     spring can absorb before the transient force limit is exceeded.  Regions
-    with an explicit override return it unchanged.  A limit that overflows is
-    refused; one that rounds to 0 J is a 0 J budget, a tightening switch like
-    any other.
+    with an explicit override return it unchanged.  A computed limit that
+    overflows, or that rounds to 0 J, is refused.
     """
     if region.e_max_override is not None:
-        return float(region.e_max_override)
+        return region.e_max_override
     f = region.transient_multiplier * region.f_max
-    e_max = float(f * f / (2.0 * region.k))
-    if not e_max < math.inf:  # inf, or NaN where f f and 2 k both overflow
+    e_max = f * f / (2.0 * region.k)
+    if not 0 < e_max < math.inf:  # 0, inf, or NaN where f f and 2 k both overflow
         raise DomainError(f"region {region.name!r}: the energy limit (transient_multiplier "
-                          f"f_max)^2 / (2 k) must be finite, got {e_max!r} J")
+                          f"f_max)^2 / (2 k) must be positive and finite, got {e_max!r} J")
     return e_max
 
 

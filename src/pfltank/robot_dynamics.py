@@ -34,12 +34,13 @@ about one ndarray.dot: the arm writes its two joints out, the Cartesian plant lo
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1  # np.linalg.solve's kernel, without its checks
 
-from .errors import DomainError, IntegrationFault
+from .errors import DomainError, IntegrationFault, _real, _reals
 
 __all__ = [
     "PlantState",
@@ -89,30 +90,27 @@ class WrenchInput(_WrenchFields):
     __slots__ = ()
 
     def __new__(cls, f_c, f_e):
-        f_c = np.asarray(f_c, dtype=float)
-        f_e = np.asarray(f_e, dtype=float)
+        f_c, f_e = np.array(_reals(f_c, "f_c")), np.array(_reals(f_e, "f_e"))
         if f_c.shape != f_e.shape:
             raise DomainError(f"wrench shapes differ: {f_c.shape} vs {f_e.shape}")
-        if not _all_finite(f_c, f_e):
-            raise DomainError("wrench entries must be finite")
         return tuple.__new__(cls, (f_c, f_e))
-
-
-def _all_finite(a: np.ndarray, b: np.ndarray) -> bool:
-    """np.all(np.isfinite(a)) and np.all(np.isfinite(b)), in a tenth of the
-    time for the 1-3 entries a port vector has."""
-    return all(map(math.isfinite, a.ravel().tolist() + b.ravel().tolist()))
 
 
 class CartesianPlant:
     """Point mass with constant symmetric positive-definite inertia Lambda."""
 
     def __init__(self, inertia, x0, xdot0):
-        lam = np.atleast_2d(np.asarray(inertia, dtype=float))
-        if lam.shape[0] != lam.shape[1]:
-            raise DomainError(f"inertia must be square, got {lam.shape}")
-        if not np.all(np.isfinite(lam)):
-            raise DomainError("inertia entries must be finite")
+        try:
+            rows = list(inertia)
+        except TypeError:
+            rows = None
+        if not rows or isinstance(inertia, str):
+            raise DomainError("inertia must be a non-empty sequence of rows, "
+                              f"got a {type(inertia).__name__}")
+        if len(rows) == 1 and isinstance(rows[0], numbers.Real):
+            rows = [rows]  # a flat inertia such as (2.0,) is a 1 x 1 matrix
+        self.m = m = len(rows)
+        lam = np.array([_reals(row, f"inertia[{i}]", m) for i, row in enumerate(rows)])
         if np.max(np.abs(lam - lam.T)) > 1e-12 * max(np.max(np.abs(lam)), 1.0):
             raise DomainError("inertia must be symmetric")
         try:
@@ -123,16 +121,9 @@ class CartesianPlant:
         self._lam_inv = np.linalg.inv(lam)
         if not np.all(np.isfinite(self._lam_inv)):  # e.g. [[1e-310]], whose inverse is inf
             raise DomainError("inertia must have a finite inverse")
-        self.m = lam.shape[0]
-        x = np.array(x0, dtype=float)
-        xdot = np.array(xdot0, dtype=float)
-        if x.shape != (self.m,) or xdot.shape != (self.m,):
-            raise DomainError("x0/xdot0 dimensions do not match the inertia")
-        if not _all_finite(x, xdot):
-            raise DomainError("x0/xdot0 must be finite")
         # pose and twist as the Python floats step computes them; every reading
         # builds arrays of its own from them
-        self._x, self._xdot = x.tolist(), xdot.tolist()
+        self._x, self._xdot = list(_reals(x0, "x0", m)), list(_reals(xdot0, "xdot0", m))
         # _xdot's energy once a step forms it; steps coast if xdot0 holds no -0.0
         self._h, self._coasts = None, "-0.0" not in map(repr, self._xdot)
 
@@ -196,11 +187,12 @@ class PlanarArm:
     m = 2  # workspace dimension
 
     def __init__(self, l1=0.5, l2=0.5, m1=4.0, m2=4.0, q0=(0.0, 0.0), qdot0=(0.0, 0.0)):
-        for label, value in (("l1", l1), ("l2", l2), ("m1", m1), ("m2", m2)):
-            if not 0 < value < math.inf:
+        sizes = {"l1": l1, "l2": l2, "m1": m1, "m2": m2}
+        for label, value in sizes.items():
+            sizes[label] = value = _real(value, label)
+            if not value > 0:
                 raise DomainError(f"{label} must be positive and finite, got {value!r}")
-        self.l1, self.l2 = l1, l2 = float(l1), float(l2)
-        self.m1, self.m2 = m1, m2 = float(m1), float(m2)
+        self.l1, self.l2, self.m1, self.m2 = l1, l2, m1, m2 = sizes.values()
         self.i1 = m1 * l1 * l1 / 12.0
         self.i2 = i2 = m2 * l2 * l2 / 12.0
         lc1, lc2 = 0.5 * l1, 0.5 * l2
@@ -223,11 +215,25 @@ class PlanarArm:
                     and (m12 / m11) * (m12 / m22) < 1.0 - 1e-9):
                 raise DomainError("the arm's mass matrix must be positive definite at every "
                                   "elbow angle, with det M above 1e-9 M11 M22")
-        q1, q2 = self._q = _joints(q0, "q0")  # the joint state as step computes it
-        qd1, qd2 = self._qd = _joints(qdot0, "qdot0")
-        # the model at (q, qd), shared by the port readings and the next step
-        (self._jac, self._ee, self._grav, self._mass, self._cor, self._qdot,
-         _) = self._terms(q1, q2, qd1, qd2)
+        # the joint state as step computes it, and the model at it, shared by
+        # the port readings and the next step
+        (q1, q2, qd1, qd2), terms = self._model(q0, qdot0, ("q0", "qdot0"))
+        self._q, self._qd = (q1, q2), (qd1, qd2)
+        self._jac, self._ee, self._grav, self._mass, self._cor, self._qdot, _ = terms
+
+    def _model(self, q, qdot=(0.0, 0.0), names=("q", "qdot")) -> tuple:
+        """The joint floats [q1, q2, qd1, qd2] of the joint vectors q and qdot,
+        each read by _reals as two entries, and _terms at them.  The model
+        forms the sum of each pair (the sine of q1 + q2, and h (qd1 + qd2) in
+        C), so each sum must be finite, which it is only when both entries are."""
+        joints = []
+        for values, name in zip((q, qdot), names):
+            pair = _reals(values, name, 2)
+            if not math.isfinite(pair[0] + pair[1]):
+                raise DomainError(f"{name} must have two finite entries with a finite sum, "
+                                  f"got {list(pair)}")
+            joints += pair
+        return joints, self._terms(*joints)
 
     def _terms(self, q1, q2, qd1, qd2) -> tuple:
         """J, the end-effector point, the gravity torque (a float pair), M,
@@ -254,23 +260,24 @@ class PlanarArm:
     # -- model quantities ----------------------------------------------------
 
     def mass_matrix(self, q) -> np.ndarray:
-        return self._terms(*_joints(q), 0.0, 0.0)[3]
+        return self._model(q)[1][3]
 
     def coriolis_matrix(self, q, qdot) -> np.ndarray:
         """Christoffel-consistent C(q, qd), so dM/dt - 2C is skew-symmetric."""
-        return self._terms(*_joints(q), *_joints(qdot, "qdot"))[4]
+        return self._model(q, qdot)[1][4]
 
     def mass_matrix_rate(self, q, qdot) -> np.ndarray:
         """Analytic dM/dt; only the elbow angle enters M."""
-        d = self._terms(*_joints(q), 0.0, 0.0)[6] * _joints(qdot, "qdot")[1]
+        joints, terms = self._model(q, qdot)
+        d = terms[6] * joints[3]
         return np.array([[2.0 * d, d], [d, 0.0]])
 
     def gravity_vector(self, q) -> np.ndarray:
-        return np.array(self._terms(*_joints(q), 0.0, 0.0)[2])
+        return np.array(self._model(q)[1][2])
 
     def jacobian(self, q) -> np.ndarray:
         """Planar linear Jacobian (2x2): end-effector (xd, yd) = J qd."""
-        return self._terms(*_joints(q), 0.0, 0.0)[0]
+        return self._model(q)[1][0]
 
     # -- plant port ----------------------------------------------------------
 
@@ -328,22 +335,6 @@ class PlanarArm:
         self._q, self._qd, self._jac, self._ee, self._grav = (q1, q2), (v1, v2), jac, ee, grav
         self._mass, self._cor, self._qdot = mass, cor, qdot
         return state
-
-
-def _joints(values, what="q") -> tuple:
-    """A joint vector (list, tuple or array) as a pair of Python floats.
-
-    The model forms the sum of a pair (the sine of q1 + q2, and h (qd1 + qd2)
-    in C), so the sum must be finite, which it is only when both entries are.
-    """
-    pair = np.array(values, dtype=float)
-    if pair.shape != (2,):
-        raise DomainError(f"{what} must have two entries, got shape {pair.shape}")
-    a, b = pair.tolist()
-    if not math.isfinite(a + b):
-        raise DomainError(f"{what} must have two finite entries with a finite sum, "
-                          f"got {[a, b]}")
-    return a, b
 
 
 def power_balance_residual(prev: PlantState, new: PlantState,

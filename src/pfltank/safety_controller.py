@@ -37,7 +37,6 @@ Python 3.12, which costs about one ndarray.dot.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,7 +52,7 @@ from .energy_tank import (
     damper_coefficient,
     make_tank,
 )
-from .errors import DomainError, EmergencyFault
+from .errors import DomainError, EmergencyFault, _reals
 from .iso15066 import BodyRegion, max_energy
 
 __all__ = [
@@ -71,21 +70,6 @@ __all__ = [
 FEASIBILITY_MARGIN = 5e-4
 
 
-def _finite_floats(value, label: str) -> tuple:
-    """value as a tuple of floats.  DomainError unless it is a flat sequence of
-    finite real numbers, so a string, a scalar or a nested list is refused."""
-    floats = None
-    try:
-        items = tuple(value)  # a scalar is not iterable
-        if all(isinstance(v, numbers.Real) for v in items):  # a str's characters are not
-            floats = tuple(map(float, items))  # an int past float's range overflows
-    except (TypeError, OverflowError):
-        pass
-    if floats is None or not all(map(math.isfinite, floats)):
-        raise DomainError(f"{label} must be a flat sequence of finite numbers, got {value!r}")
-    return floats
-
-
 @dataclass(frozen=True)
 class PdGains:
     """Per-axis PD gains and the pose setpoint, each a tuple of floats."""
@@ -96,7 +80,7 @@ class PdGains:
 
     def __post_init__(self):
         for label in ("kp", "kd", "target"):
-            object.__setattr__(self, label, _finite_floats(getattr(self, label), label))
+            object.__setattr__(self, label, _reals(getattr(self, label), label))
         if not len(self.kp) == len(self.kd) == len(self.target):
             raise DomainError("kp, kd and target must have matching lengths")
         if any(g < 0 for g in self.kp + self.kd):
@@ -174,7 +158,7 @@ class RegionSchedule:
     energies: tuple = field(init=False)
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+        times = _reals(self.times, "times")
         regions = tuple(self.regions)
         if len(times) != len(regions):
             raise DomainError(

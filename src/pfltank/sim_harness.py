@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import logging
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy_tank import DAMPER_BAND
-from .errors import DomainError, EmergencyFault, IntegrationFault
+from .errors import DomainError, EmergencyFault, IntegrationFault, _real, _reals
 from .iso15066 import RobotMassSpec, _check_region_name, robot_effective_mass, v_max
 from .robot_dynamics import CartesianPlant, PlanarArm, PlantState, WrenchInput
 from .safety_controller import (
@@ -33,7 +32,6 @@ from .safety_controller import (
     PlantObservation,
     RegionSchedule,
     SafetyController,
-    _finite_floats,
 )
 
 __all__ = [
@@ -64,12 +62,12 @@ class WrenchSegment:
     force: tuple
 
     def __post_init__(self):
-        times = (self.t_start, self.t_end)
-        if not (all(isinstance(t, numbers.Real) for t in times) and self.t_end > self.t_start):
-            raise DomainError(
-                f"wrench segment must have t_end > t_start, both numbers, got "
-                f"[{self.t_start!r}, {self.t_end!r})")
-        object.__setattr__(self, "force", _finite_floats(self.force, "wrench force"))
+        for label in ("t_start", "t_end"):
+            object.__setattr__(self, label, _real(getattr(self, label), label))
+        if not self.t_end > self.t_start:
+            raise DomainError(f"wrench segment must have t_end > t_start, got "
+                              f"[{self.t_start!r}, {self.t_end!r})")
+        object.__setattr__(self, "force", _reals(self.force, "force"))
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,8 @@ class Scenario:
 
     ``plant`` is the plant at its initial state; run() steps a copy of it, so
     a scenario runs again byte for byte.  Building a Scenario checks that the
-    name is a non-empty printable str, that the gains and wrench forces have
+    name is a non-empty printable str, holds tau, duration, t_initial and
+    damper_band as finite floats, checks that the gains and wrench forces have
     one entry per plant axis, runs run()'s set-up and takes the ISO speed
     limits its summary will carry, so every scenario that builds is one that
     run() can start and summarize.
@@ -100,6 +99,8 @@ class Scenario:
         if not (isinstance(self.name, str) and self.name and self.name.isprintable()):
             raise DomainError("a scenario name must be a non-empty printable string, "
                               f"got {self.name!r}")
+        for label in ("tau", "duration", "t_initial", "damper_band"):
+            object.__setattr__(self, label, _real(getattr(self, label), label))
         m = self.plant.m
         if m > len(_AXES):  # the tick log names the axes x, y and z
             raise DomainError(f"plant: at most {len(_AXES)} axes are supported, got {m}")

@@ -120,11 +120,11 @@ def _refused(build):
                                 qdot0=(0.0, 1e151)), 1e156),
      IntegrationFault, "non-finite arm state"),
     (_refused(lambda: CartesianPlant([[1.0, 0.0]], (0.0,), (0.0,))), DomainError,
-     "inertia must be square, got (1, 2)"),
+     "inertia[0] must have length 1, got 2"),
     (_refused(lambda: CartesianPlant([[2.0, 0.5], [0.0, 2.0]], (0.0, 0.0), (0.0, 0.0))),
      DomainError, "inertia must be symmetric"),
     (_refused(lambda: CartesianPlant([[2.0]], (0.0, 1.0), (0.0,))), DomainError,
-     "x0/xdot0 dimensions do not match the inertia"),
+     "x0 must have length 1, got 2"),
     # positive definite, but 1 / 1e-310 is inf: every step would fault, even at rest
     (_refused(lambda: CartesianPlant([[1e-310]], (0.0,), (0.0,))), DomainError,
      "inertia must have a finite inverse"),
@@ -144,7 +144,7 @@ def _refused(build):
     (_refused(lambda: PlanarArm(q0=(1e308, 1e308))), DomainError,
      "q0 must have two finite entries with a finite sum, got [1e+308, 1e+308]"),
     (_refused(lambda: PlanarArm(qdot0=(0.0, 0.0, 0.0))), DomainError,
-     "qdot0 must have two entries, got shape (3,)"),
+     "qdot0 must have length 2, got 3"),
 ], ids=["arm_inf", "arm_nan", "arm_inf_at_zero_row", "arm_inf_at_q0", "arm_angle_sum_overflows",
         "not_square", "asymmetric", "x0_length", "inverse_overflows", "arm_model_overflows",
         "arm_gravity_overflows", "arm_mass_matrix_singular", "arm_mass_matrix_ill_conditioned",
@@ -376,18 +376,22 @@ def test_the_arm_model_gives_the_numpy_forms_bits_for_any_joint_vector(form):
             got = getattr(arm, name)(*args)
             assert (got.dtype, got.tobytes()) == (value.dtype, value.tobytes()), name
     for name in ("mass_matrix", "jacobian", "gravity_vector"):
-        with pytest.raises(DomainError, match=re.escape("q must have two entries, got shape (3,)")):
+        with pytest.raises(DomainError, match=re.escape("q must have length 2, got 3")):
             getattr(arm, name)(form([0.0, 0.0, 0.0]))
-        # an infinite angle raised ValueError from math.sin; a NaN gave NaN entries
+        # an infinite angle, or finite ones whose sum is not, raised ValueError
+        # from math.sin; a NaN gave NaN entries
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError, match=re.escape(
-                    f"q must have two finite entries with a finite sum, got [{bad}, 0.0]")):
+                    f"q[0] must be a finite number, got {bad}")):
                 getattr(arm, name)(form([bad, 0.0]))
+        with pytest.raises(DomainError, match=re.escape(
+                "q must have two finite entries with a finite sum, got [1e+308, 1e+308]")):
+            getattr(arm, name)(form([1e308, 1e308]))
     # mass_matrix_rate read qdot[1] alone: a short qdot raised IndexError, a long one passed
     for name in ("coriolis_matrix", "mass_matrix_rate"):
         for qdot in ([1.0], [1.0, 2.0, 3.0]):
             with pytest.raises(DomainError, match=re.escape(
-                    f"qdot must have two entries, got shape ({len(qdot)},)")):
+                    f"qdot must have length 2, got {len(qdot)}")):
                 getattr(arm, name)(form([0.1, 0.2]), form(qdot))
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -88,22 +89,24 @@ def test_wrench_overlaps_add_and_windows_are_half_open():
     assert wrench_at((), 0.3, 3) == pytest.approx([0.0, 0.0, 0.0])
 
 
-# segment bounds on and off the sampling grid, before t = 0 and at -inf
+# segment bounds on and off the sampling grid, before t = 0 and at the lowest
+# float (a segment's times must be finite)
 _SCRIPT_TIMES = st.integers(-4, 40).map(lambda i: i * 5e-4) | st.sampled_from(
-    [-math.inf, -3.3e-3, 1e-12, 2.2e-3, 7.7e-3, 0.1 * 0.3])
+    [-sys.float_info.max, -3.3e-3, 1e-12, 2.2e-3, 7.7e-3, 0.1 * 0.3])
 _SCRIPT_FORCES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 3e200])
 
 
 @st.composite
 def _wrench_scripts(draw):
-    """(m, script): overlapping segments, some never ending, with signed
-    zeros among the forces."""
+    """(m, script): overlapping segments, some lasting to the largest float,
+    with signed zeros among the forces."""
     m = draw(st.integers(1, 3))
     script = []
     for _ in range(draw(st.integers(0, 6))):
         t_start, t_end = sorted(draw(st.tuples(_SCRIPT_TIMES, _SCRIPT_TIMES)))
         force = draw(st.lists(_SCRIPT_FORCES, min_size=m, max_size=m))
-        script.append(WrenchSegment(t_start, t_end if t_end > t_start else math.inf, force))
+        script.append(WrenchSegment(t_start, t_end if t_end > t_start else sys.float_info.max,
+                                    force))
     return m, tuple(script)
 
 
@@ -133,7 +136,7 @@ def test_wrench_segment_rejects_empty_window():
 def test_wrench_segment_times_must_be_numbers():
     # strings compare among themselves, so "0.2" > "0.1" alone would let the
     # segment build and fail as a TypeError in the Scenario or in run()
-    with pytest.raises(DomainError, match="t_end > t_start, both numbers"):
+    with pytest.raises(DomainError, match="t_start must be a finite number, got '0.1'"):
         WrenchSegment("0.1", "0.2", (1.0,))
 
 
@@ -164,7 +167,8 @@ def test_value_types_compare_hash_copy_and_pickle_as_values(build):
                          ids=["string", "scalar", "nested_list", "list_of_strings",
                               "0d_array", "2d_array"])
 def test_value_types_refuse_what_is_not_a_flat_sequence_of_numbers(build, bad):
-    with pytest.raises(DomainError, match="must be a flat sequence of finite numbers"):
+    # the whole vector, or its first entry, named by its argument
+    with pytest.raises(DomainError, match=r"^(kp|force)(\[0\])? must be a (sequence of|finite) "):
         build(bad)
 
 
@@ -229,6 +233,117 @@ def test_constructors_reject_non_finite_values(build):
     # refused where they enter, with a message that names the cause, instead
     # of a fault at cycle 0 or a misleading error further down
     with pytest.raises(DomainError, match="finite"):
+        build()
+
+
+# -- the one number rule -------------------------------------------------------
+
+_ZONE = BodyRegion(name="zone", e_max_override=1.0)
+_PLANT = CartesianPlant((2.0,), (0.0,), (0.0,))
+
+#: every public constructor, with integral floats in each numeric argument,
+#: so that each number has an int form
+_BUILDS = {
+    BodyRegion: dict(name="chest", f_max=140.0, k=25000.0, m_h=40.0,
+                     transient_multiplier=2.0, e_max_override=3.0),
+    RobotMassSpec: dict(moving_mass=16.0, payload=1.0),
+    PdGains: dict(kp=(8.0, 8.0), kd=(11.0, 11.0), target=(6.0, 0.0)),
+    RegionSchedule: dict(times=(0.0, 1.0), regions=(_ZONE, _ZONE)),
+    WrenchSegment: dict(t_start=0.0, t_end=1.0, force=(2.0, 0.0)),
+    robot_dynamics.WrenchInput: dict(f_c=(1.0, 0.0), f_e=(0.0, 2.0)),
+    CartesianPlant: dict(inertia=((4.0, 1.0), (1.0, 4.0)), x0=(0.0, 1.0), xdot0=(1.0, 0.0)),
+    PlanarArm: dict(l1=1.0, l2=1.0, m1=4.0, m2=3.0, q0=(0.0, 1.0), qdot0=(1.0, 0.0)),
+    Scenario: dict(name="unit", plant=_PLANT, gains=PdGains((4.0,), (6.0,), (2.0,)),
+                   schedule=RegionSchedule((0.0,), (_ZONE,)), t_initial=5.0, tau=1.0,
+                   duration=2.0, damper_band=0.0),
+}
+
+
+def _indices(value, index=()):
+    """The index of value itself and of every number inside it."""
+    yield index
+    if isinstance(value, tuple):
+        for i, entry in enumerate(value):
+            yield from _indices(entry, (*index, i))
+
+
+#: (constructor, argument, index): a numeric argument, or a number inside one
+_SLOTS = [(build, arg, index) for build, kwargs in _BUILDS.items()
+          for arg, value in kwargs.items()
+          if arg not in ("name", "regions", "plant", "gains", "schedule")
+          for index in _indices(value)]
+
+
+def _put(value, index, new):
+    """value with the entry at index replaced by new."""
+    if not index:
+        return new
+    items = list(value)
+    items[index[0]] = _put(items[index[0]], index[1:], new)
+    return tuple(items)
+
+
+def _at(value, index):
+    """The entry of value at index."""
+    for i in index:
+        value = value[i]
+    return value
+
+
+def _deep(form, value):
+    """value, a number or a tuple (of tuples) of numbers, with form applied to each number."""
+    return tuple(_deep(form, v) for v in value) if isinstance(value, tuple) else form(value)
+
+
+#: the other forms of a number, and of a vector or a matrix of them
+_NUMBER_FORMS = (int, np.float64, np.int64, np.float32)
+_VECTOR_FORMS = (list, np.array, lambda v: np.array(v, dtype=np.int64),
+                 lambda v: _deep(int, v), lambda v: _deep(np.float64, v))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(slot=st.sampled_from(_SLOTS),
+       bad=st.sampled_from([True, False, np.True_, "2", "2.0", None, math.nan, math.inf,
+                            -math.inf, 10 ** 400, -10 ** 400]))
+def test_every_numeric_argument_takes_finite_reals_only(slot, bad):
+    # one rule in every public constructor: a bool, a numeric string, None, a
+    # non-finite value and an int past the float range are refused with a
+    # DomainError naming the argument (and the entry), never a TypeError or an
+    # OverflowError, and never coerced; ints, numpy scalars and arrays of the
+    # same values build the object that floats build, floats inside
+    build, arg, index = slot
+    if bad is None and build is BodyRegion and arg != "transient_multiplier":
+        return  # None leaves out a region's optional contact data or override
+    kwargs = _BUILDS[build]
+    label = arg + "".join(f"[{i}]" for i in index)
+    with pytest.raises(DomainError, match=re.escape(label) + " must be a "):
+        build(**{**kwargs, arg: _put(kwargs[arg], index, bad)})
+    want = pickle.dumps(build(**kwargs))
+    value = _at(kwargs[arg], index)
+    for form in _VECTOR_FORMS if isinstance(value, tuple) else _NUMBER_FORMS:
+        got = build(**{**kwargs, arg: _put(kwargs[arg], index, form(value))})
+        assert pickle.dumps(got) == want, form
+
+
+@pytest.mark.parametrize("build", [
+    # each of these raised a TypeError
+    lambda: BodyRegion(name="a", f_max="140", k=1.0),
+    lambda: PlanarArm(l1="0.5"),
+    lambda: RobotMassSpec(moving_mass="16"),
+    lambda: dataclasses.replace(_cart_scenario(), tau="0.001"),
+    # these took a numeric string as its number
+    lambda: PlanarArm(q0=("0.3", "1.2")),
+    lambda: CartesianPlant([["2"]], ["0"], ["0"]),
+    lambda: RegionSchedule(("0",), (_ZONE,)),
+    lambda: robot_dynamics.WrenchInput(["1"], [0.0]),
+    # and these a bool: tau=True was a 1 s tick
+    lambda: _cart_scenario(tau=True),
+    lambda: PdGains(kp=(True,), kd=(1.0,), target=(0.0,)),
+    lambda: BodyRegion(name="a", e_max_override=True),
+], ids=["region_f_max", "arm_l1", "moving_mass", "replaced_tau", "arm_q0", "inertia",
+        "schedule_times", "wrench_input", "tau", "kp", "e_max_override"])
+def test_numeric_arguments_that_raised_or_were_coerced_are_refused(build):
+    with pytest.raises(DomainError, match=" must be a finite number, got "):
         build()
 
 
