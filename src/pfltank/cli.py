@@ -36,7 +36,7 @@ from .iso15066 import (
 )
 from .robot_dynamics import CartesianPlant, PlanarArm
 from .safety_controller import PdGains, RegionSchedule
-from .sim_harness import Scenario, WrenchSegment, run, write_ticks_csv
+from .sim_harness import Scenario, WrenchSegment, run
 
 __all__ = ["main", "load_scenario", "scenario_from_config"]
 
@@ -247,22 +247,19 @@ def cmd_run(args) -> int:
     with _at(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     log.info("running scenario %s (%d cycles)", scenario.name, scenario.n_cycles)
+    ticks_path = out_dir / "ticks.csv"
+    summary_path = out_dir / "summary.json"
     try:
-        result = run(scenario)
+        with _at(ticks_path):
+            result = run(scenario, ticks_csv=ticks_path)
     except MemoryError:
         # run() allocates the whole log's columns before the first cycle
         raise DomainError(f"{scenario.name}: the log of {scenario.n_cycles} cycles "
                           "does not fit in memory") from None
 
-    ticks_path = out_dir / "ticks.csv"
-    summary_path = out_dir / "summary.json"
     if result.ticks:
-        with _at(ticks_path):
-            write_ticks_csv(ticks_path, result.ticks)
         payload = result.summary.to_dict()
-    else:  # a log an earlier run left in --out must not pass for this run's
-        with _at(ticks_path):
-            ticks_path.unlink(missing_ok=True)
+    else:  # run() removed a log an earlier run left in --out
         payload = {"scenario": scenario.name, "n_ticks": 0, "fault": result.fault}
     if result.discarded_energy:
         log.info("tank overflow discarded %.6g J", result.discarded_energy)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, EmergencyFault
+from .errors import DomainError, EmergencyFault, _real
 
 __all__ = [
     "TankState",
@@ -58,10 +58,12 @@ class TankState(NamedTuple):
 def make_tank(t_initial: float, epsilon: float, h_initial: float = 0.0) -> TankState:
     """A tank charged with t_initial and floored at epsilon, for a robot that
     starts with h_initial of kinetic energy; the one place a tank is checked."""
-    if not 0 < t_initial < math.inf:
+    t_initial, epsilon = _real(t_initial, "t_initial"), _real(epsilon, "epsilon")
+    h_initial = _real(h_initial, "h_initial")
+    if not t_initial > 0:
         raise DomainError(
             f"initial tank energy must be positive and finite, got {t_initial!r}")
-    if not 0 <= h_initial < math.inf:
+    if not h_initial >= 0:
         raise DomainError(
             f"initial kinetic energy must be non-negative and finite, got {h_initial!r}")
     if not epsilon > 0:
@@ -69,11 +71,11 @@ def make_tank(t_initial: float, epsilon: float, h_initial: float = 0.0) -> TankS
     if epsilon > t_initial + FLOOR_TOL:
         raise DomainError(
             f"initial tank energy {t_initial!r} is below the floor {epsilon!r}")
-    x_t, capacity = math.sqrt(2.0 * t_initial), float(t_initial) + float(h_initial)
+    x_t, capacity = math.sqrt(2.0 * t_initial), t_initial + h_initial
     if not (math.isfinite(x_t) and math.isfinite(capacity)):
         raise DomainError(f"tank charge {t_initial!r} J with {h_initial!r} J of kinetic "
                           "energy overflows: sqrt(2 T) or T + H is not finite")
-    return TankState(x_t=x_t, epsilon=float(epsilon), capacity=capacity)
+    return TankState(x_t=x_t, epsilon=epsilon, capacity=capacity)
 
 
 def damper_coefficient(p_in: float, speed_sq: float, state: TankState,

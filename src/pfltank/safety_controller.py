@@ -52,7 +52,7 @@ from .energy_tank import (
     damper_coefficient,
     make_tank,
 )
-from .errors import DomainError, EmergencyFault, _reals
+from .errors import DomainError, EmergencyFault, _real, _reals
 from .iso15066 import BodyRegion, max_energy
 
 __all__ = [
@@ -243,13 +243,15 @@ class SafetyController:
 
     def __init__(self, gains: PdGains, schedule: RegionSchedule, t_initial: float,
                  h_initial: float, tau: float, *, damper_band: float = DAMPER_BAND):
-        if not 0 < tau < math.inf:
+        tau, damper_band = _real(tau, "tau"), _real(damper_band, "damper_band")
+        t_initial, h_initial = _real(t_initial, "t_initial"), _real(h_initial, "h_initial")
+        if not tau > 0:
             raise DomainError(f"tau must be positive and finite, got {tau!r}")
-        if not 0 <= damper_band < math.inf:
+        if not damper_band >= 0:
             raise DomainError(
                 f"damper band must be non-negative and finite, got {damper_band!r}")
-        self.tau = float(tau)
-        self.damper_band = float(damper_band)
+        self.tau = tau
+        self.damper_band = damper_band
         self._pd = tuple(zip(gains.kp, gains.kd, gains.target))  # per axis
         self._floors = schedule.floors(t_initial, h_initial)
         self.tank = make_tank(t_initial, self._floors[0], h_initial)

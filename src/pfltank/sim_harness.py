@@ -193,8 +193,16 @@ class RunResult:
     discarded_energy: float = 0.0
 
 
-def run(scenario: Scenario) -> RunResult:
+def run(scenario: Scenario, ticks_csv=None) -> RunResult:
     """Execute the scenario; on a fault, return the partial log instead of raising.
+
+    Given a path, ticks_csv, run() also writes the log there, the bytes that
+    write_ticks_csv writes, as the loop goes: a helper process formats each
+    block of the log into a temporary file next to the path, and run()
+    renames that file onto the path once the helper is done.  So the file
+    appears complete or not at all, and a run that logs no tick removes the
+    file an earlier run left there.  A failed write raises OSError; on any
+    exception the helper is stopped and its file removed.
 
     The scenario, its wrench script included, was validated when it was built
     and the loop does not check it again; per cycle only the plant's new state
@@ -205,6 +213,24 @@ def run(scenario: Scenario) -> RunResult:
     One PlantObservation is refilled each cycle, and the tick records are
     packed into the log's columns _CHUNK at a time.
     """
+    if ticks_csv is None:
+        return _run(scenario, None)
+    # imported here, so that importing the package or a run without a path
+    # compiles and holds none of it
+    from ._tick_writer import Stream
+
+    m = scenario.plant.m
+    stream = Stream(ticks_csv, ",".join(_tick_columns(m)), _widths(m))
+    try:
+        result = _run(scenario, stream)
+        stream.close(bool(result.ticks))
+    finally:
+        stream.kill()
+    return result
+
+
+def _run(scenario: Scenario, stream) -> RunResult:
+    """run(), each block of the log sent to stream as it is packed."""
     plant, state, controller = _start(scenario)
     tau = scenario.tau
     wrenches = _wrench_table(scenario.wrench_script, scenario.n_cycles, tau, plant.m)
@@ -229,6 +255,8 @@ def run(scenario: Scenario) -> RunResult:
                 state = plant.step(new_tuple(WrenchInput, (command, f_e)), tau)
                 if len(block) == _CHUNK:
                     ticks._put(written, block, codes)
+                    if stream is not None:
+                        stream.send(_block(ticks, written, written + _CHUNK), codes)
                     written += _CHUNK
                     block = []
             controller.finalize(state.xdot)
@@ -242,6 +270,8 @@ def run(scenario: Scenario) -> RunResult:
         fault = "emergency"
         log.error("scenario %s: emergency fault at cycle %d: %s", scenario.name, k, exc)
     ticks._put(written, block, codes)
+    if stream is not None and block:
+        stream.send(_block(ticks, written, written + len(block)), codes)
     ticks = ticks[:written + len(block)]
     ticks.region_names = list(codes)
 
@@ -490,13 +520,15 @@ class _RegionCodes(dict):
 # -- tick log I/O -------------------------------------------------------------
 #
 # The CSV columns follow ControlTick's fields in order; each vector field
-# spreads over one column per axis.  The writer works on blocks of _CHUNK
-# rows and formats the fields itself, exactly as csv.writer's default
-# dialect would: floats by repr, k by str, commas between fields, "\r\n"
-# after each row.  Region names hold no comma, quote or line break
-# (BodyRegion's rule), so no field is quoted.  The reader parses the whole
-# body in one np.loadtxt call into one record array with a field per
-# column of the log, so the log it returns holds no more than those bytes.
+# spreads over one column per axis.  One formatter, _tick_writer's
+# format_block, writes every log: in-process for write_ticks_csv, and in a
+# helper process for run() given a path.  It takes blocks of _CHUNK rows and
+# formats the fields itself, exactly as csv.writer's default dialect would:
+# floats by repr, k by str, commas between fields, "\r\n" after each row.
+# Region names hold no comma, quote or line break (BodyRegion's rule), so no
+# field is quoted.  The reader parses the whole body in one np.loadtxt call
+# into one record array with a field per column of the log, so the log it
+# returns holds no more than those bytes.
 
 
 def _tick_columns(m: int) -> list[str]:
@@ -506,31 +538,38 @@ def _tick_columns(m: int) -> list[str]:
     return columns
 
 
+def _widths(m: int) -> list[int]:
+    """The number of CSV columns of each float field after active_region."""
+    return [m if name in _VECTORS else 1 for name in _REPEATING]
+
+
+def _block(ticks: TickLog, start: int, stop: int) -> list[np.ndarray]:
+    """Rows start to stop of each column, in CSV order, as the contiguous
+    int64 and float64 arrays whose bytes format_block reads."""
+    return [np.ascontiguousarray(getattr(ticks, name)[start:stop],
+                                 np.int64 if name in _INTS else float)
+            for name in _FIELDS]
+
+
 def write_ticks_csv(path, ticks: TickLog):
-    """Write the tick log, every float as its shortest exact repr.  A name
+    """Write the tick log, every float as its shortest exact repr: the bytes
+    run() given a path writes, by the same formatter run in-process.  A name
     outside BodyRegion's rule, which a hand-built log may hold and the reader
     would refuse, is refused before the file is created."""
+    from ._tick_writer import format_block  # here, as run() imports its Stream
+
     if not ticks:
         raise DomainError("refusing to write an empty tick log")
     for name in ticks.region_names:
         _check_region_name(name)
+    m = ticks.xdot.shape[1]
+    widths = _widths(m)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_tick_columns(ticks.xdot.shape[1])) + "\r\n")
+        fh.write(",".join(_tick_columns(m)) + "\r\n")
         for start in range(0, len(ticks), _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            # tolist() yields Python ints and floats; str and repr are csv's
-            # format for them
-            lead = zip(map(str, ticks.k[rows].tolist()), map(repr, ticks.t[rows].tolist()),
-                       map(ticks.region_names.__getitem__, ticks.active_region[rows].tolist()))
-            # the float fields after them repeat values within a block: repr
-            # each distinct bit pattern once (bits, not ==, so 0.0 and -0.0
-            # stay apart); numpy 1 and 2 shape the inverse differently
-            cells = np.column_stack([getattr(ticks, name)[rows] for name in _REPEATING])
-            bits, where = np.unique(cells.view(np.int64), return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-            body = map(",".join, texts[where.reshape(cells.shape)].tolist())
-            fh.write("".join(f"{k},{t},{region},{rest}\r\n"
-                             for (k, t, region), rest in zip(lead, body)))
+            stop = min(start + _CHUNK, len(ticks))
+            fh.write(format_block(b"".join(_block(ticks, start, stop)), stop - start,
+                                  ticks.region_names, widths))
 
 
 def read_ticks_csv(path) -> TickLog:

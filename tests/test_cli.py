@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -357,12 +358,12 @@ RUN_REJECTS = {
        for label, value in (("number", 1), ("null", None), ("negative_zero", -0.0),
                             ("bool", True), ("string", "push"), ("object", {}))},
     # 0.5 v0 Lambda v0 overflows at 4 kg, as 0.5 qd0 M qd0 does for the arm:
-    # each printed numpy's overflow warning before this line
+    # each printed numpy's overflow warning before this line.  The controller
+    # reads the plant's initial kinetic energy, its h_initial, by the number rule
     "cartesian_energy_overflows": (lambda doc: doc["plant"].update(v0=[1e200, 0.0]),
-                                   "initial kinetic energy must be non-negative and finite, "
-                                   "got inf"),
+                                   "h_initial must be a finite number, got inf"),
     "arm_energy_overflows": (lambda doc: doc.update(plant=_arm(qd0=[1e308, 0.0])),
-                             "initial kinetic energy must be non-negative and finite, got inf"),
+                             "h_initial must be a finite number, got inf"),
     # (2 f_max)^2 / (2 k) overflows: the tank's floor check refused it as a
     # region needing inf J of budget
     "region_energy_overflows": (
@@ -431,12 +432,33 @@ def _out_is_a_file(tmp):
             f"{out}: File exists")
 
 
-@pytest.mark.parametrize("case", [_config_is_a_directory, _config_not_utf8, _out_is_a_file],
+def _ticks_csv_is_a_directory(tmp):
+    (tmp / "ticks.csv").mkdir()
+    return (["run", "paper_replica", "--duration", "0.01", "--out", str(tmp)],
+            f"{tmp / 'ticks.csv'}: Is a directory")
+
+
+@pytest.mark.parametrize("case", [_config_is_a_directory, _config_not_utf8, _out_is_a_file,
+                                  _ticks_csv_is_a_directory],
                          ids=lambda case: case.__name__[1:])
 def test_file_errors_exit_3(tmp_path, capsys, case):
     argv, message = case(tmp_path)
     assert main(argv) == EXIT_CONFIG
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_a_log_that_cannot_be_written_exits_3(tmp_path, capsys):
+    # the helper that writes ticks.csv may write 100 kB here, and 1 s of
+    # paper_replica takes 190 kB: no summary, and no file left behind
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, hard))
+    try:
+        rc = main(["run", "paper_replica", "--duration", "1", "--out", str(tmp_path)])
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {tmp_path / 'ticks.csv'}: File too large\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bundled_scenario_wins_over_a_directory_of_its_name(tmp_path, monkeypatch, capsys):
@@ -510,7 +532,7 @@ def test_non_finite_overrides_exit_3(tmp_path, capsys, flag, message):
 def test_a_log_too_large_for_memory_exits_3(tmp_path, capsys, monkeypatch):
     # run() allocates the log's columns for every cycle before the first
     # one, so an absurd duration fails there; stood in for by a raising run
-    def out_of_memory(scenario):
+    def out_of_memory(scenario, ticks_csv=None):
         raise MemoryError
 
     monkeypatch.setattr(cli, "run", out_of_memory)

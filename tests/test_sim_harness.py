@@ -6,7 +6,9 @@ import json
 import math
 import pickle
 import re
+import resource
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfltank import robot_dynamics, sim_harness
+from pfltank._tick_writer import Stream
 from pfltank.cli import load_scenario, scenario_from_config
 from pfltank.energy_tank import make_tank
 from pfltank.errors import DomainError
@@ -241,8 +244,8 @@ def test_constructors_reject_non_finite_values(build):
 _ZONE = BodyRegion(name="zone", e_max_override=1.0)
 _PLANT = CartesianPlant((2.0,), (0.0,), (0.0,))
 
-#: every public constructor, with integral floats in each numeric argument,
-#: so that each number has an int form
+#: every public constructor and builder, with integral floats in each
+#: numeric argument, so that each number has an int form
 _BUILDS = {
     BodyRegion: dict(name="chest", f_max=140.0, k=25000.0, m_h=40.0,
                      transient_multiplier=2.0, e_max_override=3.0),
@@ -256,6 +259,10 @@ _BUILDS = {
     Scenario: dict(name="unit", plant=_PLANT, gains=PdGains((4.0,), (6.0,), (2.0,)),
                    schedule=RegionSchedule((0.0,), (_ZONE,)), t_initial=5.0, tau=1.0,
                    duration=2.0, damper_band=0.0),
+    SafetyController: dict(gains=PdGains((4.0,), (6.0,), (2.0,)),
+                           schedule=RegionSchedule((0.0,), (_ZONE,)), t_initial=5.0,
+                           h_initial=1.0, tau=1.0, damper_band=0.0),
+    make_tank: dict(t_initial=5.0, epsilon=2.0, h_initial=1.0),
 }
 
 
@@ -1034,12 +1041,29 @@ _POOLS = st.lists(st.sampled_from(_SPECIAL_BITS) | st.floats(width=64).map(
        n=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
        pool=_POOLS, seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_csv_writer_matches_the_per_cell_reference(tmp_path_factory, m, n, pool, seed):
+    # in-process, and streamed to run()'s helper process block by block
     log = _pool_log(m, n, pool, seed, ["zone", "chest (upper)", " é "])
     ours = tmp_path_factory.mktemp("writer") / "ticks.csv"
-    ref = ours.with_name("per_cell.csv")
+    ref, streamed = ours.with_name("per_cell.csv"), ours.with_name("streamed.csv")
     write_ticks_csv(ours, log)
     write_ticks_csv_per_cell(ref, log)
-    assert ours.read_bytes() == ref.read_bytes()
+    _stream(streamed, log)
+    assert ours.read_bytes() == ref.read_bytes() == streamed.read_bytes()
+
+
+def _stream(path, log: TickLog):
+    """Write log to path through run()'s helper process, sent as run() sends
+    it: _CHUNK rows at a time, each block with the names it adds."""
+    m = log.xdot.shape[1]
+    stream = Stream(path, ",".join(sim_harness._tick_columns(m)), sim_harness._widths(m))
+    try:
+        for start in range(0, len(log), _CHUNK):
+            stop = min(start + _CHUNK, len(log))
+            stream.send(sim_harness._block(log, start, stop),
+                        log.region_names[:log.active_region[:stop].max() + 1])
+        stream.close(True)
+    finally:
+        stream.kill()
 
 
 # region names at the edges of the name rule: spaces inside and around a
@@ -1159,13 +1183,93 @@ def test_reader_matches_the_blockwise_reference(tmp_path_factory, mutation, m, n
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
-def test_writing_a_read_log_gives_its_bytes(tmp_path, bundled_runs, arm_reach_run):
-    # the reader's columns are strided views of one record array
-    for name, result in [*bundled_runs.items(), ("arm_reach", arm_reach_run)]:
-        first, again = tmp_path / f"{name}.csv", tmp_path / f"{name}_again.csv"
-        write_ticks_csv(first, result.ticks)
-        write_ticks_csv(again, read_ticks_csv(first))
-        assert again.read_bytes() == first.read_bytes(), name
+def test_writing_a_read_log_gives_its_bytes(tmp_path, cli_runs):
+    # pfltank run streams the bytes that write_ticks_csv writes of the log
+    # run() returned; the reader's columns are strided views of one record array
+    for name, (result, streamed) in cli_runs.items():
+        ours, again = tmp_path / f"{name}.csv", tmp_path / f"{name}_again.csv"
+        write_ticks_csv(ours, result.ticks)
+        write_ticks_csv(again, read_ticks_csv(streamed))
+        assert streamed.read_bytes() == ours.read_bytes() == again.read_bytes(), name
+
+
+# -- the log run() streams ------------------------------------------------------
+
+def _helpers(monkeypatch) -> list:
+    """Every helper process run() starts from now on, recorded as started."""
+    import subprocess
+
+    helpers = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            helpers.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return helpers
+
+
+def test_a_faulted_run_streams_its_partial_log(tmp_path):
+    # the 200 N push from t = 0.5 s breaks the ledger of a 0.02 J region:
+    # 500 ticks, the last block a partial one
+    scenario = _cart_scenario(plant=CartesianPlant((2.0,), (0.0,), (0.1,)),
+                              gains=PdGains((0.0,), (0.0,), (0.0,)),
+                              schedule=_schedule((0.0, "tight", 0.02)), t_initial=0.51,
+                              wrench_script=(WrenchSegment(0.5, 1.0, (200.0,)),))
+    streamed, ref = tmp_path / "ticks.csv", tmp_path / "ref.csv"
+    result = run(scenario, ticks_csv=streamed)
+    assert (result.fault, len(result.ticks)) == ("emergency", 500)
+    write_ticks_csv(ref, result.ticks)
+    assert streamed.read_bytes() == ref.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ref.csv", "ticks.csv"]
+
+
+def test_a_run_that_streams_no_tick_removes_the_old_log(tmp_path):
+    # 1 J of motion, a budget 1e-4 J above it and no damper band: the 100 N
+    # push feeds the robot 100 W, which the tank cannot book on cycle 0
+    scenario = _cart_scenario(plant=CartesianPlant((2.0,), (0.0,), (1.0,)),
+                              gains=PdGains((0.0,), (0.0,), (0.0,)),
+                              schedule=_schedule((0.0, "zone", 1.0001)), t_initial=1.0,
+                              damper_band=0.0,
+                              wrench_script=(WrenchSegment(0.0, 1.0, (100.0,)),))
+    path = tmp_path / "ticks.csv"
+    path.write_text("an earlier run's log")
+    result = run(scenario, ticks_csv=path)
+    assert (result.fault, len(result.ticks)) == ("emergency", 0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_interrupted_stream_leaves_no_file_and_no_process(tmp_path, monkeypatch):
+    helpers = _helpers(monkeypatch)
+    cycle = SafetyController.control_cycle
+
+    def interrupted(self, obs, h_truth):
+        if self._k == 2 * _CHUNK + 10:  # two blocks have gone to the helper
+            raise KeyboardInterrupt
+        return cycle(self, obs, h_truth)
+
+    monkeypatch.setattr(SafetyController, "control_cycle", interrupted)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run(_cart_scenario(), ticks_csv=tmp_path / "ticks.csv")
+    assert list(tmp_path.iterdir()) == []
+    assert len(helpers) == 1 and helpers[0].returncode is not None  # stopped and reaped
+    assert threading.active_count() == threads
+
+
+def test_a_stream_that_cannot_be_written_raises_and_leaves_nothing(tmp_path, monkeypatch):
+    # the helper's file may grow to 100 kB here, and 1000 ticks take twice that
+    helpers = _helpers(monkeypatch)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, hard))
+    try:
+        with pytest.raises(OSError, match="^File too large$"):
+            run(_cart_scenario(), ticks_csv=tmp_path / "ticks.csv")
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert list(tmp_path.iterdir()) == []
+    assert len(helpers) == 1 and helpers[0].returncode == 1
 
 
 def test_a_140000_character_region_name_reads_back(tmp_path):
