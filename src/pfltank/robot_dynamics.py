@@ -79,6 +79,15 @@ def _snapshot(x: np.ndarray, xdot: np.ndarray, energy: float, stepped=False) -> 
     return tuple.__new__(PlantState, (x, xdot, energy))
 
 
+def _check_initial_energy(plant, name: str):
+    """Refuse an initial twist, the argument name, whose kinetic energy is not
+    finite, so that every state a plant reports has a finite energy."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the inf or NaN is the finding
+        energy = plant.state().kinetic_energy_truth
+    if not math.isfinite(energy):
+        raise DomainError(f"{name} must give a finite kinetic energy, got {energy!r}")
+
+
 class _WrenchFields(NamedTuple):
     f_c: np.ndarray
     f_e: np.ndarray
@@ -126,6 +135,7 @@ class CartesianPlant:
         self._x, self._xdot = list(_reals(x0, "x0", m)), list(_reals(xdot0, "xdot0", m))
         # _xdot's energy once a step forms it; steps coast if xdot0 holds no -0.0
         self._h, self._coasts = None, "-0.0" not in map(repr, self._xdot)
+        _check_initial_energy(self, "xdot0")
 
     @property
     def pose(self) -> np.ndarray:
@@ -140,10 +150,7 @@ class CartesianPlant:
         return self.state().kinetic_energy_truth
 
     def state(self) -> PlantState:
-        # an initial twist may overflow the energy's products: state() reports
-        # the inf or NaN as it is, without a warning, and make_tank refuses it
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._state(self._x, self._xdot)
+        return self._state(self._x, self._xdot)
 
     def _state(self, x: list, v: list, h=None, stepped=False) -> PlantState:
         """The PlantState of pose x and twist v, lists of floats, and energy h."""
@@ -220,6 +227,7 @@ class PlanarArm:
         (q1, q2, qd1, qd2), terms = self._model(q0, qdot0, ("q0", "qdot0"))
         self._q, self._qd = (q1, q2), (qd1, qd2)
         self._jac, self._ee, self._grav, self._mass, self._cor, self._qdot, _ = terms
+        _check_initial_energy(self, "qdot0")
 
     def _model(self, q, qdot=(0.0, 0.0), names=("q", "qdot")) -> tuple:
         """The joint floats [q1, q2, qd1, qd2] of the joint vectors q and qdot,
@@ -294,9 +302,7 @@ class PlanarArm:
         return self.state().kinetic_energy_truth
 
     def state(self) -> PlantState:
-        # as CartesianPlant.state: an overflowing product is reported, unwarned
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._state(self._jac, self._ee, self._mass, self._qdot)
+        return self._state(self._jac, self._ee, self._mass, self._qdot)
 
     @staticmethod
     def _state(jac, ee, mass, qdot, stepped=False) -> PlantState:

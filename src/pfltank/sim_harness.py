@@ -202,7 +202,9 @@ def run(scenario: Scenario, ticks_csv=None) -> RunResult:
     renames that file onto the path once the helper is done.  So the file
     appears complete or not at all, and a run that logs no tick removes the
     file an earlier run left there.  A failed write raises OSError; on any
-    exception the helper is stopped and its file removed.
+    exception the helper is stopped and its file removed.  Blocks go to the
+    helper by non-blocking writes, buffered where its pipe is full, so the
+    loop never waits on the helper and no thread runs beside the loop.
 
     The scenario, its wrench script included, was validated when it was built
     and the loop does not check it again; per cycle only the plant's new state
@@ -219,8 +221,7 @@ def run(scenario: Scenario, ticks_csv=None) -> RunResult:
     # compiles and holds none of it
     from ._tick_writer import Stream
 
-    m = scenario.plant.m
-    stream = Stream(ticks_csv, ",".join(_tick_columns(m)), _widths(m))
+    stream = Stream(ticks_csv, ",".join(_tick_columns(scenario.plant.m)))
     try:
         result = _run(scenario, stream)
         stream.close(bool(result.ticks))
@@ -434,8 +435,6 @@ _CHUNK = 256
 _VECTORS = {"f_des", "f_c", "f_e", "x", "xdot"}
 _FIELDS = ControlTick._fields
 _INTS = {"k", "active_region"}
-#: the float fields that follow k, t and active_region in a CSV row
-_REPEATING = _FIELDS[3:]
 
 
 class TickLog:
@@ -522,9 +521,10 @@ class _RegionCodes(dict):
 # The CSV columns follow ControlTick's fields in order; each vector field
 # spreads over one column per axis.  One formatter, _tick_writer's
 # format_block, writes every log: in-process for write_ticks_csv, and in a
-# helper process for run() given a path.  It takes blocks of _CHUNK rows and
-# formats the fields itself, exactly as csv.writer's default dialect would:
-# floats by repr, k by str, commas between fields, "\r\n" after each row.
+# helper process for run() given a path.  It takes blocks of _CHUNK rows, as
+# one contiguous array per CSV column, and formats the fields itself, exactly
+# as csv.writer's default dialect would: floats by repr, k by str, commas
+# between fields, "\r\n" after each row.
 # Region names hold no comma, quote or line break (BodyRegion's rule), so no
 # field is quoted.  The reader parses the whole body in one np.loadtxt call
 # into one record array with a field per column of the log, so the log it
@@ -538,15 +538,11 @@ def _tick_columns(m: int) -> list[str]:
     return columns
 
 
-def _widths(m: int) -> list[int]:
-    """The number of CSV columns of each float field after active_region."""
-    return [m if name in _VECTORS else 1 for name in _REPEATING]
-
-
 def _block(ticks: TickLog, start: int, stop: int) -> list[np.ndarray]:
-    """Rows start to stop of each column, in CSV order, as the contiguous
-    int64 and float64 arrays whose bytes format_block reads."""
-    return [np.ascontiguousarray(getattr(ticks, name)[start:stop],
+    """Rows start to stop of each field, in CSV order, as contiguous int64
+    and float64 arrays: a vector field transposed, so that its bytes are its
+    CSV columns one after another, as format_block reads them."""
+    return [np.ascontiguousarray(getattr(ticks, name)[start:stop].T,
                                  np.int64 if name in _INTS else float)
             for name in _FIELDS]
 
@@ -562,14 +558,12 @@ def write_ticks_csv(path, ticks: TickLog):
         raise DomainError("refusing to write an empty tick log")
     for name in ticks.region_names:
         _check_region_name(name)
-    m = ticks.xdot.shape[1]
-    widths = _widths(m)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_tick_columns(m)) + "\r\n")
+        fh.write(",".join(_tick_columns(ticks.xdot.shape[1])) + "\r\n")
         for start in range(0, len(ticks), _CHUNK):
             stop = min(start + _CHUNK, len(ticks))
             fh.write(format_block(b"".join(_block(ticks, start, stop)), stop - start,
-                                  ticks.region_names, widths))
+                                  ticks.region_names))
 
 
 def read_ticks_csv(path) -> TickLog:

@@ -358,12 +358,13 @@ RUN_REJECTS = {
        for label, value in (("number", 1), ("null", None), ("negative_zero", -0.0),
                             ("bool", True), ("string", "push"), ("object", {}))},
     # 0.5 v0 Lambda v0 overflows at 4 kg, as 0.5 qd0 M qd0 does for the arm:
-    # each printed numpy's overflow warning before this line.  The controller
-    # reads the plant's initial kinetic energy, its h_initial, by the number rule
+    # each printed numpy's overflow warning before this line, and later the
+    # controller refused the plant's energy as its h_initial.  Each plant's
+    # constructor refuses its initial twist, by the plant's own argument name
     "cartesian_energy_overflows": (lambda doc: doc["plant"].update(v0=[1e200, 0.0]),
-                                   "h_initial must be a finite number, got inf"),
+                                   "plant: xdot0 must give a finite kinetic energy, got inf"),
     "arm_energy_overflows": (lambda doc: doc.update(plant=_arm(qd0=[1e308, 0.0])),
-                             "h_initial must be a finite number, got inf"),
+                             "plant: qdot0 must give a finite kinetic energy, got inf"),
     # (2 f_max)^2 / (2 k) overflows: the tank's floor check refused it as a
     # region needing inf J of budget
     "region_energy_overflows": (

@@ -145,10 +145,18 @@ def _refused(build):
      "q0 must have two finite entries with a finite sum, got [1e+308, 1e+308]"),
     (_refused(lambda: PlanarArm(qdot0=(0.0, 0.0, 0.0))), DomainError,
      "qdot0 must have length 2, got 3"),
+    # finite twists whose energy overflows: no step could start from them
+    (_refused(lambda: CartesianPlant([[4.0]], [0.0], [1e155])), DomainError,
+     "xdot0 must give a finite kinetic energy, got inf"),
+    (_refused(lambda: CartesianPlant([[4.0, -1.9], [-1.9, 1.0]], [0.0, 0.0], [1e308, 1.0])),
+     DomainError, "xdot0 must give a finite kinetic energy, got nan"),
+    (_refused(lambda: PlanarArm(q0=(0.3, 0.0), qdot0=(2e154, 0.0))), DomainError,
+     "qdot0 must give a finite kinetic energy, got inf"),
 ], ids=["arm_inf", "arm_nan", "arm_inf_at_zero_row", "arm_inf_at_q0", "arm_angle_sum_overflows",
         "not_square", "asymmetric", "x0_length", "inverse_overflows", "arm_model_overflows",
         "arm_gravity_overflows", "arm_mass_matrix_singular", "arm_mass_matrix_ill_conditioned",
-        "arm_angle_sum_at_q0", "arm_qdot0_length"])
+        "arm_angle_sum_at_q0", "arm_qdot0_length", "cartesian_energy_overflows",
+        "cartesian_energy_nan", "arm_energy_overflows"])
 def test_plants_fault_and_refuse_with_their_messages(case, error, message):
     arm, act = case()
     before = None if arm is None else _arm_bits(arm)
@@ -187,45 +195,48 @@ def test_every_arm_that_builds_steps_at_rest(factors, q0, tau):
     assert state.kinetic_energy_truth == 0.0
 
 
-@pytest.mark.parametrize("plant, energy", [
-    # 0.5 * 4 * 1e310 overflows
-    (lambda: CartesianPlant([[4.0]], [0.0], [1e155]), "inf"),
-    # x . Lambda overflows to (inf, -inf), and inf - inf is NaN
-    (lambda: CartesianPlant([[4.0, -1.9], [-1.9, 1.0]], [0.0, 0.0], [1e308, 1.0]), "nan"),
-    # q2 = 0 puts no Coriolis term in the step, and qd M qd overflows
-    (lambda: PlanarArm(q0=(0.3, 0.0), qdot0=(2e154, 0.0)), "inf"),
+@pytest.mark.parametrize("plant, push, energy", [
+    # 0.5 * 4 * (2.5e154)^2 overflows
+    (lambda: CartesianPlant([[4.0]], [0.0], [0.0]), [1e155], "inf"),
+    # xdot = (1.7e308, 1.7e308): each entry of xdot . Lambda overflows in both
+    # of its products, 10 * 1.7e308 and -9 * 1.7e308, and inf - inf is NaN
+    (lambda: CartesianPlant([[10.0, -9.0], [-9.0, 10.0]], [0.0, 0.0], [0.0, 0.0]),
+     [1.7e308, 1.7e308], "nan"),
+    # from rest the joint velocity is tau M^-1 J^T f_e, and qd M qd overflows
+    (lambda: PlanarArm(q0=(0.3, 0.0)), [1e156, 0.0], "inf"),
 ], ids=["cartesian_inf", "cartesian_nan", "arm_inf"])
-def test_a_finite_state_whose_energy_overflows_faults_the_step(plant, energy):
+def test_a_finite_state_whose_energy_overflows_faults_the_step(plant, push, energy):
+    # the constructors refuse an initial energy that overflows, so each plant
+    # starts at rest; one 1 s step under a push leaves a finite state whose
+    # energy is not
     plant = plant()
-    # state() reports the energy as it is: a run refuses it where the tank is made
     with np.errstate(all="ignore"):
-        assert repr(plant.state().kinetic_energy_truth) == energy
         with pytest.raises(IntegrationFault, match=f"non-finite kinetic energy {energy}"):
-            plant.step(_wrench(np.zeros(plant.m), np.zeros(plant.m)), 1e-3)
+            plant.step(_wrench(np.zeros(plant.m), push), 1.0)
     # -inf, which a dot's fused multiply-adds can give, is a fault too, not
     # the DomainError of an energy rounded below zero
     with pytest.raises(IntegrationFault, match="non-finite kinetic energy -inf"):
         _snapshot(np.zeros(2), np.zeros(2), -math.inf, stepped=True)
 
 
-
 def test_a_refused_snapshot_leaves_the_arm_unmoved():
     # the new state is finite, but its energy qd M qd overflows, so the
     # snapshot refuses it after the state check has passed
-    arm = PlanarArm(q0=(0.3, 0.0), qdot0=(2e154, 0.0))
+    arm = PlanarArm(q0=(0.3, 0.0))
+    pose, twist, state, bits = arm.pose, arm.twist, arm.state(), _arm_bits(arm)
     with np.errstate(all="ignore"):
-        pose, twist, state, bits = arm.pose, arm.twist, arm.state(), _arm_bits(arm)
         with pytest.raises(IntegrationFault, match="non-finite kinetic energy inf"):
-            arm.step(_wrench(ZERO2, ZERO2), 1e-3)
-        after = arm.state()
-        assert _arm_bits(arm) == bits
+            arm.step(_wrench(ZERO2, [1e156, 0.0]), 1.0)
+    after = arm.state()
+    assert _arm_bits(arm) == bits
     # the joint floats the next step starts from, and qd's view the products read
-    assert arm._q == (0.3, 0.0) and arm._qd == (2e154, 0.0)
-    assert arm._qdot.tolist() == [2e154, 0.0]
+    assert arm._q == (0.3, 0.0) and arm._qd == (0.0, 0.0)
+    assert arm._qdot.tolist() == [0.0, 0.0]
     assert arm.pose.tobytes() == pose.tobytes() and arm.twist.tobytes() == twist.tobytes()
     assert after.x.tobytes() == state.x.tobytes()
     assert after.xdot.tobytes() == state.xdot.tobytes()
-    assert repr(after.kinetic_energy_truth) == repr(state.kinetic_energy_truth) == "inf"
+    assert repr(after.kinetic_energy_truth) == repr(state.kinetic_energy_truth) == "0.0"
+
 
 def test_wrench_validation():
     with pytest.raises(DomainError):

@@ -479,6 +479,10 @@ def test_coasting_outcomes_and_the_ledger_give_the_numpy_forms_bits(m, energy, d
     if m == 2:
         plants.append(lambda: PlanarArm(q0=(0.3, -0.7), qdot0=(0.4, 0.0)))
     for plant in plants:
+        try:
+            plant()
+        except DomainError:  # an xdot whose energy overflows: the plant refuses it
+            continue
         outcomes = [_outcome(lambda: plant().step(tuple.__new__(WrenchInput, (c, f_e)), tau))
                     for c in (command, wire)]
         assert outcomes[0] == outcomes[1]

@@ -4,9 +4,11 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import pickle
 import re
 import resource
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -1055,7 +1057,7 @@ def _stream(path, log: TickLog):
     """Write log to path through run()'s helper process, sent as run() sends
     it: _CHUNK rows at a time, each block with the names it adds."""
     m = log.xdot.shape[1]
-    stream = Stream(path, ",".join(sim_harness._tick_columns(m)), sim_harness._widths(m))
+    stream = Stream(path, ",".join(sim_harness._tick_columns(m)))
     try:
         for start in range(0, len(log), _CHUNK):
             stop = min(start + _CHUNK, len(log))
@@ -1154,7 +1156,7 @@ _TOLERATED = {"spaces_around_number", "minus_nan", "no_last_terminator", "cr_ter
        pick=st.integers(min_value=0, max_value=2**20))
 def test_reader_matches_the_blockwise_reference(tmp_path_factory, mutation, m, n, pool,
                                                  seed, names, pick):
-    # the reference is the log the block-wise writer wrote: read unedited, it
+    # the reference is the log write_ticks_csv wrote: read unedited, it
     # comes back bit for bit; each edit of it is refused with a DomainError
     # naming the file, or read where numpy tolerates the form
     path = tmp_path_factory.mktemp("reader") / "ticks.csv"
@@ -1256,6 +1258,35 @@ def test_an_interrupted_stream_leaves_no_file_and_no_process(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
     assert len(helpers) == 1 and helpers[0].returncode is not None  # stopped and reaped
     assert threading.active_count() == threads
+
+
+def test_a_stream_runs_no_thread_beside_the_loop(tmp_path, monkeypatch):
+    counts = []
+    cycle = SafetyController.control_cycle
+
+    def counted(self, obs, h_truth):
+        if self._k == 2 * _CHUNK + 10:  # two blocks have gone to the helper
+            counts.append(threading.active_count())
+        return cycle(self, obs, h_truth)
+
+    monkeypatch.setattr(SafetyController, "control_cycle", counted)
+    threads = threading.active_count()
+    run(_cart_scenario(), ticks_csv=tmp_path / "ticks.csv")
+    assert counts == [threads]
+
+
+def test_a_run_without_a_path_never_imports_the_stream():
+    # importing the package, validating a scenario and running it without a
+    # path compile and hold none of the helper's module, in a fresh interpreter
+    code = ("import sys, pfltank\n"
+            "from pfltank.cli import load_scenario, main\n"
+            "assert main(['validate', 'budget_starved']) == 0\n"
+            "assert pfltank.run(load_scenario('budget_starved')).fault is None\n"
+            "print('pfltank._tick_writer' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_a_stream_that_cannot_be_written_raises_and_leaves_nothing(tmp_path, monkeypatch):
