@@ -13,11 +13,14 @@ bit-exactly.
 from __future__ import annotations
 
 import copy
+import itertools
 import logging
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -526,9 +529,12 @@ class _RegionCodes(dict):
 # as csv.writer's default dialect would: floats by repr, k by str, commas
 # between fields, "\r\n" after each row.
 # Region names hold no comma, quote or line break (BodyRegion's rule), so no
-# field is quoted.  The reader parses the whole body in one np.loadtxt call
-# into one record array with a field per column of the log, so the log it
-# returns holds no more than those bytes.
+# field is quoted.  The reader hands the file's raw lines, undecoded, to one
+# np.loadtxt call, which decodes and parses them in C into one record array
+# with a field per column of the log, so the log it returns holds no more
+# than those bytes.  A line end is "\r\n" or "\n": numpy refuses a lone "\r"
+# inside a line and the reader one that ends the file, and a blank line,
+# which numpy skips, shows as fewer rows than lines.
 
 
 def _tick_columns(m: int) -> list[str]:
@@ -567,35 +573,39 @@ def write_ticks_csv(path, ticks: TickLog):
 
 
 def read_ticks_csv(path) -> TickLog:
-    """Inverse of write_ticks_csv; floats round-trip exactly.
+    r"""Inverse of write_ticks_csv; floats round-trip exactly.
 
-    The file must be UTF-8, its header exactly the tick-log header for its
-    number of axes, every later line a row of as many fields (so no blank
-    lines) whose numbers numpy parses, and every region name one that
-    BodyRegion takes.  The body is parsed in one np.loadtxt call, with no
-    quoting, into one record array whose fields are the log's columns.  A
-    failed check raises DomainError naming the file and the missing columns,
-    the header, the region name or, for a row numpy refuses, numpy's own
-    message, whose row numbers are not the file's line numbers.
+    The file must be UTF-8, every line end "\r\n" or "\n", its header
+    exactly the tick-log header for its number of axes, every later line a
+    row of as many fields (so no blank lines) whose numbers numpy parses,
+    and every region name one that BodyRegion takes.  The body's raw lines
+    are parsed in one np.loadtxt call, with no quoting, into one record
+    array whose fields are the log's columns.  A failed check raises
+    DomainError naming the file and the missing columns, the header, the
+    region name, a blank line, a lone "\r" that ends a seekable file or,
+    for a row numpy refuses (a lone "\r" inside a line among them), numpy's
+    own message, whose row numbers are not the file's line numbers.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            header = fh.readline()
+            header = fh.readline().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: {exc}") from None
         # DomainError is a ValueError, so the header is checked outside the
         # handler of numpy's errors
         m = _axis_count(header, path)
         codes = _RegionCodes()
+        lines = itertools.count()  # advanced once per body line numpy reads
         try:
             with warnings.catch_warnings():
                 # numpy 1.x warns where it parses k as a float, and without
                 # encoding hands the converter bytes; no rows is answered below
                 warnings.simplefilter("error")
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                records = np.loadtxt(_body_lines(fh), _record_dtype(m), delimiter=",",
-                                     comments=None, ndmin=1, encoding="utf-8",
+                records = np.loadtxt(map(itemgetter(0), zip(fh, lines)), _record_dtype(m),
+                                     delimiter=",", comments=None, ndmin=1,
+                                     encoding="utf-8",
                                      converters={_FIELDS.index("active_region"):
                                                  codes.__getitem__})
             for name in codes:  # numpy takes any text, '"' included
@@ -603,6 +613,15 @@ def read_ticks_csv(path) -> TickLog:
         # UnicodeDecodeError and the name check's DomainError are ValueErrors
         except (ValueError, OverflowError, Warning) as exc:
             raise DomainError(f"{path}: {exc}") from None
+        # numpy skips a blank line, which write_ticks_csv never writes
+        if next(lines) != len(records):
+            raise DomainError(f"{path}: blank line")
+        # numpy refuses a lone "\r" inside a line but takes one that ends the
+        # file; a stream that cannot seek, such as a pipe, is not checked
+        if fh.seekable():
+            fh.seek(-1, os.SEEK_END)  # past the header, so there is a byte
+            if fh.read(1) == b"\r":
+                raise DomainError(f'{path}: the last line ends in a lone "\\r"')
     if not len(records):
         raise DomainError(f"{path}: empty tick log")
     return TickLog({name: records[name] for name in _FIELDS}, list(codes))
@@ -630,12 +649,3 @@ def _record_dtype(m: int) -> np.dtype:
     return np.dtype([(name, np.int64) if name in _INTS else
                      (name, float, (m,)) if name in _VECTORS else (name, float)
                      for name in _FIELDS])
-
-
-def _body_lines(fh):
-    """The rest of fh's lines.  np.loadtxt skips a blank line, which
-    write_ticks_csv never writes, so a blank line raises instead."""
-    for line in fh:
-        if line in ("\r\n", "\n", "\r"):
-            raise ValueError("blank line")
-        yield line

@@ -1130,7 +1130,8 @@ _MUTATIONS = {
     "minus_nan": lambda text, spans, pick: _edit_field(
         text, spans[pick % len(spans)], (1, -1)[pick % 2], lambda _: "-nan"),
     "lone_cr": lambda text, spans, pick: _insert(text, _in_body(text, spans, pick), "\r"),
-    # a row's "\r\n" cut to "\r", a line end that Python's newline handling reads
+    # a row's "\r\n" cut to "\r", a line end that Python's newline handling
+    # reads and that numpy refuses inside a line
     "cr_terminator": lambda text, spans, pick: (
         text[:spans[pick % len(spans)][1]] + "\r" + text[spans[pick % len(spans)][1] + 2:]),
     "no_last_terminator": lambda text, spans, pick: text[:-2],
@@ -1144,7 +1145,7 @@ _MUTATIONS = {
 
 
 # the edits read as the same numbers, or as NaN for "-nan"
-_TOLERATED = {"spaces_around_number", "minus_nan", "no_last_terminator", "cr_terminator"}
+_TOLERATED = {"spaces_around_number", "minus_nan", "no_last_terminator"}
 
 
 @pytest.mark.parametrize("mutation", list(_MUTATIONS))
@@ -1462,6 +1463,20 @@ def _blank_line(lines):
     return lines
 
 
+def _cr_line_ends(lines):
+    return [line.rstrip("\r\n") + "\r" for line in lines]
+
+
+def _cr_after_header(lines):
+    lines[0] = lines[0].rstrip("\r\n") + "\r"
+    return lines
+
+
+def _cr_at_the_end(lines):
+    lines[-1] = lines[-1].rstrip("\r\n") + "\r"
+    return lines
+
+
 def _no_velocity(lines):
     lines[0] = lines[0].replace("xdot_", "v_")
     return lines
@@ -1505,9 +1520,14 @@ def _not_utf8(lines):
     (_k_underscore, None),
     (_quoted_name, "a region name must be"),
     (_no_velocity, "no velocity columns found"),
+    # a lone "\r" ends no line, so the header runs on into the rows
+    (_cr_line_ends, "missing columns"),
+    (_cr_after_header, "missing columns"),
+    # numpy reads it as a line end, as it does no other lone "\r"
+    (_cr_at_the_end, 'the last line ends in a lone "\\r"'),
 ], ids=["missing_column", "short_row", "non_numeric", "not_utf8", "reordered_header",
         "extra_column", "blank_line", "fourth_axis", "k_overflow", "k_underscore",
-        "quoted_name", "no_velocity"])
+        "quoted_name", "no_velocity", "cr_line_ends", "cr_after_header", "cr_at_the_end"])
 def test_malformed_logs_raise_domain_errors(tmp_path, edit, message):
     path = _malformed(tmp_path, edit)
     with pytest.raises(DomainError) as info:
@@ -1529,3 +1549,20 @@ def test_csv_refuses_empty_logs(tmp_path):
         with pytest.raises(DomainError) as info:
             read_ticks_csv(path)
         assert str(info.value) == f"{path}: empty tick log"
+
+
+def test_a_log_reads_from_a_pipe(tmp_path):
+    # a pipe cannot seek, so its last byte goes unchecked, and it reads
+    path, fifo, again = tmp_path / "ticks.csv", tmp_path / "fifo", tmp_path / "again.csv"
+    write_ticks_csv(path, run(_cart_scenario(duration=0.005)).ticks)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                              daemon=True)  # the log fits in the pipe's buffer
+    writer.start()
+    try:
+        log = read_ticks_csv(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    write_ticks_csv(again, log)
+    assert again.read_bytes() == path.read_bytes()
