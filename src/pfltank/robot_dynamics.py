@@ -19,12 +19,13 @@ whose rounding the logged bytes rest on; elementwise + - * / and negation run
 on Python floats, which round alike at a fraction of the cost, except where
 the result is only a product's operand (the Cartesian f_e - f_c) and stays an
 array.  The arm forms only the products its bits rest on (no J^T f_e of an
-all-zero f_e), folds -f_c's sign into its float right-hand side, and builds
-its next model as views of one float array made from floats.  It converts
+all-zero f_e), folds -f_c's sign into its float right-hand side, written
+into a 2-entry array it holds, and writes its next model's floats into the
+idle one of two 16-entry buffers whose views it built once.  It converts
 joint values to floats once, where they enter (the constructor and the model
 methods), and its step keeps q, qd and the gravity torque as float pairs, so
 no joint value goes from floats to an array and back per step; qd's view in
-the model array serves the products.  A zero net wrench keeps
+the live buffer serves the products.  A zero net wrench keeps
 the Cartesian velocity and energy: v + tau (+-0.0) is v unless v is -0.0, which
 x + y is only when both x and y are, so only a -0.0 in xdot0 can bring one.
 No step holds a comprehension, whose frame (inlined only from Python 3.12) costs
@@ -182,6 +183,14 @@ class CartesianPlant:
         return state
 
 
+def _views(buf: np.ndarray) -> tuple:
+    """A flat 16-entry model buffer and its views as PlanarArm._terms lays
+    them out: J, J^T, the end-effector point, M, C(q, qd) and qd."""
+    rows = buf.reshape(8, 2)
+    jac = rows[:2]
+    return buf, jac, jac.T, rows[2], rows[3:5], rows[5:7], rows[7]
+
+
 class PlanarArm:
     """Two-revolute-joint arm in a vertical plane, uniform rod links.
 
@@ -223,15 +232,23 @@ class PlanarArm:
                 raise DomainError("the arm's mass matrix must be positive definite at every "
                                   "elbow angle, with det M above 1e-9 M11 M22")
         # the joint state as step computes it, and the model at it, shared by
-        # the port readings and the next step
-        (q1, q2, qd1, qd2), terms = self._model(q0, qdot0, ("q0", "qdot0"))
+        # the port readings and the next step; step writes the next model into
+        # the idle buffer and the solve's right-hand side into _rhs
+        (q1, q2, qd1, qd2), live, self._grav, _ = self._model(q0, qdot0, ("q0", "qdot0"))
         self._q, self._qd = (q1, q2), (qd1, qd2)
-        self._jac, self._ee, self._grav, self._mass, self._cor, self._qdot, _ = terms
+        self._live, self._idle, self._rhs = live, _views(np.empty(16)), np.empty(2)
+        _, self._jac, self._jt, self._ee, self._mass, self._cor, self._qdot = live
         _check_initial_energy(self, "qdot0")
+
+    def __reduce__(self):
+        # a copy rebuilds its buffers through the constructor: copying them one
+        # by one would give it detached arrays in place of the views
+        return type(self), (self.l1, self.l2, self.m1, self.m2, self._q, self._qd)
 
     def _model(self, q, qdot=(0.0, 0.0), names=("q", "qdot")) -> tuple:
         """The joint floats [q1, q2, qd1, qd2] of the joint vectors q and qdot,
-        each read by _reals as two entries, and _terms at them.  The model
+        each read by _reals as two entries, and _terms at them: the model's
+        views of a buffer of its own, the gravity torque and h.  The model
         forms the sum of each pair (the sine of q1 + q2, and h (qd1 + qd2) in
         C), so each sum must be finite, which it is only when both entries are."""
         joints = []
@@ -241,14 +258,15 @@ class PlanarArm:
                 raise DomainError(f"{name} must have two finite entries with a finite sum, "
                                   f"got {list(pair)}")
             joints += pair
-        return joints, self._terms(*joints)
+        model, grav, h = self._terms(*joints)
+        return joints, _views(np.array(model, dtype=float)), grav, h
 
     def _terms(self, q1, q2, qd1, qd2) -> tuple:
-        """J, the end-effector point, the gravity torque (a float pair), M,
-        C(q, qd) and qd, each array a view of one 16-entry buffer, and the
-        Coriolis factor h at the joint floats (q1, q2, qd1, qd2): math.sin and
-        math.cos give np.sin's and np.cos's bits, as the numpy model had.  The
-        buffer's dtype is given, which spares numpy its discovery."""
+        """The model at the joint floats (q1, q2, qd1, qd2), as floats: the 16
+        entries of a model buffer (J, the end-effector point, M, C(q, qd) and
+        qd, laid out as _views reads them), the gravity torque (a pair) and the
+        Coriolis factor h.  math.sin and math.cos give np.sin's and np.cos's
+        bits, as the numpy model had."""
         q12 = q1 + q2
         s1, c1, s12, c12 = math.sin(q1), math.cos(q1), math.sin(q12), math.cos(q12)
         c2 = math.cos(q2)
@@ -259,33 +277,31 @@ class PlanarArm:
         g2 = gl2 * c12
         m12 = m2 * (b12 + b2 * c2) + i2
         h = hl * math.sin(q2)
-        buf = np.array([-l1 * s1 - y2, -y2, x, x2, x, l1 * s1 + y2,
-                        b1 + m2 * (a0 + a1 * c2) + i2, m12, m12, m22,
-                        h * qd2, h * (qd1 + qd2), -h * qd1, 0.0, qd1, qd2],
-                       dtype=float).reshape(8, 2)
-        return buf[:2], buf[2], (gl1 * c1 + g2, g2), buf[3:5], buf[5:7], buf[7], h
+        return ((-l1 * s1 - y2, -y2, x, x2, x, l1 * s1 + y2,
+                 b1 + m2 * (a0 + a1 * c2) + i2, m12, m12, m22,
+                 h * qd2, h * (qd1 + qd2), -h * qd1, 0.0, qd1, qd2), (gl1 * c1 + g2, g2), h)
 
     # -- model quantities ----------------------------------------------------
 
     def mass_matrix(self, q) -> np.ndarray:
-        return self._model(q)[1][3]
+        return self._model(q)[1][4]
 
     def coriolis_matrix(self, q, qdot) -> np.ndarray:
         """Christoffel-consistent C(q, qd), so dM/dt - 2C is skew-symmetric."""
-        return self._model(q, qdot)[1][4]
+        return self._model(q, qdot)[1][5]
 
     def mass_matrix_rate(self, q, qdot) -> np.ndarray:
         """Analytic dM/dt; only the elbow angle enters M."""
-        joints, terms = self._model(q, qdot)
-        d = terms[6] * joints[3]
+        joints, _, _, h = self._model(q, qdot)
+        d = h * joints[3]
         return np.array([[2.0 * d, d], [d, 0.0]])
 
     def gravity_vector(self, q) -> np.ndarray:
-        return np.array(self._model(q)[1][2])
+        return np.array(self._model(q)[2])
 
     def jacobian(self, q) -> np.ndarray:
         """Planar linear Jacobian (2x2): end-effector (xd, yd) = J qd."""
-        return self._model(q)[1][0]
+        return self._model(q)[1][1]
 
     # -- plant port ----------------------------------------------------------
 
@@ -312,7 +328,7 @@ class PlanarArm:
                          stepped)
 
     def step(self, wrench: WrenchInput, tau: float) -> PlantState:
-        jt, f_e = self._jac.T, wrench.f_e
+        jt, f_e = self._jt, wrench.f_e
         d1, d2 = jt.dot(wrench.f_c).tolist()
         # J^T f_e of an f_e with no non-zero entry is a pair of zeros (J is
         # finite: the constructor bounds the reach l1 + l2)
@@ -326,7 +342,9 @@ class PlanarArm:
         # sum is -0.0 only when both terms are, so the first two sums agree
         # unless g is -0.0 (an underflow: g1 cancels only to +0.0), and then the
         # closing - g adds +0.0, which makes any zero +0.0.
-        a1, a2 = solve1(self._mass, [g1 - d1 + p1 - c1 - g1, g2 - d2 + p2 - c2 - g2]).tolist()
+        rhs = self._rhs
+        rhs[0], rhs[1] = g1 - d1 + p1 - c1 - g1, g2 - d2 + p2 - c2 - g2
+        a1, a2 = solve1(self._mass, rhs).tolist()
         v1, v2 = self._qd
         v1, v2 = v1 + tau * a1, v2 + tau * a2
         q1, q2 = self._q
@@ -335,11 +353,15 @@ class PlanarArm:
         isfinite = math.isfinite
         if not (isfinite(v1) and isfinite(v2) and isfinite(q1 + q2)):
             raise IntegrationFault("non-finite arm state")
-        jac, ee, grav, mass, cor, qdot, _ = self._terms(q1, q2, v1, v2)
+        model, grav, _ = self._terms(q1, q2, v1, v2)
+        idle = self._idle
+        buf, jac, _, ee, mass, _, qdot = idle
+        buf[:] = model
         state = self._state(jac, ee, mass, qdot, stepped=True)
         # the arm moves only once its snapshot is built: a refused one leaves it
-        self._q, self._qd, self._jac, self._ee, self._grav = (q1, q2), (v1, v2), jac, ee, grav
-        self._mass, self._cor, self._qdot = mass, cor, qdot
+        self._q, self._qd, self._grav = (q1, q2), (v1, v2), grav
+        self._live, self._idle = idle, self._live
+        _, self._jac, self._jt, self._ee, self._mass, self._cor, self._qdot = idle
         return state
 
 

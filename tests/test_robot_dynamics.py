@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 import sys
 import warnings
@@ -236,6 +238,36 @@ def test_a_refused_snapshot_leaves_the_arm_unmoved():
     assert after.x.tobytes() == state.x.tobytes()
     assert after.xdot.tobytes() == state.xdot.tobytes()
     assert repr(after.kinetic_energy_truth) == repr(state.kinetic_energy_truth) == "0.0"
+
+
+def _state_bits(state) -> tuple:
+    return state.x.tobytes(), state.xdot.tobytes(), repr(state.kinetic_energy_truth)
+
+
+_CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda arm: pickle.loads(pickle.dumps(arm))}
+
+
+@pytest.mark.parametrize("clone", _CLONES.values(), ids=_CLONES.keys())
+def test_copies_of_a_stepped_arm_are_independent_and_step_alike(clone):
+    # the arm writes each step's model into the idle one of two buffers whose
+    # views it holds, so a copy needs buffers of its own with views into them
+    pushes = [_wrench([3.0, -2.0], [0.5, 1.0]), _wrench([-1.0, 4.0]), _wrench([2.0, 2.0])]
+    arm = PlanarArm(q0=(0.3, 1.2), qdot0=(0.4, -0.3))
+    stepped = arm.step(pushes[0], 1e-3)
+    twin = clone(arm)
+    assert _arm_bits(twin) == _arm_bits(arm)
+    # a snapshot and the model methods' arrays are the caller's: later steps leave them
+    kept = (stepped.x, stepped.xdot, arm.mass_matrix((0.3, 1.2)), arm.jacobian((0.3, 1.2)))
+    kept_bits = [a.tobytes() for a in kept]
+    runs = []
+    for moving, still in ((arm, twin), (twin, arm)):
+        before = _arm_bits(still)
+        runs.append([_state_bits(moving.step(wrench, 1e-3)) for wrench in pushes])
+        assert _arm_bits(still) == before
+    assert runs[0] == runs[1]
+    assert _arm_bits(twin) == _arm_bits(arm)
+    assert [a.tobytes() for a in kept] == kept_bits
 
 
 def test_wrench_validation():
